@@ -39,3 +39,36 @@ def indices_to_mask(indices) -> int:
     for i in indices:
         mask |= 1 << i
     return mask
+
+
+def _echelon(rows) -> dict[int, int]:
+    """Row-reduce GF(2) rows (int bitsets) to echelon form.
+
+    Returns ``{col: row}``: each stored row's lowest set bit is its pivot
+    ``col``, so every other column of that row is strictly larger. Rows that
+    reduce to zero are dropped; the number of pivots is the rank.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            col = (row & -row).bit_length() - 1
+            if col not in pivots:
+                pivots[col] = row
+                break
+            row ^= pivots[col]
+    return pivots
+
+
+def _solve(pivots: dict[int, int], fixed: int) -> int:
+    """The solution of the echelon system ``pivots`` (every row has even
+    parity) whose non-pivot columns are ``fixed``.
+
+    Back-substitutes from the highest pivot down, setting pivot bit ``col``
+    when its row's other columns, all already decided, have odd parity.
+    ``fixed`` must not set a pivot column.
+    """
+    sol = fixed
+    for col in sorted(pivots, reverse=True):
+        if (pivots[col] & sol).bit_count() & 1:
+            sol |= 1 << col
+    return sol

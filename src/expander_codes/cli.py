@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Subcommands: gen, verify, profile, distance, decode, sweep, list-radius,
-report-radii. Exit codes: 0 on success, 1 when the decode subcommand fails
-to decode, 2 on invalid input.
+report-radii. Exit codes:
+
+- 0: success;
+- 1: the decode subcommand ran but failed to decode;
+- 2: invalid input (bad arguments, parameters, files or words);
+- 3: an internal error, reported as one ``error: internal:`` line.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from ._util import as_fraction
-from .decoders import decode_erasures
 from .errors import ExpanderCodeError
 from .expansion import measure_profile, profile_to_csv, verify_expander
 from .experiments import (
@@ -36,6 +39,7 @@ from .graphs import (
 from .linear_code import (
     distance_lower_bound,
     min_distance_bruteforce,
+    nullspace,
     parse_word,
 )
 from .list_decoding import improved_radius, johnson_radius
@@ -87,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="verify expansion parameters")
     common(sp, graph=True, params=True)
-    sp.add_argument("--exhaustive", action="store_true",
-                    help="force exhaustive mode (default)")
     sp.add_argument("--sampled", action="store_true", help="sampled mode")
     sp.add_argument("--trials", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=0)
@@ -195,8 +197,6 @@ def _cmd_distance(args) -> int:
             f"certified floor {bound.certified_floor}"
         )
     if args.nullspace_out:
-        from .linear_code import nullspace
-
         Path(args.nullspace_out).write_text(nullspace(g).to_text())
     return 0
 
@@ -204,21 +204,18 @@ def _cmd_distance(args) -> int:
 def _cmd_decode(args) -> int:
     g = _load_graph(args.graph)
     word = parse_word(Path(args.word).read_text())
-    if args.algo == "erasure":
-        out = decode_erasures(g, word)
-    else:
-        cfg = ExperimentConfig(
-            algorithm=args.algo,
-            radius_from=0,
-            radius_to=0,
-            alpha=args.alpha,
-            eps=args.eps,
-            beta=args.beta,
-            eta=args.eta,
-            slack=args.slack,
-            threshold_fraction=args.threshold,
-        )
-        out = dispatch_decode(cfg, g, word)
+    cfg = ExperimentConfig(
+        algorithm=args.algo,
+        radius_from=0,
+        radius_to=0,
+        alpha=args.alpha,
+        eps=args.eps,
+        beta=args.beta,
+        eta=args.eta,
+        slack=args.slack,
+        threshold_fraction=args.threshold,
+    )
+    out = dispatch_decode(cfg, g, word)
     if out.ok:
         print(f"success {out.word} corrected={out.corrected}")
         return 0
@@ -302,6 +299,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 means "decode failed", so an unexpected error must not
+        # escape as a traceback with that status
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ Every decoder is a pure function of (graph, word, configuration) and returns
 a DecodeOutcome. A success always carries a zero-syndrome codeword whose
 distance to the input respects the decoder's validation radius; candidates
 are re-checked even where theory would guarantee it. Threshold comparisons
-are exact: integer counts against rational (or rational-plus-square-root)
-thresholds.
+are exact: each rational (or rational-plus-square-root) threshold is resolved
+once per call to the smallest integer count it admits, and the per-vertex
+loops compare integer counts against that integer cut.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._util import as_fraction, mask_to_indices
+from ._util import _echelon, _solve, as_fraction, mask_to_indices
 from .errors import InvalidInput, InvalidParameters
 from .graphs import BipartiteGraph, ExpanderParams
 from .linear_code import Word, syndrome_bits
@@ -124,6 +125,20 @@ def _check_plain(g: BipartiteGraph, y: Word) -> None:
         raise InvalidInput("word must not contain erasures")
 
 
+def _unsat_counts(g: BipartiteGraph, synd: int) -> list[int]:
+    """Per left vertex, how many of its checks are set in ``synd``."""
+    return [(m & synd).bit_count() for m in g.left_masks]
+
+
+def _at_least(counts: list[int], t: int) -> int:
+    """Mask of the vertices whose count is at least the integer cut ``t``."""
+    mask = 0
+    for i, c in enumerate(counts):
+        if c >= t:
+            mask |= 1 << i
+    return mask
+
+
 def find_suspects(
     g: BipartiteGraph,
     y: Word,
@@ -151,10 +166,11 @@ def find_suspects(
     n, d = g.n_left, g.d_left
     left_masks = g.left_masks
     right_adj = g.right_adj
+    h = cfg.effective_threshold(d)
     r_mask = syndrome_bits(g, y.bits)
-    counts = [(left_masks[i] & r_mask).bit_count() for i in range(n)]
+    counts = _unsat_counts(g, r_mask)
     in_l = [False] * n
-    pending = {i for i in range(n) if cfg.admits(counts[i], d)}
+    pending = {i for i in range(n) if counts[i] >= h}
 
     added: list[int] = []
     growth: list[int] = []
@@ -176,7 +192,7 @@ def find_suspects(
             low = new_checks & -new_checks
             for u in right_adj[low.bit_length() - 1]:
                 counts[u] += 1
-                if not in_l[u] and cfg.admits(counts[u], d):
+                if not in_l[u] and counts[u] >= h:
                     pending.add(u)
             new_checks ^= low
     return FindTrace(tuple(added), sum(1 << i for i in added), r_mask, tuple(growth))
@@ -308,56 +324,17 @@ def decode_erasures(
     path = "peeling"
     if erased:
         path = "peeling+gauss"
-        unknowns = mask_to_indices(erased)
-        col_of = {b: j for j, b in enumerate(unknowns)}
-        rows: list[list[int]] = []  # [row_mask, rhs]
-        for c in range(g.m_right):
-            rm = right_masks[c] & erased
-            rhs = (parity >> c) & 1
-            if rm == 0 and rhs == 0:
-                continue
-            row = 0
-            mm = rm
-            while mm:
-                low = mm & -mm
-                row |= 1 << col_of[low.bit_length() - 1]
-                mm ^= low
-            rows.append([row, rhs])
-        pivots: dict[int, tuple[int, int]] = {}
-        for row, rhs in rows:
-            stored = False
-            while row:
-                col = (row & -row).bit_length() - 1
-                if col in pivots:
-                    prow, prhs = pivots[col]
-                    row ^= prow
-                    rhs ^= prhs
-                else:
-                    # pivot col is the lowest set bit, so every other column
-                    # of a stored row is strictly larger
-                    pivots[col] = (row, rhs)
-                    stored = True
-                    break
-            if not stored and rhs == 1:
-                return DecodeOutcome(
-                    algorithm, "failure", reason="not-a-codeword", path=path
-                )
-        if len(pivots) < len(unknowns):
+        # column N is fixed to 1 and carries each row's parity bit
+        one = 1 << g.n_left
+        pivots = _echelon(
+            (rm & erased) | (one if (parity >> c) & 1 else 0)
+            for c, rm in enumerate(right_masks)
+        )
+        if g.n_left in pivots:
+            return DecodeOutcome(algorithm, "failure", reason="not-a-codeword", path=path)
+        if len(pivots) < erased.bit_count():
             return DecodeOutcome(algorithm, "failure", reason="stalled", path=path)
-        # unique solution; solve in descending pivot order
-        values = [0] * len(unknowns)
-        for col in sorted(pivots, reverse=True):
-            row, rhs = pivots[col]
-            acc = rhs
-            rest = row ^ (1 << col)
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                acc ^= values[j]
-                rest ^= rest & -rest
-            values[col] = acc
-        for j, b in enumerate(unknowns):
-            if values[j]:
-                known |= 1 << b
+        known |= _solve(pivots, one) ^ one
         parity = syndrome_bits(g, known)
 
     if parity != 0:
@@ -387,6 +364,42 @@ def _find_and_erase(
     return sub.word.bits, "ok", trace
 
 
+def _find_erase_decode(
+    g: BipartiteGraph,
+    y: Word,
+    params: ExpanderParams,
+    xi,
+    algorithm: str,
+    radius: Optional[Fraction],
+) -> DecodeOutcome:
+    """Find suspects at delta = eps, erase them, decode from erasures; then,
+    unless ``radius`` is None, check the candidate's distance against it."""
+    capacity = ErasureConfig.from_params(params, xi).max_erasures(g.n_left)
+    cand, why, trace = _find_and_erase(
+        g, y.bits, FindConfig.from_delta(params.eps), capacity
+    )
+    if cand is None:
+        return DecodeOutcome(
+            algorithm, "failure", reason="no-candidate",
+            radius=radius, iterations=trace.size, path=why,
+        )
+    dist = (y.bits ^ cand).bit_count()
+    if radius is not None and dist > radius:
+        return DecodeOutcome(
+            algorithm, "failure", reason="radius-exceeded",
+            radius=radius, iterations=trace.size, path="find+erase",
+        )
+    return DecodeOutcome(
+        algorithm,
+        "success",
+        word=Word(g.n_left, cand),
+        radius=radius,
+        corrected=dist,
+        iterations=trace.size,
+        path="find+erase",
+    )
+
+
 def fixed_find_and_decode(
     g: BipartiteGraph,
     y: Word,
@@ -400,23 +413,7 @@ def fixed_find_and_decode(
     validation beyond the candidate being a codeword.
     """
     _check_plain(g, y)
-    capacity = ErasureConfig.from_params(params, xi).max_erasures(g.n_left)
-    cand, why, trace = _find_and_erase(
-        g, y.bits, FindConfig.from_delta(params.eps), capacity
-    )
-    if cand is None:
-        return DecodeOutcome(
-            "find-erase", "failure", reason="no-candidate",
-            iterations=trace.size, path=why,
-        )
-    return DecodeOutcome(
-        "find-erase",
-        "success",
-        word=Word(g.n_left, cand),
-        corrected=(y.bits ^ cand).bit_count(),
-        iterations=trace.size,
-        path="find+erase",
-    )
+    return _find_erase_decode(g, y, params, xi, "find-erase", None)
 
 
 # -- flipping ----------------------------------------------------------------
@@ -443,9 +440,8 @@ def flip_decode_ss(
     tf = as_fraction(threshold_fraction)
     if not Fraction(1, 2) < tf <= 1:
         raise InvalidParameters(f"threshold_fraction must be in (1/2, 1], got {tf}")
-    n, d = g.n_left, g.d_left
-    need = tf * d
-    left_masks = g.left_masks
+    n = g.n_left
+    t = math.ceil(tf * g.d_left)
     z = y.bits
     synd = syndrome_bits(g, z)
     unsat = synd.bit_count()
@@ -466,10 +462,7 @@ def flip_decode_ss(
                 "ss-flip", "failure", reason="stalled",
                 iterations=rounds, flips=flips, path="max-rounds",
             )
-        l0 = 0
-        for i in range(n):
-            if (left_masks[i] & synd).bit_count() >= need:
-                l0 |= 1 << i
+        l0 = _at_least(_unsat_counts(g, synd), t)
         if l0 == 0:
             return DecodeOutcome(
                 "ss-flip", "failure", reason="stalled",
@@ -500,13 +493,9 @@ def flip_round(g: BipartiteGraph, y: Word, gamma) -> tuple[Word, FlipRoundReport
     gamma = as_fraction(gamma)
     if not 0 <= gamma <= 1:
         raise InvalidParameters(f"gamma must be in [0, 1], got {gamma}")
-    d = g.d_left
-    need = (1 - 3 * gamma) * d
-    synd = syndrome_bits(g, y.bits)
-    l0 = 0
-    for i in range(g.n_left):
-        if (g.left_masks[i] & synd).bit_count() >= need:
-            l0 |= 1 << i
+    need = (1 - 3 * gamma) * g.d_left
+    counts = _unsat_counts(g, syndrome_bits(g, y.bits))
+    l0 = _at_least(counts, math.ceil(need))
     return Word(y.n, y.bits ^ l0), FlipRoundReport(mask_to_indices(l0), need)
 
 
@@ -534,30 +523,7 @@ def viderman_decode(
         radius = (1 - 3 * eps) / (1 - 2 * eps) * math.floor(params.alpha * g.n_left)
     else:
         radius = as_fraction(radius)
-    capacity = ErasureConfig.from_params(params, xi).max_erasures(g.n_left)
-    cand, why, trace = _find_and_erase(
-        g, y.bits, FindConfig.from_delta(eps), capacity
-    )
-    if cand is None:
-        return DecodeOutcome(
-            "viderman", "failure", reason="no-candidate",
-            radius=radius, iterations=trace.size, path=why,
-        )
-    dist = (y.bits ^ cand).bit_count()
-    if dist > radius:
-        return DecodeOutcome(
-            "viderman", "failure", reason="radius-exceeded",
-            radius=radius, iterations=trace.size, path="find+erase",
-        )
-    return DecodeOutcome(
-        "viderman",
-        "success",
-        word=Word(g.n_left, cand),
-        radius=radius,
-        corrected=dist,
-        iterations=trace.size,
-        path="find+erase",
-    )
+    return _find_erase_decode(g, y, params, xi, "viderman", radius)
 
 
 # -- guess-and-flip (enumerated collision densities) --------------------------
@@ -621,7 +587,6 @@ def guess_flip_decode(
     if schedule is None:
         schedule = GuessSchedule.for_beta(beta)
     n, d = g.n_left, g.d_left
-    left_masks = g.left_masks
     radius = (1 - eps) * alpha * n
     capacity = ErasureConfig.from_params(params, xi).max_erasures(n)
     vid_radius = (1 - 3 * eps) / (1 - 2 * eps) * math.floor(alpha * n)
@@ -669,13 +634,9 @@ def guess_flip_decode(
                 return True
             memo_fail.add((z, depth))
             return False
-        synd = syndrome_bits(g, z)
-        counts = [(left_masks[i] & synd).bit_count() for i in range(n)]
+        counts = _unsat_counts(g, syndrome_bits(g, z))
         for t in flip_thresholds:
-            l0 = 0
-            for i in range(n):
-                if counts[i] >= t:
-                    l0 |= 1 << i
+            l0 = _at_least(counts, t)
             if dfs(z ^ l0, depth + 1, flips + l0.bit_count(), path + (("flip", t),)):
                 return True
         if has_find:

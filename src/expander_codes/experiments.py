@@ -7,6 +7,7 @@ import hashlib
 import io
 import itertools
 import math
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,6 @@ from .decoders import (
 from .errors import BudgetExceeded, InvalidInput, InvalidParameters
 from .graphs import BipartiteGraph, ExpanderParams
 from .linear_code import Word, sample_codeword
-import random
 
 __all__ = [
     "ERROR_MODELS",
@@ -49,16 +49,43 @@ __all__ = [
 
 ERROR_MODELS = ("uniform-random-set", "low-expansion-greedy", "exhaustive")
 
-DECODER_NAMES = (
-    "find-erase",
-    "erasure",
-    "ss-flip",
-    "viderman",
-    "guess-flip",
-    "guess-flip-scaled",
-    "guess-expansion",
-    "guess-expansion-grid",
-)
+
+def _needs(value, message: str):
+    """``value``, or InvalidParameters when a decoder's argument is missing."""
+    if value is None:
+        raise InvalidParameters(message)
+    return value
+
+
+def _ss_flip(cfg, g, word) -> DecodeOutcome:
+    if cfg.threshold_fraction is None and cfg.eps is None:
+        raise InvalidParameters("ss-flip needs threshold_fraction or eps")
+    return flip_decode_ss(g, word, cfg.threshold_fraction, eps=cfg.eps)
+
+
+# name -> decode(cfg, g, word). Required arguments are checked before
+# cfg.params(), which has its own message for missing alpha and eps.
+_DECODERS = {
+    "find-erase": lambda cfg, g, word: fixed_find_and_decode(
+        g, word, cfg.params(), xi=cfg.xi),
+    "erasure": lambda cfg, g, word: decode_erasures(g, word),
+    "ss-flip": _ss_flip,
+    "viderman": lambda cfg, g, word: viderman_decode(
+        g, word, cfg.params(), xi=cfg.xi),
+    "guess-flip": lambda cfg, g, word: guess_flip_decode(
+        g, word, beta=_needs(cfg.beta, "guess-flip needs beta"),
+        params=cfg.params(), xi=cfg.xi),
+    "guess-flip-scaled": lambda cfg, g, word: scaled_guess_flip_decode(
+        g, word, eta=_needs(cfg.eta, "guess-flip-scaled needs eta"),
+        params=cfg.params(), xi=cfg.xi),
+    "guess-expansion": lambda cfg, g, word: guess_expansion_decode_poly(
+        g, word, cfg.params(), slack=cfg.slack),
+    "guess-expansion-grid": lambda cfg, g, word: guess_expansion_decode_grid(
+        g, word, eta_prime=_needs(cfg.eta, "guess-expansion-grid needs eta (eta_prime)"),
+        params=cfg.params()),
+}
+
+DECODER_NAMES = tuple(_DECODERS)
 
 
 def _greedy_low_expansion_set(g: BipartiteGraph, size: int) -> tuple[int, ...]:
@@ -216,35 +243,10 @@ def trial_seed(master: int, radius: int, trial: int) -> int:
 
 
 def dispatch_decode(cfg: ExperimentConfig, g: BipartiteGraph, word: Word) -> DecodeOutcome:
-    algo = cfg.algorithm
-    if algo == "erasure":
-        return decode_erasures(g, word)
-    if algo == "find-erase":
-        return fixed_find_and_decode(g, word, cfg.params(), xi=cfg.xi)
-    if algo == "ss-flip":
-        tf = cfg.threshold_fraction
-        if tf is None:
-            if cfg.eps is None:
-                raise InvalidParameters("ss-flip needs threshold_fraction or eps")
-            tf = 1 - 2 * cfg.eps
-        return flip_decode_ss(g, word, tf)
-    if algo == "viderman":
-        return viderman_decode(g, word, cfg.params(), xi=cfg.xi)
-    if algo == "guess-flip":
-        if cfg.beta is None:
-            raise InvalidParameters("guess-flip needs beta")
-        return guess_flip_decode(g, word, cfg.params(), cfg.beta, xi=cfg.xi)
-    if algo == "guess-flip-scaled":
-        if cfg.eta is None:
-            raise InvalidParameters("guess-flip-scaled needs eta")
-        return scaled_guess_flip_decode(g, word, cfg.params(), cfg.eta, xi=cfg.xi)
-    if algo == "guess-expansion":
-        return guess_expansion_decode_poly(g, word, cfg.params(), slack=cfg.slack)
-    if algo == "guess-expansion-grid":
-        if cfg.eta is None:
-            raise InvalidParameters("guess-expansion-grid needs eta (eta_prime)")
-        return guess_expansion_decode_grid(g, word, cfg.params(), cfg.eta)
-    raise InvalidParameters(f"unknown algorithm {algo!r}")
+    decode = _DECODERS.get(cfg.algorithm)
+    if decode is None:
+        raise InvalidParameters(f"unknown algorithm {cfg.algorithm!r}")
+    return decode(cfg, g, word)
 
 
 def run_trial(

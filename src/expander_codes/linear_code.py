@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from ._util import indices_to_mask, mask_to_indices
+from ._util import _echelon, _solve, indices_to_mask, mask_to_indices
 from .errors import BudgetExceeded, InvalidInput, InvalidParameters
 from .expansion import tradeoff_bound_first
 from .graphs import BipartiteGraph, ExpanderParams
@@ -205,39 +205,14 @@ class NullspaceBasis:
 
 
 def nullspace(g: BipartiteGraph) -> NullspaceBasis:
-    """Gaussian elimination over GF(2) on the check matrix."""
-    n = g.n_left
-    rows = list(g.right_masks)
-    pivots: list[int] = []  # pivot column per reduced row
-    reduced: list[int] = []
-    for col in range(n):
-        sel = None
-        for idx in range(len(rows)):
-            if (rows[idx] >> col) & 1:
-                sel = idx
-                break
-        if sel is None:
-            continue
-        row = rows.pop(sel)
-        for idx in range(len(rows)):
-            if (rows[idx] >> col) & 1:
-                rows[idx] ^= row
-        for idx in range(len(reduced)):
-            if (reduced[idx] >> col) & 1:
-                reduced[idx] ^= row
-        reduced.append(row)
-        pivots.append(col)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for row, pivot_col in zip(reduced, pivots):
-            if (row >> free) & 1:
-                vec |= 1 << pivot_col
-        basis.append(vec)
-    return NullspaceBasis(n, len(pivots), tuple(basis))
+    """Gaussian elimination over GF(2) on the check matrix.
+
+    The basis is the reduced one: one word per free column, ascending, with
+    that column set and every other free column clear.
+    """
+    pivots = _echelon(g.right_masks)
+    basis = tuple(_solve(pivots, 1 << f) for f in range(g.n_left) if f not in pivots)
+    return NullspaceBasis(g.n_left, len(pivots), basis)
 
 
 @dataclass(frozen=True)

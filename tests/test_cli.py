@@ -105,6 +105,17 @@ class TestDecode:
         assert main(["decode", "--graph", tri3_file, "--algo", "viderman",
                      word]) == 2
 
+    def test_internal_error_exit_3(self, tri3_file, tmp_path, capsys):
+        # beta = 1/1000 makes the guess-flip search 1099 levels deep, which
+        # overruns the interpreter's recursion limit
+        word = _word_file(tmp_path, "100")
+        assert main(["decode", "--graph", tri3_file, "--alpha", "1/3",
+                     "--eps", "1/8", "--algo", "guess-flip",
+                     "--beta", "1/1000", word]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: internal: RecursionError: ")
+
 
 class TestSweepCli:
     def test_byte_identical_runs(self, tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from expander_codes import (
+    BipartiteGraph,
     DecodeOutcome,
     ErasureConfig,
     ExpanderParams,
@@ -54,6 +55,19 @@ class TestFindConfig:
     def test_from_delta_range(self):
         with pytest.raises(InvalidParameters):
             FindConfig.from_delta(Fraction(1, 2))
+
+    def test_admits_is_the_effective_threshold_cut(self):
+        qs = (0, Fraction(1, 100), Fraction(1, 16), Fraction(1, 9),
+              Fraction(3, 50), Fraction(1, 5), Fraction(1, 4))
+        ss = (0, Fraction(1, 10), Fraction(1, 8), Fraction(1, 4),
+              Fraction(2, 5), Fraction(49, 100))
+        for q in qs:
+            for s in ss:
+                cfg = FindConfig(q, s)
+                for d in (1, 2, 3, 4, 5, 6, 7, 8, 50):
+                    h = cfg.effective_threshold(d)
+                    for c in range(d + 1):
+                        assert cfg.admits(c, d) == (c >= h), (q, s, d, c)
 
 
 class TestFindSuspects:
@@ -198,6 +212,18 @@ class TestFlipDecode:
     def test_threshold_range(self, tri3):
         with pytest.raises(InvalidParameters):
             flip_decode_ss(tri3, parse_word("100"), Fraction(1, 2))
+
+    def test_fractional_cut(self):
+        # eps = 1/8, D = 6: the cut (1 - 2 eps) D = 9/2 is not an integer.
+        # With word 111, bit 0 sees 5 unsatisfied checks and flips; bit 2
+        # sees 4 and does not. Afterwards bits 1 and 2 both see 4: stalled.
+        g = BipartiteGraph(3, 15, 6, [
+            range(0, 6), range(5, 11), (9, 10, 11, 12, 13, 14),
+        ])
+        out = flip_decode_ss(g, parse_word("111"), eps=Fraction(1, 8))
+        assert not out.ok and out.reason == "stalled"
+        assert out.path == "no-flippable-bit"
+        assert (out.iterations, out.flips) == (1, 1)
 
 
 class TestFlipRound:

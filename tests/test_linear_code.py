@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -92,6 +93,16 @@ class TestNullspace:
             assert ns.rate() >= 1 - Fraction(g.m_right, g.n_left)
             for vec in ns.basis:
                 assert is_codeword(g, Word(14, vec))
+
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "c70d055721261806e052e8da700d809412f705f6e2c4f678476e68718a1d3869"),
+        (2, "5bdd0384ee24fad77395074abd64f9f203b333ec5c1380a054ee1be6116d9855"),
+    ])
+    def test_golden_basis_digest(self, seed, digest):
+        # the reduced basis is unique, and sampled codewords and sweep CSV
+        # bytes depend on it bit for bit
+        text = nullspace(gen_left_regular(512, 384, 6, seed)).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestMinDistance:
