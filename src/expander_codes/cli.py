@@ -248,10 +248,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_list_radius(args) -> int:
     if args.delta is not None:
         delta = args.delta
-    elif args.alpha is not None and args.eps is not None:
+    elif args.alpha is not None and args.eps is not None and args.eps > 0:
         delta = args.alpha / (2 * args.eps)
     else:
-        raise ExpanderCodeError("need --delta, or --alpha with --eps")
+        raise ExpanderCodeError("need --delta, or --alpha with a positive --eps")
     breakdown = improved_radius(
         delta, args.dmax, alpha=args.alpha, eps=args.eps, d_r=args.dr
     )

@@ -702,22 +702,21 @@ def scaled_guess_flip_decode(
 # -- guess-expansion decoding (eps <= 1/8) ------------------------------------
 
 
-def _accept_radius(params: ExpanderParams, n: int) -> Fraction:
-    return (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
-
-
 def _run_expansion_branches(
     g: BipartiteGraph,
     y: Word,
     params: ExpanderParams,
-    branches,  # iterable of (enum_index, ExpansionGuess, FindConfig)
+    guesses,  # iterable of (enum_index, ExpansionGuess)
     algorithm: str,
 ) -> DecodeOutcome:
+    """Find-and-erase once per integer cut, in guess order. Plain guesses come
+    first and sqrt cuts never increase, so a sqrt cut of 0 ends the walk."""
     n, d = g.n_left, g.d_left
-    accept = _accept_radius(params, n)
+    accept = (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
     seen: set[int] = set()
     attempts = 0
-    for enum_index, guess, cfg in branches:
+    for enum_index, guess in guesses:
+        cfg = FindConfig(guess.delta_radicand, guess.delta_affine)
         heff = cfg.effective_threshold(d)
         if heff in seen:
             continue
@@ -735,6 +734,8 @@ def _run_expansion_branches(
                 enumeration_index=enum_index,
                 guess=guess,
             )
+        if heff == 0 and guess.branch == "sqrt":
+            break
     return DecodeOutcome(
         algorithm, "failure", reason="no-candidate",
         radius=accept, iterations=attempts,
@@ -744,13 +745,15 @@ def _run_expansion_branches(
 def guess_expansion_decode_poly(
     g: BipartiteGraph, y: Word, params: ExpanderParams, slack=Fraction(0)
 ) -> DecodeOutcome:
-    """Enumerate every consistent guess (|F|, |Gamma(F)|) = (i, j); per guess
-    set the find threshold from delta = sqrt(gamma*x*eps) + slack when
-    gamma*x >= eps and x >= 1, else delta = eps + slack, then find-and-erase;
-    accept a candidate within (1-2 eps)/(4 eps) * alpha * N of the input.
+    """Guess (|F|, |Gamma(F)|) = (i, j); per guess set the find threshold from
+    delta = sqrt(gamma*x*eps) + slack when gamma*x >= eps and x >= 1, else
+    delta = eps + slack, then find-and-erase; accept a candidate within
+    (1-2 eps)/(4 eps) * alpha * N of the input.
 
-    Guesses are tried with i ascending and j descending, and guesses whose
-    thresholds admit the same integer counts are run once.
+    Only k = D*i - j enters the threshold (gamma*x = k/(D*alpha*N)), and the
+    cut never increases with k. So after the plain guess (1, D) the decoder
+    walks k upward over the sqrt branch, naming each k by its first (i, j) in
+    the order i ascending, j descending, and stops at the first k with cut 0.
     """
     _check_plain(g, y)
     eps = params.eps
@@ -761,23 +764,22 @@ def guess_expansion_decode_poly(
         raise InvalidParameters("slack must be nonnegative")
     n, m, d = g.n_left, g.m_right, g.d_left
     alpha_n = params.alpha * n
+    i0 = max(1, math.ceil(alpha_n))
 
-    def branches():
-        for i in range(1, n + 1):
+    def guesses():
+        if n == 0:  # there is no guess (i, j) to make
+            return
+        # gamma = 0 at (1, D), which puts it on the plain branch (D <= M)
+        yield (1, d), ExpansionGuess(
+            1 / alpha_n, Fraction(0), None, "plain", Fraction(0), eps + slack
+        )
+        for k in range(max(d * i0 - m, math.ceil(eps * d * alpha_n)), d * n):
+            i = max(i0, k // d + 1)
             x = i / alpha_n
-            for j in range(m, 0, -1):
-                if j > d * i:
-                    continue
-                gamma = 1 - Fraction(j, d * i)
-                if gamma * x >= eps and x >= 1:
-                    guess = ExpansionGuess(x, gamma, None, "sqrt", gamma * x * eps, slack)
-                    cfg = FindConfig(gamma * x * eps, slack)
-                else:
-                    guess = ExpansionGuess(x, gamma, None, "plain", Fraction(0), eps + slack)
-                    cfg = FindConfig(Fraction(0), eps + slack)
-                yield (i, j), guess, cfg
+            gamma = Fraction(k, d * i)
+            yield (i, d * i - k), ExpansionGuess(x, gamma, None, "sqrt", gamma * x * eps, slack)
 
-    return _run_expansion_branches(g, y, params, branches(), "guess-expansion")
+    return _run_expansion_branches(g, y, params, guesses(), "guess-expansion")
 
 
 def grid_guess_values(eps, eta_prime) -> tuple[Fraction, ...]:
@@ -805,14 +807,11 @@ def guess_expansion_decode_grid(
     values = grid_guess_values(eps, eta_prime)
     eta = eps * as_fraction(eta_prime)
 
-    def branches():
+    def guesses():
         for idx, gv in enumerate(values):
             if gv >= eps:
-                guess = ExpansionGuess(None, None, gv, "sqrt", gv * eps, eta)
-                cfg = FindConfig(gv * eps, eta)
+                yield (idx,), ExpansionGuess(None, None, gv, "sqrt", gv * eps, eta)
             else:
-                guess = ExpansionGuess(None, None, gv, "plain", Fraction(0), eps + 2 * eta)
-                cfg = FindConfig(Fraction(0), eps + 2 * eta)
-            yield (idx,), guess, cfg
+                yield (idx,), ExpansionGuess(None, None, gv, "plain", Fraction(0), eps + 2 * eta)
 
-    return _run_expansion_branches(g, y, params, branches(), "guess-expansion-grid")
+    return _run_expansion_branches(g, y, params, guesses(), "guess-expansion-grid")

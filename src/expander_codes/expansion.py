@@ -149,6 +149,8 @@ def measure_profile(
             )
         return _profile_exhaustive(g, s_max)
     if mode == "sampled":
+        if trials < 1:
+            raise InvalidParameters(f"trials must be >= 1, got {trials}")
         return _profile_sampled(g, s_max, trials, seed)
     raise InvalidParameters(f"unknown mode {mode!r}")
 

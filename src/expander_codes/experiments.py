@@ -109,6 +109,17 @@ def _greedy_low_expansion_set(g: BipartiteGraph, size: int) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
+def _error_set(g: BipartiteGraph, model: str, radius: int, seed: int) -> tuple[int, ...]:
+    """The ascending size-``radius`` error set a sampled model picks."""
+    if model == "uniform-random-set":
+        return tuple(sorted(random.Random(seed).sample(range(g.n_left), radius)))
+    if model == "low-expansion-greedy":
+        return _greedy_low_expansion_set(g, radius)
+    raise InvalidParameters(
+        f"unknown model {model!r} (exhaustive patterns come from iter_error_patterns)"
+    )
+
+
 def inject_errors(
     g: BipartiteGraph, codeword: Word, radius: int, model: str, seed: int
 ) -> tuple[Word, frozenset[int]]:
@@ -122,15 +133,7 @@ def inject_errors(
         raise InvalidParameters(f"radius must be in [0, {g.n_left}]")
     if codeword.n != g.n_left or codeword.has_erasures:
         raise InvalidInput("codeword must be a fully known length-N word")
-    if model == "uniform-random-set":
-        rng = random.Random(seed)
-        errs = tuple(sorted(rng.sample(range(g.n_left), radius)))
-    elif model == "low-expansion-greedy":
-        errs = _greedy_low_expansion_set(g, radius)
-    else:
-        raise InvalidParameters(
-            f"unknown model {model!r} (exhaustive patterns come from iter_error_patterns)"
-        )
+    errs = _error_set(g, model, radius, seed)
     return (
         Word(g.n_left, codeword.bits ^ indices_to_mask(errs)),
         frozenset(errs),
@@ -301,11 +304,7 @@ def sweep(cfg: ExperimentConfig, g: BipartiteGraph) -> list[TrialResult]:
         else:
             for trial in range(cfg.trials):
                 seed = trial_seed(cfg.seed, radius, trial)
-                if cfg.model == "uniform-random-set":
-                    rng = random.Random(seed)
-                    errs = sorted(rng.sample(range(g.n_left), radius))
-                else:
-                    errs = _greedy_low_expansion_set(g, radius)
+                errs = _error_set(g, cfg.model, radius, seed)
                 results.append(run_trial(cfg, g, radius, trial, errs, seed))
     return results
 

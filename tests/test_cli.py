@@ -60,6 +60,17 @@ class TestVerify:
         assert main(["verify", "--graph", str(tmp_path / "nope"),
                      "--alpha", "1/3", "--eps", "0.1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--alpha", "1/3", "--eps", "1/10"],
+        ["profile"],
+    ])
+    def test_sampled_zero_trials_exit_2(self, tri3_file, capsys, argv):
+        cmd, *rest = argv
+        assert main([cmd, "--graph", tri3_file, *rest,
+                     "--sampled", "--trials", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: trials must be >= 1")
+
 
 class TestProfileDistance:
     def test_profile_csv(self, tri3_file, capsys):
@@ -149,6 +160,12 @@ class TestRadiiCli:
 
     def test_list_radius_needs_inputs(self, capsys):
         assert main(["list-radius", "--dmax", "9"]) == 2
+
+    def test_list_radius_zero_eps_exit_2(self, capsys):
+        assert main(["list-radius", "--dmax", "9", "--alpha", "1/10",
+                     "--eps", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: need --delta, or --alpha with a positive --eps"]
 
     def test_report_radii(self, capsys):
         assert main(["report-radii", "--alpha", "0.01", "--eps", "1/8"]) == 0

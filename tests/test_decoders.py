@@ -32,7 +32,11 @@ from expander_codes import (
     unique_neighbors,
     viderman_decode,
 )
-from expander_codes.decoders import grid_guess_values
+from expander_codes.decoders import (
+    ExpansionGuess,
+    _run_expansion_branches,
+    grid_guess_values,
+)
 from conftest import cyc_graph
 
 
@@ -454,6 +458,71 @@ class TestGuessExpansion:
         assert len(values) == math.ceil(1 / eta) + 1
         assert values[0] == 0 and values[1] == eta
 
+    def test_k_walk_matches_pair_enumeration(self):
+        alpha_ns = tuple(map(Fraction, ("1/2", "5/6", "1", "2", "5/2", "3")))
+        epss = tuple(map(Fraction, ("1/128", "1/32", "1/10", "1/8")))
+        slacks = tuple(map(Fraction, ("0", "1/7", "1/2")))
+        rng = random.Random(2024)
+        cases = []
+        # seeded random graphs, each with a word whose two errors share a
+        # check (the plain cut misses both, a sqrt cut can find them) and a
+        # heavier word
+        for seed in range(16):
+            n = rng.randint(6, 30)
+            d = rng.randint(1, min(6, n - 1))
+            m = rng.randint(d, n - 1)
+            g = gen_left_regular(n, m, d, seed)
+            planted = sample_codeword(g, seed)
+            pair = rng.sample(max(g.right_adj, key=len), 2)
+            heavy = rng.sample(range(n), n // 3 + 2)
+            for errs in (pair, heavy):
+                for _ in range(4):
+                    alpha_n = rng.choice(alpha_ns)
+                    params = ExpanderParams(alpha_n / n, rng.choice(epss))
+                    cases.append((g, plant_errors(planted, errs), params, rng.choice(slacks)))
+        # a failure whose last guess, k = D*N - 1, brings a new cut
+        g = gen_left_regular(14, 10, 4, 1)
+        y = plant_errors(sample_codeword(g, 1), range(0, 14, 2))
+        cases.append((g, y, ExpanderParams(Fraction(5, 6) / 14, Fraction(1, 128)), slacks[1]))
+        # a failure where D*ceil(alpha*N) > M, so j <= M starts the walk
+        g = gen_left_regular(13, 6, 6, 29)
+        y = plant_errors(sample_codeword(g, 29), range(0, 13, 2))
+        cases.append((g, y, ExpanderParams(Fraction(2, 13), Fraction(1, 8)), slacks[0]))
+        # a sqrt success at alpha*N = 5/2, so at i >= 3
+        g = gen_left_regular(22, 20, 4, 963)
+        y = plant_errors(sample_codeword(g, 963), [5, 13])
+        cases.append((g, y, ExpanderParams(Fraction(5, 2) / 22, Fraction(1, 32)), slacks[0]))
+
+        kinds, sides = set(), set()
+        for g, y, params, slack in cases:
+            ref = list(_poly_guesses_by_pair(g, params, slack))
+            want = _run_expansion_branches(g, y, params, ref, "guess-expansion")
+            got = guess_expansion_decode_poly(g, y, params, slack)
+            assert got == want, (g, y, params, slack)
+            if not got.ok:  # every distinct cut was tried, once
+                deltas = {(q.delta_radicand, q.delta_affine) for _, q in ref}
+                cuts = {FindConfig(*qs).effective_threshold(g.d_left) for qs in deltas}
+                assert got.iterations == len(cuts)
+            kinds.add((got.status, got.guess.branch if got.ok else None))
+            sides.add(params.alpha * g.n_left < 1)
+        assert {("success", "sqrt"), ("failure", None)} <= kinds
+        assert sides == {True, False}
+
+    def test_poly_on_empty_graph_makes_no_guess(self):
+        g = BipartiteGraph(0, 3, 2, ())
+        out = guess_expansion_decode_poly(g, Word.zero(0), ExpanderParams(1, Fraction(1, 8)))
+        assert not out.ok and out.iterations == 0
+
+    def test_grid_tries_sqrt_cuts_after_a_plain_zero_cut(self):
+        # eta' = 2 at eps = 1/8: the plain delta eps + 2*eta = 5/8 admits
+        # every count (cut 0), the first sqrt delta sqrt(1/32) + 1/4 has
+        # cut 1 at D = 6, and the rest have cut 0 again
+        g = gen_left_regular(24, 18, 6, 1)
+        y = plant_errors(sample_codeword(g, 1), range(24))
+        params = ExpanderParams(Fraction(1, 12), Fraction(1, 8))
+        out = guess_expansion_decode_grid(g, y, params, 2)
+        assert not out.ok and out.iterations == 2
+
     def test_conjunctive_branch_guard(self, guess_expansion_instance):
         # gamma*x >= eps alone with x < 1 must stay on the plain branch:
         # every successful single-error decode reports a plain-branch guess
@@ -464,6 +533,24 @@ class TestGuessExpansion:
         assert out.ok
         if out.guess.branch == "sqrt":
             assert out.guess.x >= 1
+
+
+def _poly_guesses_by_pair(g, params, slack):
+    """Reference for guess_expansion_decode_poly: every consistent guess
+    (i, j), i ascending and j descending, each with its own threshold."""
+    n, m, d = g.n_left, g.m_right, g.d_left
+    eps = params.eps
+    alpha_n = params.alpha * n
+    for i in range(1, n + 1):
+        x = i / alpha_n
+        for j in range(min(m, d * i), 0, -1):
+            gamma = 1 - Fraction(j, d * i)
+            if gamma * x >= eps and x >= 1:
+                yield (i, j), ExpansionGuess(x, gamma, None, "sqrt", gamma * x * eps, slack)
+            else:
+                yield (i, j), ExpansionGuess(
+                    x, gamma, None, "plain", Fraction(0), eps + slack
+                )
 
 
 class TestOutcomeContract:
