@@ -541,7 +541,10 @@ class GuessSchedule:
     beta: Fraction
     eta: Fraction
     ell: int
-    gammas: tuple[Fraction, ...]
+
+    @property
+    def gammas(self) -> tuple[Fraction, ...]:
+        return tuple(i * self.eta for i in range(1, math.ceil(1 / self.eta) + 1))
 
     @classmethod
     def for_beta(cls, beta, eta=None, ell: Optional[int] = None) -> "GuessSchedule":
@@ -556,8 +559,24 @@ class GuessSchedule:
             ell = min_ell
         elif ell < min_ell:
             raise InvalidParameters(f"ell must be at least {min_ell}")
-        gammas = tuple(i * eta for i in range(1, math.ceil(1 / eta) + 1))
-        return cls(beta, eta, ell, gammas)
+        return cls(beta, eta, ell)
+
+
+def _flip_cuts(eta: Fraction, cutoff: Fraction, d: int) -> tuple[list[int], bool]:
+    """The distinct cuts max(0, ceil((1 - 3 i eta) D)) of the guesses i eta
+    below ``cutoff``, descending, and whether a guess reaches ``cutoff``. From
+    cut t it jumps to the first i with a lower cut, ceil((D - t + 1) / (3 D eta)).
+    """
+    cuts: list[int] = []
+    last = math.ceil(1 / eta)
+    i = 1
+    while i <= last and i * eta < cutoff:
+        t = max(0, math.ceil((1 - 3 * i * eta) * d))
+        cuts.append(t)
+        if t == 0:
+            break
+        i = math.ceil((d - t + 1) / (3 * d * eta))
+    return cuts, last * eta >= cutoff
 
 
 def guess_flip_decode(
@@ -592,18 +611,7 @@ def guess_flip_decode(
     vid_radius = (1 - 3 * eps) / (1 - 2 * eps) * math.floor(alpha * n)
     cutoff = Fraction(2, 3) * eps + schedule.eta
 
-    flip_thresholds: list[int] = []
-    seen_t: set[int] = set()
-    has_find = False
-    for gv in schedule.gammas:  # grid is ascending
-        if gv < cutoff:
-            t = max(0, math.ceil((1 - 3 * gv) * d))
-            if t not in seen_t:
-                seen_t.add(t)
-                flip_thresholds.append(t)
-        else:
-            has_find = True
-            break
+    flip_thresholds, has_find = _flip_cuts(schedule.eta, cutoff, d)
 
     find_cfg = FindConfig.from_delta(eps)
     fixed_cache: dict[int, Optional[int]] = {}

@@ -275,7 +275,8 @@ def union_graph(g0: BipartiteGraph, g1: BipartiteGraph) -> BipartiteGraph:
 # -- text format -----------------------------------------------------------
 #
 # Optional '#' comment lines, then a header "N M D", then N lines of D
-# space-separated strictly ascending zero-based right indices. LF newlines.
+# space-separated strictly ascending zero-based right indices (blank when
+# D = 0). LF newlines.
 
 
 def store(g: BipartiteGraph) -> str:
@@ -290,7 +291,7 @@ def load(text: str) -> BipartiteGraph:
     n = m = d = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#") or not (line or (header is not None and d == 0 and len(rows) < n)):
             continue
         parts = line.split()
         if header is None:

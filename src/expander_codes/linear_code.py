@@ -7,6 +7,8 @@ whose syndrome is zero.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,20 +186,30 @@ class NullspaceBasis:
             raise InvalidParameters("rate undefined for N = 0")
         return Fraction(self.n - self.rank, self.n)
 
-    def codeword_count(self) -> int:
-        return 1 << self.dimension
-
     def iter_codewords(self) -> Iterator[int]:
-        """All codewords as raw bit vectors via a Gray-code walk."""
-        word = 0
-        yield word
-        for i in range(1, 1 << self.dimension):
-            word ^= self.basis[(i & -i).bit_length() - 1]
-            yield word
+        """All codewords as raw bit vectors, each once, the zero word first.
 
-    def words(self) -> Iterator[Word]:
-        for bits in self.iter_codewords():
-            yield Word(self.n, bits)
+        The span of the first half of the basis, at most 12 vectors, is listed
+        once and shifted by each word of a Gray-code walk over the rest, so the
+        per-codeword work runs in ``map`` and a large code is walked lazily.
+        """
+        half = min(self.dimension // 2, 12)
+        low = [0]
+        for vec in self.basis[:half]:
+            low += [word ^ vec for word in low]
+        high = self.basis[half:]
+        steps = (high[(i & -i).bit_length() - 1] for i in range(1, 1 << len(high)))
+        shifts = itertools.accumulate(steps, operator.xor, initial=0)
+        return itertools.chain.from_iterable(map(shift.__xor__, low) for shift in shifts)
+
+    def _budgeted_walk(self, budget: int) -> Iterator[int]:
+        """``iter_codewords``, refused when the dimension exceeds ``budget``."""
+        if self.dimension > budget:
+            raise BudgetExceeded(
+                f"code dimension {self.dimension} exceeds budget {budget}",
+                required=self.dimension,
+            )
+        return self.iter_codewords()
 
     def to_text(self) -> str:
         """One basis word per line as 0/1 characters."""
@@ -230,18 +242,10 @@ def min_distance_bruteforce(g: BipartiteGraph, budget: int = 24) -> DistanceResu
     ns = nullspace(g)
     if ns.dimension == 0:
         raise InvalidParameters("code is trivial (only the zero word)")
-    if ns.dimension > budget:
-        raise BudgetExceeded(
-            f"code dimension {ns.dimension} exceeds budget {budget}",
-            required=ns.dimension,
-        )
-    best_w = None
-    best_bits = None
-    word = 0
-    for i in range(1, 1 << ns.dimension):
-        word ^= ns.basis[(i & -i).bit_length() - 1]
+    best_w, best_bits = g.n_left + 1, 0
+    for word in itertools.islice(ns._budgeted_walk(budget), 1, None):  # skip the zero word
         w = word.bit_count()
-        if best_w is None or w < best_w or (w == best_w and word < best_bits):
+        if w < best_w or (w == best_w and word < best_bits):
             best_w, best_bits = w, word
     return DistanceResult(best_w, Word(g.n_left, best_bits))
 

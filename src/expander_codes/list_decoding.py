@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ._util import as_fraction
-from .errors import BudgetExceeded, InvalidInput, InvalidParameters
+from ._util import as_fraction, mask_to_indices
+from .errors import InvalidInput, InvalidParameters
 from .expansion import FactCheck
 from .graphs import BipartiteGraph
 from .linear_code import Word, min_distance_bruteforce, nullspace, syndrome_bits
@@ -245,18 +245,8 @@ def enumerate_list(
         raise InvalidInput("list enumeration needs a fully known center")
     if radius < 0:
         raise InvalidParameters("radius must be nonnegative")
-    ns = nullspace(g)
-    if ns.dimension > budget:
-        raise BudgetExceeded(
-            f"code dimension {ns.dimension} exceeds budget {budget}",
-            required=ns.dimension,
-        )
-    hits = [
-        bits
-        for bits in ns.iter_codewords()
-        if (bits ^ y.bits).bit_count() <= radius
-    ]
-    hits.sort()
+    walk = nullspace(g)._budgeted_walk(budget)
+    hits = sorted(bits for bits in walk if (bits ^ y.bits).bit_count() <= radius)
     return [Word(g.n_left, bits) for bits in hits]
 
 
@@ -308,11 +298,8 @@ def tau_profile(
     big_l = len(codewords)
     tau = [0] * n
     for w in codewords:
-        diff = w.bits ^ y.bits
-        while diff:
-            low = diff & -diff
-            tau[low.bit_length() - 1] += 1
-            diff ^= low
+        for i in mask_to_indices(w.bits ^ y.bits):
+            tau[i] += 1
 
     theta = HEAVY_NUMERATOR / g.d_max
     cutoff = theta * big_l

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from expander_codes import (
 )
 from expander_codes.decoders import (
     ExpansionGuess,
+    _flip_cuts,
     _run_expansion_branches,
     grid_guess_values,
 )
@@ -312,6 +314,46 @@ class TestGuessSchedule:
     def test_ell_floor_enforced(self):
         with pytest.raises(InvalidParameters):
             GuessSchedule.for_beta(Fraction(1, 12), ell=2)
+
+    @staticmethod
+    def _grid_cuts(sched, cutoff, d):
+        # the grid walk the cut listing replaces: every gamma below the
+        # cutoff, keeping each cut once in first-seen order
+        cuts: list[int] = []
+        for gv in sched.gammas:
+            if gv >= cutoff:
+                return cuts, True
+            t = max(0, math.ceil((1 - 3 * gv) * d))
+            if t not in cuts:
+                cuts.append(t)
+        return cuts, False
+
+    def test_flip_cuts_match_grid_walk(self):
+        rng = random.Random(4)
+        betas = [Fraction(1, 12), Fraction(1, 20), Fraction(1, 7), Fraction(6, 25)]
+        etas = [None, Fraction(1, 3), Fraction(2, 5), Fraction(1, 1), Fraction(3, 2),
+                Fraction(7, 4), Fraction(1, 97)]
+        cases = [
+            (beta, eta, eps, d)
+            for beta in betas
+            for eta in etas
+            for eps in (Fraction(0), Fraction(1, 16), Fraction(1, 4) - beta)
+            for d in (0, 1, 2, 3, 6, 10)
+        ]
+        for _ in range(300):
+            beta = Fraction(rng.randint(1, 240), 1000)
+            eta = Fraction(rng.randint(1, 400), rng.randint(1, 4000))
+            eps = Fraction(rng.randint(0, 600), 1000)
+            cases.append((beta, eta, eps, rng.randint(0, 12)))
+        finds = set()
+        for beta, eta, eps, d in cases:
+            sched = GuessSchedule.for_beta(beta, eta=eta)
+            cutoff = Fraction(2, 3) * eps + sched.eta
+            expected = self._grid_cuts(sched, cutoff, d)
+            assert _flip_cuts(sched.eta, cutoff, d) == expected, (beta, eta, eps, d)
+            finds.add((expected[1], bool(expected[0])))
+        # both branches, with and without flip cuts, are exercised
+        assert finds == {(True, True), (True, False), (False, True)}
 
 
 class TestGuessFlip:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,10 +7,13 @@ import pytest
 
 from expander_codes import (
     BudgetExceeded,
+    DistanceResult,
     ExpanderParams,
     InvalidInput,
+    NullspaceBasis,
     Word,
     distance_lower_bound,
+    enumerate_list,
     gen_left_regular,
     is_codeword,
     min_distance_bruteforce,
@@ -94,6 +98,19 @@ class TestNullspace:
             for vec in ns.basis:
                 assert is_codeword(g, Word(14, vec))
 
+    @pytest.mark.parametrize("dim", range(11))
+    def test_walk_yields_the_span_once_zero_first(self, dim):
+        # the low dim bits of the basis form an identity, so it is independent
+        rng = random.Random(dim)
+        basis = tuple((1 << k) | (rng.getrandbits(6) << dim) for k in range(dim))
+        span = {0}
+        for vec in basis:
+            span |= {word ^ vec for word in span}
+        walked = list(NullspaceBasis(dim + 6, 6, basis).iter_codewords())
+        assert walked[0] == 0
+        assert len(walked) == 1 << dim
+        assert set(walked) == span
+
     @pytest.mark.parametrize("seed, digest", [
         (1, "c70d055721261806e052e8da700d809412f705f6e2c4f678476e68718a1d3869"),
         (2, "5bdd0384ee24fad77395074abd64f9f203b333ec5c1380a054ee1be6116d9855"),
@@ -122,6 +139,48 @@ class TestMinDistance:
         g = union_graph(tri3, tri3)
         with pytest.raises(BudgetExceeded):
             min_distance_bruteforce(g, budget=1)
+
+
+def _gray_walk(basis):
+    # the one-basis-vector-per-step Gray-code walk the chunked walk replaced
+    word = 0
+    yield word
+    for i in range(1, 1 << len(basis)):
+        word ^= basis[(i & -i).bit_length() - 1]
+        yield word
+
+
+def test_walk_callers_match_gray_walk():
+    rng = random.Random(21)
+    dims = set()
+    for _ in range(40):
+        d = rng.randint(2, 6)
+        n = rng.randint(d + 2, 18)
+        g = gen_left_regular(n, rng.randint(d, n), d, rng.getrandbits(16))
+        basis = nullspace(g).basis
+        dims.add(len(basis))
+        if basis:
+            best_w = best_bits = None
+            for word in itertools.islice(_gray_walk(basis), 1, None):
+                w = word.bit_count()
+                if best_w is None or w < best_w or (w == best_w and word < best_bits):
+                    best_w, best_bits = w, word
+            expected = DistanceResult(best_w, Word(n, best_bits))
+            assert min_distance_bruteforce(g) == expected
+        y = Word(n, rng.getrandbits(n))
+        for radius in (0, 3, n):
+            hits = sorted(b for b in _gray_walk(basis) if (b ^ y.bits).bit_count() <= radius)
+            assert enumerate_list(g, y, radius) == [Word(n, b) for b in hits]
+        if basis:
+            # both callers refuse through the one check, in the same words
+            text = f"code dimension {len(basis)} exceeds budget {len(basis) - 1} "
+            text += f"(required budget {len(basis)})"
+            for call in (min_distance_bruteforce, lambda g, budget: enumerate_list(g, y, 0, budget)):
+                with pytest.raises(BudgetExceeded) as info:
+                    call(g, budget=len(basis) - 1)
+                assert str(info.value) == text
+    # odd and even dimensions, both sides of a split
+    assert {1, 2, 3}.issubset(dims) and max(dims) >= 10
 
 
 class TestDistanceLowerBound:
