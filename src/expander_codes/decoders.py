@@ -12,6 +12,7 @@ loops compare integer counts against that integer cut.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, replace
@@ -152,38 +153,40 @@ def find_suspects(
     add any vertex with at least (1-2*delta)*D neighbors in R, folding its
     neighborhood into R.
 
-    The final set L is independent of the pick order; ``order`` selects the
-    tie-breaking discipline (ascending index by default, or descending, or
-    seeded random) and ``prefer`` lets eligible vertices from a given set win
-    ties first, which realizes the errors-first insertion order.
+    One pick rule: among the eligible vertices, those in ``prefer`` come
+    first, then ``order`` decides: ascending index (the default), descending
+    index, or a permutation of the indices seeded by ``seed`` ("random").
+    Preferring the error positions realizes the errors-first insertion order.
+    Only L and R are independent of the pick rule; the trace's insertion
+    order and growth follow it.
     """
     _check_plain(g, y)
-    if order not in ("ascending", "descending", "random"):
+    n, d = g.n_left, g.d_left
+    if order == "ascending":
+        rank = range(n)
+    elif order == "descending":
+        rank = range(n - 1, -1, -1)
+    elif order == "random":
+        rank = list(range(n))
+        random.Random(seed).shuffle(rank)
+    else:
         raise InvalidParameters(f"unknown order {order!r}")
-    rng = random.Random(seed) if order == "random" else None
     pref = frozenset(prefer) if prefer is not None else frozenset()
 
-    n, d = g.n_left, g.d_left
     left_masks = g.left_masks
     right_adj = g.right_adj
     h = cfg.effective_threshold(d)
     r_mask = syndrome_bits(g, y.bits)
     counts = _unsat_counts(g, r_mask)
-    in_l = [False] * n
-    pending = {i for i in range(n) if counts[i] >= h}
+    # counts only grow, so a vertex enters the heap once: at the start, or
+    # when its count reaches the cut h
+    heap = [(i not in pref, rank[i], i) for i in range(n) if counts[i] >= h]
+    heapq.heapify(heap)
 
     added: list[int] = []
     growth: list[int] = []
-    while pending:
-        pick_from = pending & pref or pending
-        if rng is not None and len(pick_from) > 1:
-            i = rng.choice(sorted(pick_from))
-        elif order == "descending" and not (pending & pref):
-            i = max(pick_from)
-        else:
-            i = min(pick_from)
-        pending.discard(i)
-        in_l[i] = True
+    while heap:
+        i = heapq.heappop(heap)[2]
         added.append(i)
         new_checks = left_masks[i] & ~r_mask
         r_mask |= left_masks[i]
@@ -192,8 +195,8 @@ def find_suspects(
             low = new_checks & -new_checks
             for u in right_adj[low.bit_length() - 1]:
                 counts[u] += 1
-                if not in_l[u] and counts[u] >= h:
-                    pending.add(u)
+                if counts[u] == h:
+                    heapq.heappush(heap, (u not in pref, rank[u], u))
             new_checks ^= low
     return FindTrace(tuple(added), sum(1 << i for i in added), r_mask, tuple(growth))
 
@@ -265,8 +268,9 @@ class ErasureConfig:
             raise InvalidParameters(f"xi must be in (0, 1), got {self.xi}")
 
     @classmethod
-    def from_params(cls, params: ExpanderParams, xi=Fraction(1, 100)) -> "ErasureConfig":
-        return cls(as_fraction(xi), params.alpha, params.eps)
+    def from_params(cls, params: ExpanderParams) -> "ErasureConfig":
+        """The decoders' budget: ``params`` with the margin xi = 1/100."""
+        return cls(Fraction(1, 100), params.alpha, params.eps)
 
     def max_erasures(self, n: int) -> int:
         return math.floor((1 - self.xi) / (2 * self.eps) * self.alpha * n)
@@ -368,13 +372,12 @@ def _find_erase_decode(
     g: BipartiteGraph,
     y: Word,
     params: ExpanderParams,
-    xi,
     algorithm: str,
     radius: Optional[Fraction],
 ) -> DecodeOutcome:
     """Find suspects at delta = eps, erase them, decode from erasures; then,
     unless ``radius`` is None, check the candidate's distance against it."""
-    capacity = ErasureConfig.from_params(params, xi).max_erasures(g.n_left)
+    capacity = ErasureConfig.from_params(params).max_erasures(g.n_left)
     cand, why, trace = _find_and_erase(
         g, y.bits, FindConfig.from_delta(params.eps), capacity
     )
@@ -404,16 +407,16 @@ def fixed_find_and_decode(
     g: BipartiteGraph,
     y: Word,
     params: ExpanderParams,
-    xi=Fraction(1, 100),
 ) -> DecodeOutcome:
     """Find suspects at delta = eps, erase them, decode from erasures.
 
-    The erasure budget is floor((1-xi)/(2 eps) * alpha * N); a larger suspect
+    The erasure budget is floor((1-xi)/(2 eps) * alpha * N) with the margin
+    xi = 1/100 (``ErasureConfig.from_params``); a larger suspect
     set fails as no-candidate rather than being truncated. No distance
     validation beyond the candidate being a codeword.
     """
     _check_plain(g, y)
-    return _find_erase_decode(g, y, params, xi, "find-erase", None)
+    return _find_erase_decode(g, y, params, "find-erase", None)
 
 
 # -- flipping ----------------------------------------------------------------
@@ -507,7 +510,6 @@ def viderman_decode(
     y: Word,
     params: ExpanderParams,
     radius=None,
-    xi=Fraction(1, 100),
 ) -> DecodeOutcome:
     """Find suspects at delta = eps, erase, decode, then validate the result
     against the decoding radius.
@@ -523,7 +525,7 @@ def viderman_decode(
         radius = (1 - 3 * eps) / (1 - 2 * eps) * math.floor(params.alpha * g.n_left)
     else:
         radius = as_fraction(radius)
-    return _find_erase_decode(g, y, params, xi, "viderman", radius)
+    return _find_erase_decode(g, y, params, "viderman", radius)
 
 
 # -- guess-and-flip (enumerated collision densities) --------------------------
@@ -585,7 +587,6 @@ def guess_flip_decode(
     params: ExpanderParams,
     beta,
     schedule: Optional[GuessSchedule] = None,
-    xi=Fraction(1, 100),
 ) -> DecodeOutcome:
     """Enumerate guess sequences; per guess either flip the heavy-unsatisfied
     bits (small guess) or find-and-erase (large guess), finishing each
@@ -607,7 +608,7 @@ def guess_flip_decode(
         schedule = GuessSchedule.for_beta(beta)
     n, d = g.n_left, g.d_left
     radius = (1 - eps) * alpha * n
-    capacity = ErasureConfig.from_params(params, xi).max_erasures(n)
+    capacity = ErasureConfig.from_params(params).max_erasures(n)
     vid_radius = (1 - 3 * eps) / (1 - 2 * eps) * math.floor(alpha * n)
     cutoff = Fraction(2, 3) * eps + schedule.eta
 
@@ -678,7 +679,6 @@ def scaled_guess_flip_decode(
     y: Word,
     params: ExpanderParams,
     eta,
-    xi=Fraction(1, 100),
 ) -> DecodeOutcome:
     """Run the guess-and-flip decoder at the traded-up parameters
     (k*alpha, k*eps) with k = (1/4 - beta)/eps, beta = eta.
@@ -699,11 +699,11 @@ def scaled_guess_flip_decode(
     if k > 1 / alpha:
         k = 1 / alpha
     if k <= 1:
-        out = guess_flip_decode(g, y, params, beta=Fraction(1, 4) - eps, xi=xi)
+        out = guess_flip_decode(g, y, params, beta=Fraction(1, 4) - eps)
         return replace(out, algorithm="guess-flip-scaled", path="unscaled-fallback")
     scaled = ExpanderParams(k * alpha, k * eps)
     beta2 = Fraction(1, 4) - k * eps
-    out = guess_flip_decode(g, y, scaled, beta=beta2, xi=xi)
+    out = guess_flip_decode(g, y, scaled, beta=beta2)
     return replace(out, algorithm="guess-flip-scaled", path=f"k={k}")
 
 

@@ -9,7 +9,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -57,27 +57,20 @@ def _needs(value, message: str):
     return value
 
 
-def _ss_flip(cfg, g, word) -> DecodeOutcome:
-    if cfg.threshold_fraction is None and cfg.eps is None:
-        raise InvalidParameters("ss-flip needs threshold_fraction or eps")
-    return flip_decode_ss(g, word, cfg.threshold_fraction, eps=cfg.eps)
-
-
 # name -> decode(cfg, g, word). Required arguments are checked before
 # cfg.params(), which has its own message for missing alpha and eps.
 _DECODERS = {
-    "find-erase": lambda cfg, g, word: fixed_find_and_decode(
-        g, word, cfg.params(), xi=cfg.xi),
+    "find-erase": lambda cfg, g, word: fixed_find_and_decode(g, word, cfg.params()),
     "erasure": lambda cfg, g, word: decode_erasures(g, word),
-    "ss-flip": _ss_flip,
-    "viderman": lambda cfg, g, word: viderman_decode(
-        g, word, cfg.params(), xi=cfg.xi),
+    "ss-flip": lambda cfg, g, word: flip_decode_ss(
+        g, word, cfg.threshold_fraction, eps=cfg.eps),
+    "viderman": lambda cfg, g, word: viderman_decode(g, word, cfg.params()),
     "guess-flip": lambda cfg, g, word: guess_flip_decode(
         g, word, beta=_needs(cfg.beta, "guess-flip needs beta"),
-        params=cfg.params(), xi=cfg.xi),
+        params=cfg.params()),
     "guess-flip-scaled": lambda cfg, g, word: scaled_guess_flip_decode(
         g, word, eta=_needs(cfg.eta, "guess-flip-scaled needs eta"),
-        params=cfg.params(), xi=cfg.xi),
+        params=cfg.params()),
     "guess-expansion": lambda cfg, g, word: guess_expansion_decode_poly(
         g, word, cfg.params(), slack=cfg.slack),
     "guess-expansion-grid": lambda cfg, g, word: guess_expansion_decode_grid(
@@ -174,7 +167,6 @@ class ExperimentConfig:
     beta: Optional[Fraction] = None
     eta: Optional[Fraction] = None
     slack: Fraction = Fraction(0)
-    xi: Fraction = Fraction(1, 100)
     threshold_fraction: Optional[Fraction] = None
     measure_time: bool = False
     budget: int = 1 << 26
@@ -195,7 +187,6 @@ class ExperimentConfig:
             if v is not None:
                 object.__setattr__(self, name, as_fraction(v))
         object.__setattr__(self, "slack", as_fraction(self.slack))
-        object.__setattr__(self, "xi", as_fraction(self.xi))
 
     def params(self) -> ExpanderParams:
         if self.alpha is None or self.eps is None:
@@ -222,21 +213,7 @@ class TrialResult:
     wall_time: float
 
 
-CSV_COLUMNS = (
-    "algorithm",
-    "n",
-    "m",
-    "d",
-    "alpha",
-    "eps",
-    "radius",
-    "trial",
-    "errors",
-    "status",
-    "recovered",
-    "iterations",
-    "wall_time",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(TrialResult))
 
 
 def trial_seed(master: int, radius: int, trial: int) -> int:
@@ -309,26 +286,21 @@ def sweep(cfg: ExperimentConfig, g: BipartiteGraph) -> list[TrialResult]:
     return results
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 def results_to_csv(results: Iterable[TrialResult]) -> str:
     out = io.StringIO()
     out.write(",".join(CSV_COLUMNS) + "\n")
     for r in results:
-        row = (
-            r.algorithm,
-            str(r.n),
-            str(r.m),
-            str(r.d),
-            "" if r.alpha is None else str(r.alpha),
-            "" if r.eps is None else str(r.eps),
-            str(r.radius),
-            str(r.trial),
-            str(r.errors),
-            r.status,
-            "1" if r.recovered else "0",
-            str(r.iterations),
-            repr(r.wall_time),
-        )
-        out.write(",".join(row) + "\n")
+        out.write(",".join(_csv_cell(getattr(r, c)) for c in CSV_COLUMNS) + "\n")
     return out.getvalue()
 
 

@@ -134,26 +134,22 @@ def improved_radius(
 
     lo, hi = ddelta / 2.0, 0.54 * ddelta
     n_h_hi = HEAVY_MASS * hi * (1.0 - 0.9) / theta
-    if n_h_hi >= 1.0 or _fixed_point_terms(hi, ddelta, theta)[0] - hi > 0.0:
-        return ListRadiusBreakdown(
-            ddelta, d_max, theta, fallback, jr_f,
-            HEAVY_MASS * fallback * 0.1, 0.0, 0.0, "fallback", float("nan"),
-            conditions,
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _fixed_point_terms(mid, ddelta, theta)[0] - mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 0.0:
-            break
-    rho = hi
-    f, s_h, n_h, e = _fixed_point_terms(rho, ddelta, theta)
-    residual = abs(f - rho)
-    if residual > tol:
-        raise InvalidParameters(f"bisection did not converge: residual {residual}")
-    if theta <= rho:
+    bracketed = n_h_hi < 1.0 and _fixed_point_terms(hi, ddelta, theta)[0] - hi <= 0.0
+    if bracketed:
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if _fixed_point_terms(mid, ddelta, theta)[0] - mid > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 0.0:
+                break
+        rho = hi
+        f, s_h, n_h, e = _fixed_point_terms(rho, ddelta, theta)
+        residual = abs(f - rho)
+        if residual > tol:
+            raise InvalidParameters(f"bisection did not converge: residual {residual}")
+    if not bracketed or theta <= rho:
         return ListRadiusBreakdown(
             ddelta, d_max, theta, fallback, jr_f,
             HEAVY_MASS * fallback * 0.1, 0.0, 0.0, "fallback", float("nan"),

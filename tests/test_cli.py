@@ -113,8 +113,9 @@ class TestDecode:
 
     def test_missing_params_exit_2(self, tri3_file, tmp_path):
         word = _word_file(tmp_path, "100")
-        assert main(["decode", "--graph", tri3_file, "--algo", "viderman",
-                     word]) == 2
+        for algo in ("viderman", "ss-flip"):
+            assert main(["decode", "--graph", tri3_file, "--algo", algo,
+                         word]) == 2
 
     def test_internal_error_exit_3(self, tri3_file, tmp_path, capsys):
         # beta = 1/1000 makes the guess-flip search 1099 levels deep, which

@@ -11,6 +11,7 @@ from expander_codes import (
     ErasureConfig,
     ExpanderParams,
     FindConfig,
+    FindTrace,
     GuessSchedule,
     InvalidParameters,
     Word,
@@ -39,6 +40,7 @@ from expander_codes.decoders import (
     _run_expansion_branches,
     grid_guess_values,
 )
+from expander_codes.linear_code import syndrome_bits
 from conftest import cyc_graph
 
 
@@ -74,6 +76,40 @@ class TestFindConfig:
                     h = cfg.effective_threshold(d)
                     for c in range(d + 1):
                         assert cfg.admits(c, d) == (c >= h), (q, s, d, c)
+
+
+def _three_branch_find(g, y, cfg, order="ascending", seed=None, prefer=None):
+    """The former pick loop of find_suspects: a seeded choice, max or min over
+    the pending vertices (preferred ones first), rescanned on every pick."""
+    rng = random.Random(seed) if order == "random" else None
+    pref = frozenset(prefer) if prefer is not None else frozenset()
+    h = cfg.effective_threshold(g.d_left)
+    r_mask = syndrome_bits(g, y.bits)
+    counts = [(m & r_mask).bit_count() for m in g.left_masks]
+    in_l = [False] * g.n_left
+    pending = {i for i in range(g.n_left) if counts[i] >= h}
+    added, growth = [], []
+    while pending:
+        pick_from = pending & pref or pending
+        if rng is not None and len(pick_from) > 1:
+            i = rng.choice(sorted(pick_from))
+        elif order == "descending" and not (pending & pref):
+            i = max(pick_from)
+        else:
+            i = min(pick_from)
+        pending.discard(i)
+        in_l[i] = True
+        added.append(i)
+        new_checks = g.left_masks[i] & ~r_mask
+        r_mask |= g.left_masks[i]
+        growth.append(r_mask.bit_count())
+        for c in range(g.m_right):
+            if (new_checks >> c) & 1:
+                for u in g.right_adj[c]:
+                    counts[u] += 1
+                    if not in_l[u] and counts[u] >= h:
+                        pending.add(u)
+    return FindTrace(tuple(added), sum(1 << i for i in added), r_mask, tuple(growth))
 
 
 class TestFindSuspects:
@@ -114,6 +150,47 @@ class TestFindSuspects:
                 find_suspects(g, y, cfg, order="random", seed=case).l_set,
             ]
             assert runs[0] == runs[1] == runs[2]
+
+    def test_heap_picks_match_three_branch_loop(self):
+        rng = random.Random(5)
+        graphs = []
+        for seed in range(60):
+            n = rng.randint(1, 40)
+            d = rng.randint(1, 6)
+            graphs.append(gen_left_regular(n, rng.randint(d, max(d, n)), d, seed))
+        cfgs = [
+            FindConfig(Fraction(0), Fraction(1, 2)),  # h = 0
+            FindConfig(Fraction(1, 4), Fraction(0)),  # h = 0 through the sqrt
+            FindConfig.from_delta(0),  # h = D
+        ]
+        seen = set()
+        for case in range(1200):
+            g = graphs[case % len(graphs)]
+            n, d = g.n_left, g.d_left
+            codeword = sample_codeword(g, case)
+            errors = rng.sample(range(n), rng.randint(0, n))
+            y = plant_errors(codeword, errors)
+            if case % 3 == 0:
+                cfg = rng.choice(cfgs)
+            else:
+                cfg = FindConfig(Fraction(rng.randrange(0, 9), 64), Fraction(rng.randrange(0, 13), 24))
+            h = cfg.effective_threshold(d)
+            prefer = rng.choice([
+                None,
+                errors,
+                rng.sample(range(-3, n + 3), rng.randint(0, n + 6)),
+            ])
+            seen.add((h == 0, h == d, syndrome_bits(g, y.bits) == 0, prefer is None))
+            for order in ("ascending", "descending", "random"):
+                got = find_suspects(g, y, cfg, order=order, seed=case, prefer=prefer)
+                ref = _three_branch_find(g, y, cfg, order=order, seed=case, prefer=prefer)
+                if order == "ascending" or (order == "descending" and prefer is None):
+                    assert got == ref, (case, order)
+                assert (got.l_mask, got.r_mask) == (ref.l_mask, ref.r_mask), (case, order)
+        # h = 0, h = D and an empty syndrome, each with and without prefer
+        for flag in range(3):
+            for p in (False, True):
+                assert any(key[flag] and key[3] == p for key in seen), (flag, p)
 
     def test_errors_contained_when_unique_neighbor_condition_holds(self, decode_instances):
         inst = decode_instances[0]
