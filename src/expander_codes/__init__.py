@@ -8,6 +8,7 @@ at desk scale.
 
 from .errors import (
     BudgetExceeded,
+    ConvergenceFailed,
     ExpanderCodeError,
     GenerationFailed,
     GraphFormatError,

@@ -59,16 +59,20 @@ def _echelon(rows) -> dict[int, int]:
     return pivots
 
 
-def _solve(pivots: dict[int, int], fixed: int) -> int:
-    """The solution of the echelon system ``pivots`` (every row has even
-    parity) whose non-pivot columns are ``fixed``.
+def _solve(pivots: dict[int, int], *fixed: int) -> tuple[int, ...]:
+    """The solutions of the echelon system ``pivots`` (every row has even
+    parity) whose non-pivot columns are each of ``fixed``, in order.
 
     Back-substitutes from the highest pivot down, setting pivot bit ``col``
-    when its row's other columns, all already decided, have odd parity.
-    ``fixed`` must not set a pivot column.
+    when its row's other columns, all already decided, have odd parity. The
+    descending pivot order is built once and shared by every solution. No
+    word of ``fixed`` may set a pivot column.
     """
-    sol = fixed
-    for col in sorted(pivots, reverse=True):
-        if (pivots[col] & sol).bit_count() & 1:
-            sol |= 1 << col
-    return sol
+    order = [(1 << col, pivots[col]) for col in sorted(pivots, reverse=True)]
+    out = []
+    for sol in fixed:
+        for bit, row in order:
+            if (row & sol).bit_count() & 1:
+                sol |= bit
+        out.append(sol)
+    return tuple(out)

@@ -5,7 +5,8 @@ report-radii. Exit codes:
 
 - 0: success;
 - 1: the decode subcommand ran but failed to decode;
-- 2: invalid input (bad arguments, parameters, files or words);
+- 2: invalid input (bad arguments, parameters, files or words) or any other
+  typed refusal, such as an exceeded budget or a non-converged bisection;
 - 3: an internal error, reported as one ``error: internal:`` line.
 """
 

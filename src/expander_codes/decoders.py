@@ -338,7 +338,7 @@ def decode_erasures(
             return DecodeOutcome(algorithm, "failure", reason="not-a-codeword", path=path)
         if len(pivots) < erased.bit_count():
             return DecodeOutcome(algorithm, "failure", reason="stalled", path=path)
-        known |= _solve(pivots, one) ^ one
+        known |= _solve(pivots, one)[0] ^ one
         parity = syndrome_bits(g, known)
 
     if parity != 0:

@@ -23,6 +23,10 @@ class GenerationFailed(ExpanderCodeError, RuntimeError):
         self.attempts = attempts
 
 
+class ConvergenceFailed(ExpanderCodeError, ArithmeticError):
+    """A numerical fixed-point search ended outside its tolerance."""
+
+
 class GraphFormatError(ExpanderCodeError, ValueError):
     """Graph or word file could not be parsed; carries the 1-based line number."""
 

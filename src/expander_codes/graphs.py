@@ -38,7 +38,8 @@ class BipartiteGraph:
     ``adj[i]`` is the strictly ascending tuple of the ``d_left`` distinct right
     neighbors of left vertex ``i`` (simple graph: no parallel edges from one
     left vertex). Instances are immutable by convention and safe to share;
-    derived structure (bit masks, right adjacency) is cached on first access.
+    derived structure (bit masks, right adjacency, code basis) is cached on
+    first access, so a graph must not be mutated once it has been used.
     """
 
     n_left: int
@@ -91,6 +92,13 @@ class BipartiteGraph:
     def right_masks(self) -> tuple[int, ...]:
         """Per right vertex, its neighbor set as a bit mask over left bits."""
         return tuple(sum(1 << i for i in row) for row in self.right_adj)
+
+    @cached_property
+    def _code_basis(self):
+        """The code's reduced basis; read it through ``linear_code.nullspace``."""
+        from .linear_code import _reduced_basis  # linear_code imports this module
+
+        return _reduced_basis(self)
 
     @cached_property
     def right_degrees(self) -> tuple[int, ...]:

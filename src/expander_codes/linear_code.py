@@ -220,11 +220,17 @@ def nullspace(g: BipartiteGraph) -> NullspaceBasis:
     """Gaussian elimination over GF(2) on the check matrix.
 
     The basis is the reduced one: one word per free column, ascending, with
-    that column set and every other free column clear.
+    that column set and every other free column clear. It is computed once
+    per graph and cached on it, so every later call returns the same
+    immutable ``NullspaceBasis``.
     """
+    return g._code_basis
+
+
+def _reduced_basis(g: BipartiteGraph) -> NullspaceBasis:
     pivots = _echelon(g.right_masks)
-    basis = tuple(_solve(pivots, 1 << f) for f in range(g.n_left) if f not in pivots)
-    return NullspaceBasis(g.n_left, len(pivots), basis)
+    free = (1 << f for f in range(g.n_left) if f not in pivots)
+    return NullspaceBasis(g.n_left, len(pivots), _solve(pivots, *free))
 
 
 @dataclass(frozen=True)
@@ -285,7 +291,7 @@ def distance_lower_bound(params: ExpanderParams, d: int, n: int) -> DistanceBoun
 
 
 def sample_codeword(g: BipartiteGraph, seed: int) -> Word:
-    """Uniform codeword: random GF(2) combination of a nullspace basis."""
+    """Uniform codeword: random GF(2) combination of the cached code basis."""
     ns = nullspace(g)
     rng = random.Random(seed)
     coeffs = rng.getrandbits(ns.dimension) if ns.dimension else 0

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._util import as_fraction, mask_to_indices
-from .errors import InvalidInput, InvalidParameters
+from .errors import ConvergenceFailed, InvalidInput, InvalidParameters
 from .expansion import FactCheck
 from .graphs import BipartiteGraph
 from .linear_code import Word, min_distance_bruteforce, nullspace, syndrome_bits
@@ -148,7 +148,7 @@ def improved_radius(
         f, s_h, n_h, e = _fixed_point_terms(rho, ddelta, theta)
         residual = abs(f - rho)
         if residual > tol:
-            raise InvalidParameters(f"bisection did not converge: residual {residual}")
+            raise ConvergenceFailed(f"bisection did not converge: residual {residual}")
     if not bracketed or theta <= rho:
         return ListRadiusBreakdown(
             ddelta, d_max, theta, fallback, jr_f,

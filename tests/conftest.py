@@ -14,12 +14,27 @@ from expander_codes import (
     ExpanderParams,
     cycle_graph,
     gen_left_regular,
+    linear_code,
     measure_profile,
     min_distance_bruteforce,
     nullspace,
     vertex_edge_graph,
     verify_expander,
 )
+
+
+@pytest.fixture
+def eliminations(monkeypatch) -> list:
+    """Grows by one entry per GF(2) elimination ``nullspace`` runs."""
+    calls = []
+    echelon = linear_code._echelon
+
+    def counting(rows):
+        calls.append(1)
+        return echelon(rows)
+
+    monkeypatch.setattr(linear_code, "_echelon", counting)
+    return calls
 
 
 def tri3_graph() -> BipartiteGraph:

@@ -1,6 +1,9 @@
+import functools
+import hashlib
+
 import pytest
 
-from expander_codes import load, store
+from expander_codes import cli, gen_left_regular, improved_radius, load, store
 from expander_codes.cli import main
 from conftest import tri3_graph
 
@@ -91,6 +94,16 @@ class TestProfileDistance:
                      "--nullspace-out", str(out)]) == 0
         assert out.read_text() == "111\n"
 
+    def test_nullspace_export_runs_one_elimination(self, tmp_path, eliminations):
+        graph, out = tmp_path / "g.graph", tmp_path / "basis.txt"
+        graph.write_text(store(gen_left_regular(24, 18, 4, 2)))
+        assert main(["distance", "--graph", str(graph),
+                     "--nullspace-out", str(out)]) == 0
+        # the distance and the export share the graph's one code basis
+        assert len(eliminations) == 1
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "02e748109256b4b4ef4ec8c07504a718d712ef88a79ed9970c7f15f9a9abc383"
+
 
 class TestDecode:
     def test_erasure_success(self, tri3_file, tmp_path, capsys):
@@ -167,6 +180,17 @@ class TestRadiiCli:
                      "--eps", "0"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: need --delta, or --alpha with a positive --eps"]
+
+    def test_list_radius_non_convergence_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "improved_radius", functools.partial(improved_radius, tol=-1.0)
+        )
+        assert main(["list-radius", "--delta", "0.05", "--dmax", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: bisection did not converge")
 
     def test_report_radii(self, capsys):
         assert main(["report-radii", "--alpha", "0.01", "--eps", "1/8"]) == 0

@@ -6,22 +6,30 @@ reported `corrected` count and which lies in the brute-force list
 `enumerate_list(g, y, floor(radius))` whenever a radius is declared. The
 erasure decoder's success must be the unique codeword that agrees with the
 known bits.
+
+A second property checks Viderman's guarantee: on a graph that
+`verify_expander` certifies with strict slack, `viderman_decode` finds the
+unique codeword inside the baseline radius.
 """
 
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from expander_codes import (
+    ExpanderParams,
     Word,
     enumerate_list,
     gen_left_regular,
     nullspace,
     sample_codeword,
+    verify_expander,
+    viderman_decode,
 )
 from expander_codes.experiments import DECODER_NAMES, ExperimentConfig, dispatch_decode
 from expander_codes.linear_code import syndrome_bits
+from conftest import gen_four_cycle_free
 
 SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -78,3 +86,64 @@ def test_outcome_contract(instance):
         if out.radius is not None:
             assert out.corrected <= out.radius, name
             assert out.word in enumerate_list(g, y, math.floor(out.radius)), name
+
+
+def _strictly_certified(g, params) -> bool:
+    """``verify_expander`` passes and no size s <= alpha*N meets the bound
+    (1 - eps)*D*s with equality."""
+    cert = verify_expander(g, params)
+    need = (1 - params.eps) * g.d_left
+    return cert.passed and all(
+        cert.profile.min_at(s) > need * s for s in range(1, cert.profile.s_max + 1)
+    )
+
+
+def _baseline_radius(params, n):
+    eps = params.eps
+    return math.floor((1 - 3 * eps) / (1 - 2 * eps) * math.floor(params.alpha * n))
+
+
+@st.composite
+def strict_instances(draw):
+    # four-cycle-free graphs: random tiny left-regular ones almost never
+    # clear the bound strictly at a radius of one error or more
+    n = draw(st.integers(10, 16))
+    m = draw(st.integers(n - 3, n))
+    g = gen_four_cycle_free(n, m, 3, draw(st.integers(0, 2**16)), restarts=3)
+    assume(g is not None)
+    eps = draw(st.sampled_from([Fraction(1, 6), Fraction(1, 5), Fraction(1, 4)]))
+    params = ExpanderParams(Fraction(2, n), eps)
+    radius = _baseline_radius(params, n)
+    assume(radius >= 1 and _strictly_certified(g, params))
+    planted = sample_codeword(g, draw(st.integers(0, 2**16))).bits
+    errors = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=radius))
+    return g, params, planted, planted ^ sum(1 << i for i in errors)
+
+
+@SETTINGS
+@given(strict_instances())
+def test_viderman_finds_the_unique_codeword_in_the_baseline_radius(instance):
+    g, params, planted, y_bits = instance
+    y = Word(g.n_left, y_bits)
+    assert enumerate_list(g, y, _baseline_radius(params, g.n_left)) == [
+        Word(g.n_left, planted)
+    ]
+    out = viderman_decode(g, y, params)
+    assert out.ok, (out.reason, out.path)
+    assert out.word.bits == planted
+
+
+def test_strict_slack_excludes_the_equality_case():
+    # two bits share a check, so |Gamma(S)| = 3 = (1 - eps)*D*s at s = 2:
+    # certified, but only at equality, and viderman's suspect list outgrows
+    # the erasure capacity on a single error
+    g = gen_left_regular(16, 14, 2, 5)
+    params = ExpanderParams(Fraction(2, 16), Fraction(1, 4))
+    assert verify_expander(g, params).passed
+    assert not _strictly_certified(g, params)
+    assert _baseline_radius(params, 16) == 1
+    planted = sample_codeword(g, 0).bits
+    out = viderman_decode(g, Word(16, planted ^ 1), params)
+    assert (out.status, out.reason, out.path) == (
+        "failure", "no-candidate", "list-exceeds-capacity"
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -129,6 +130,19 @@ class TestSweep:
             "iterations,wall_time"
         )
         assert all(line.endswith(",0.0") for line in a.splitlines()[1:])
+
+    def test_sweep_runs_one_elimination_and_pinned_csv(self, eliminations):
+        # 3 radii x 4 trials plant 12 codewords from one code basis
+        g = gen_left_regular(96, 72, 6, 3)
+        cfg = self._cfg(radius_from=1, radius_to=3, trials=4, seed=11,
+                        alpha=Fraction(1, 48))
+        csv = results_to_csv(sweep(cfg, g))
+        assert len(eliminations) == 1
+        assert len(csv.splitlines()) == 1 + 3 * 4
+        # sha256 of this sweep's CSV from before the basis was cached
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "f3c6baffab1ed3786f55b624340a1d5a53475ee5d09fcfdb547f9985dbcc19b4"
+        )
 
     def test_exhaustive_model(self, decode_instances):
         inst = decode_instances[0]

@@ -36,10 +36,17 @@ def test_echelon_and_solve_match_brute_force(system):
         assert brute == set()
         return
     free = [c for c in range(cols) if c not in pivots]
+    fixeds = [
+        sum(1 << c for k, c in enumerate(free) if assignment >> k & 1)
+        for assignment in range(1 << len(free))
+    ]
+    batch = _solve(pivots, *(one | fixed for fixed in fixeds))
+    assert len(batch) == len(fixeds)
     solutions = set()
-    for assignment in range(1 << len(free)):
-        fixed = sum(1 << c for k, c in enumerate(free) if assignment >> k & 1)
-        x = _solve(pivots, one | fixed) ^ one
+    for fixed, sol in zip(fixeds, batch):
+        # one shared back-substitution order gives each lone solve's answer
+        assert _solve(pivots, one | fixed) == (sol,)
+        x = sol ^ one
         assert x & ~((1 << cols) - 1) == 0
         assert x & sum(1 << c for c in free) == fixed
         assert _satisfies(rows, cols, x)

@@ -25,6 +25,7 @@ from expander_codes import (
     syndrome,
     union_graph,
 )
+from expander_codes._util import _echelon, _solve
 from conftest import cyc_graph
 
 
@@ -120,6 +121,37 @@ class TestNullspace:
         # bytes depend on it bit for bit
         text = nullspace(gen_left_regular(512, 384, 6, seed)).to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+    def test_basis_is_computed_once_per_graph(self, eliminations):
+        g = gen_left_regular(96, 72, 6, 1)
+        ns = nullspace(g)
+        assert nullspace(g) is ns
+        sample_codeword(g, 0)
+        # both walks read the cached basis before refusing its dimension
+        with pytest.raises(BudgetExceeded):
+            min_distance_bruteforce(g, budget=0)
+        with pytest.raises(BudgetExceeded):
+            enumerate_list(g, Word.zero(96), 1, budget=0)
+        assert len(eliminations) == 1
+        # the cached basis is the one a fresh elimination of an equal graph gives
+        fresh = gen_left_regular(96, 72, 6, 1)
+        assert fresh == g and fresh is not g
+        pivots = _echelon(fresh.right_masks)
+        free = (1 << f for f in range(fresh.n_left) if f not in pivots)
+        assert ns == NullspaceBasis(96, len(pivots), _solve(pivots, *free))
+
+    def test_sampled_codewords_are_pinned(self):
+        # the words a sweep plants come from the cached basis bit for bit
+        g = gen_left_regular(96, 72, 6, 1)
+        digests = [
+            hashlib.sha256(str(sample_codeword(g, seed)).encode()).hexdigest()
+            for seed in (0, 1)
+        ]
+        assert digests == [
+            "830bce2d93f0090b1b0279343fdd9745302c02e06a4da1ccc010bd10fe28d7f4",
+            "dee4bf8e14cbc905c848d0d72db67ccc7de933c8cf827589099e623011c562b1",
+        ]
 
 
 class TestMinDistance:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from expander_codes import (
+    ConvergenceFailed,
     InvalidInput,
     InvalidParameters,
     Word,
@@ -49,6 +50,12 @@ class TestImprovedRadius:
         assert b.regime == "fixed-point"
         assert b.rho_star >= (0.05 / 2) / (1 - 0.04 / 9)
         assert b.residual <= 1e-12
+
+    def test_non_convergence_is_typed(self):
+        # a negative tolerance no residual can meet forces the branch
+        with pytest.raises(ConvergenceFailed, match="did not converge") as info:
+            improved_radius(Fraction(5, 100), 9, tol=-1.0)
+        assert not isinstance(info.value, InvalidParameters)
 
     def test_mixture_identity(self):
         b = improved_radius(Fraction(4, 100), 20)
