@@ -12,6 +12,7 @@ loops compare integer counts against that integer cut.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import random
@@ -74,10 +75,6 @@ class FindConfig:
         if not 0 <= delta < Fraction(1, 2):
             raise InvalidParameters(f"delta must be in [0, 1/2), got {delta}")
         return cls(Fraction(0), delta)
-
-    @property
-    def delta(self) -> float:
-        return math.sqrt(self.q) + float(self.s)
 
     def admits(self, count: int, d: int) -> bool:
         """count >= (1 - 2*delta)*D, exactly."""
@@ -214,10 +211,6 @@ class ExpansionGuess:
     branch: str  # "sqrt" | "plain"
     delta_radicand: Fraction
     delta_affine: Fraction
-
-    @property
-    def delta(self) -> float:
-        return math.sqrt(self.delta_radicand) + float(self.delta_affine)
 
 
 @dataclass(frozen=True)
@@ -564,21 +557,27 @@ class GuessSchedule:
         return cls(beta, eta, ell)
 
 
+def _cut_steps(cut, lo: int, hi: int):
+    """Yield (first index, value) for each value the nonincreasing integer
+    function ``cut`` takes on range(lo, hi), stopping after a value of 0. Each
+    change is found by bisection: O(log(hi - lo)) probes per distinct value."""
+    ks = range(lo, hi)
+    i = 0
+    while i < len(ks):
+        t = cut(ks[i])
+        yield ks[i], t
+        if t == 0:
+            return
+        i = bisect.bisect_left(ks, True, i + 1, key=lambda k: cut(k) < t)
+
+
 def _flip_cuts(eta: Fraction, cutoff: Fraction, d: int) -> tuple[list[int], bool]:
     """The distinct cuts max(0, ceil((1 - 3 i eta) D)) of the guesses i eta
-    below ``cutoff``, descending, and whether a guess reaches ``cutoff``. From
-    cut t it jumps to the first i with a lower cut, ceil((D - t + 1) / (3 D eta)).
-    """
-    cuts: list[int] = []
+    below ``cutoff``, descending, and whether a guess reaches ``cutoff``."""
     last = math.ceil(1 / eta)
-    i = 1
-    while i <= last and i * eta < cutoff:
-        t = max(0, math.ceil((1 - 3 * i * eta) * d))
-        cuts.append(t)
-        if t == 0:
-            break
-        i = math.ceil((d - t + 1) / (3 * d * eta))
-    return cuts, last * eta >= cutoff
+    below = min(last + 1, math.ceil(cutoff / eta))  # first i with i eta >= cutoff
+    steps = _cut_steps(lambda i: max(0, math.ceil((1 - 3 * i * eta) * d)), 1, below)
+    return [t for _, t in steps], last * eta >= cutoff
 
 
 def guess_flip_decode(
@@ -717,19 +716,13 @@ def _run_expansion_branches(
     guesses,  # iterable of (enum_index, ExpansionGuess)
     algorithm: str,
 ) -> DecodeOutcome:
-    """Find-and-erase once per integer cut, in guess order. Plain guesses come
-    first and sqrt cuts never increase, so a sqrt cut of 0 ends the walk."""
-    n, d = g.n_left, g.d_left
+    """Find-and-erase once per guess, in order; accept the first candidate within
+    (1-2 eps)/(4 eps) * alpha * N. Each guess is the first of a distinct cut."""
+    n = g.n_left
     accept = (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
-    seen: set[int] = set()
     attempts = 0
-    for enum_index, guess in guesses:
+    for attempts, (enum_index, guess) in enumerate(guesses, 1):
         cfg = FindConfig(guess.delta_radicand, guess.delta_affine)
-        heff = cfg.effective_threshold(d)
-        if heff in seen:
-            continue
-        seen.add(heff)
-        attempts += 1
         cand, _, _ = _find_and_erase(g, y.bits, cfg, None)
         if cand is not None and (y.bits ^ cand).bit_count() <= accept:
             return DecodeOutcome(
@@ -742,8 +735,6 @@ def _run_expansion_branches(
                 enumeration_index=enum_index,
                 guess=guess,
             )
-        if heff == 0 and guess.branch == "sqrt":
-            break
     return DecodeOutcome(
         algorithm, "failure", reason="no-candidate",
         radius=accept, iterations=attempts,
@@ -760,8 +751,8 @@ def guess_expansion_decode_poly(
 
     Only k = D*i - j enters the threshold (gamma*x = k/(D*alpha*N)), and the
     cut never increases with k. So after the plain guess (1, D) the decoder
-    walks k upward over the sqrt branch, naming each k by its first (i, j) in
-    the order i ascending, j descending, and stops at the first k with cut 0.
+    lists each other distinct sqrt-branch cut up to the first 0, at its first
+    k, named by its first (i, j) in the order i ascending, j descending.
     """
     _check_plain(g, y)
     eps = params.eps
@@ -781,11 +772,15 @@ def guess_expansion_decode_poly(
         yield (1, d), ExpansionGuess(
             1 / alpha_n, Fraction(0), None, "plain", Fraction(0), eps + slack
         )
-        for k in range(max(d * i0 - m, math.ceil(eps * d * alpha_n)), d * n):
-            i = max(i0, k // d + 1)
-            x = i / alpha_n
-            gamma = Fraction(k, d * i)
-            yield (i, d * i - k), ExpansionGuess(x, gamma, None, "sqrt", gamma * x * eps, slack)
+        plain = FindConfig(0, eps + slack).effective_threshold(d)
+        q = lambda k: k * eps / (d * alpha_n)  # gamma * x * eps
+        cut = lambda k: FindConfig(q(k), slack).effective_threshold(d)
+        for k, t in _cut_steps(cut, max(d * i0 - m, math.ceil(eps * d * alpha_n)), d * n):
+            if t != plain:
+                i = max(i0, k // d + 1)
+                yield (i, d * i - k), ExpansionGuess(
+                    i / alpha_n, Fraction(k, d * i), None, "sqrt", q(k), slack
+                )
 
     return _run_expansion_branches(g, y, params, guesses(), "guess-expansion")
 
@@ -803,23 +798,28 @@ def grid_guess_values(eps, eta_prime) -> tuple[Fraction, ...]:
 def guess_expansion_decode_grid(
     g: BipartiteGraph, y: Word, params: ExpanderParams, eta_prime
 ) -> DecodeOutcome:
-    """Grid variant: only the product gamma*x is guessed, from a fixed grid
-    with step eta = eps * eta_prime, so the number of branches is independent
-    of the graph size. delta = sqrt(value*eps) + eta on the large branch,
-    eps + 2*eta on the small branch; acceptance as in the full enumeration.
+    """Grid variant: only the product gamma*x is guessed, from the grid
+    ``grid_guess_values`` (step eta = eps * eta_prime), so the number of
+    branches is independent of the graph size. delta = sqrt(value*eps) + eta
+    on the large branch (value >= eps), eps + 2*eta on the small branch, whose
+    one cut is tried at value 0; then, without materialising the grid, each
+    other distinct large-branch cut up to the first 0, at its first value.
     """
     _check_plain(g, y)
     eps = params.eps
     if eps > Fraction(1, 8):
         raise InvalidParameters(f"need eps <= 1/8, got {eps}")
-    values = grid_guess_values(eps, eta_prime)
     eta = eps * as_fraction(eta_prime)
+    if eta <= 0:
+        raise InvalidParameters("eta_prime must be positive")
+    d = g.d_left
 
     def guesses():
-        for idx, gv in enumerate(values):
-            if gv >= eps:
-                yield (idx,), ExpansionGuess(None, None, gv, "sqrt", gv * eps, eta)
-            else:
-                yield (idx,), ExpansionGuess(None, None, gv, "plain", Fraction(0), eps + 2 * eta)
+        yield (0,), ExpansionGuess(None, None, Fraction(0), "plain", Fraction(0), eps + 2 * eta)
+        plain = FindConfig(0, eps + 2 * eta).effective_threshold(d)
+        cut = lambda idx: FindConfig(idx * eta * eps, eta).effective_threshold(d)
+        for idx, t in _cut_steps(cut, math.ceil(eps / eta), math.ceil(1 / eta) + 1):
+            if t != plain:
+                yield (idx,), ExpansionGuess(None, None, idx * eta, "sqrt", idx * eta * eps, eta)
 
     return _run_expansion_branches(g, y, params, guesses(), "guess-expansion-grid")

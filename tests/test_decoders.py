@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -36,8 +37,9 @@ from expander_codes import (
 )
 from expander_codes.decoders import (
     ExpansionGuess,
+    _cut_steps,
+    _find_and_erase,
     _flip_cuts,
-    _run_expansion_branches,
     grid_guess_values,
 )
 from expander_codes.linear_code import syndrome_bits
@@ -433,6 +435,71 @@ class TestGuessSchedule:
         assert finds == {(True, True), (True, False), (False, True)}
 
 
+def _steps_by_scan(cut, lo, hi):
+    """Reference for _cut_steps: scan every index."""
+    steps = []
+    for k in range(lo, hi):
+        t = cut(k)
+        if not steps or steps[-1][1] != t:
+            steps.append((k, t))
+        if t == 0:
+            break
+    return steps
+
+
+def _step_function(rng, lo, hi):
+    """A random nonincreasing step function on [lo, hi): drops of size 1 to
+    4 at sorted random positions, so plateaus may be long or one wide."""
+    top = rng.randint(0, 12)
+    at = sorted(rng.sample(range(lo, hi), min(hi - lo, rng.randint(0, top))))
+    drops = [rng.randint(1, 4) for _ in at]
+
+    def cut(k):
+        assert lo <= k < hi, k
+        return max(0, top - sum(dr for a, dr in zip(at, drops) if a <= k))
+
+    return cut
+
+
+class TestCutSteps:
+    def test_matches_scan(self):
+        rng = random.Random(11)
+        seen_zero_at_lo = seen_big_jump = False
+        for _ in range(500):
+            lo = rng.randint(-5, 20)
+            hi = lo + rng.choice((0, 1, 2, rng.randint(3, 60)))
+            if hi == lo:
+                assert list(_cut_steps(lambda k: 1 / 0, lo, hi)) == []
+                continue
+            cut = _step_function(rng, lo, hi)
+            steps = list(_cut_steps(cut, lo, hi))
+            assert steps == _steps_by_scan(cut, lo, hi), (lo, hi)
+            seen_zero_at_lo |= steps == [(lo, 0)]
+            seen_big_jump |= any(a[1] - b[1] > 1 for a, b in zip(steps, steps[1:]))
+        assert seen_zero_at_lo and seen_big_jump
+        assert list(_cut_steps(lambda k: 3, 5, 2)) == []
+
+    def test_probes_are_logarithmic(self):
+        rng = random.Random(12)
+        hi = 10**6
+        for _ in range(20):
+            at = sorted(rng.sample(range(1, hi), 6))
+            probes = 0
+
+            def cut(k):
+                nonlocal probes
+                probes += 1
+                return 6 - bisect.bisect_right(at, k)
+
+            steps = list(_cut_steps(cut, 0, hi))
+            assert [k for k, _ in steps] == [0] + at
+            assert probes <= len(steps) * (math.ceil(math.log2(hi)) + 1)
+        # a value of 0 ends the listing without a further probe
+        probes = 0
+        assert list(_cut_steps(cut, at[-1], hi)) == [(at[-1], 0)]
+        assert probes == 1
+
+
 class TestGuessFlip:
     def test_error_free(self, decode_instances):
         inst = decode_instances[0]
@@ -615,7 +682,7 @@ class TestGuessExpansion:
         kinds, sides = set(), set()
         for g, y, params, slack in cases:
             ref = list(_poly_guesses_by_pair(g, params, slack))
-            want = _run_expansion_branches(g, y, params, ref, "guess-expansion")
+            want = _seen_dedup_runner(g, y, params, ref, "guess-expansion")
             got = guess_expansion_decode_poly(g, y, params, slack)
             assert got == want, (g, y, params, slack)
             if not got.ok:  # every distinct cut was tried, once
@@ -626,6 +693,70 @@ class TestGuessExpansion:
             sides.add(params.alpha * g.n_left < 1)
         assert {("success", "sqrt"), ("failure", None)} <= kinds
         assert sides == {True, False}
+
+    def test_grid_cut_listing_matches_value_walk(self):
+        epss = tuple(map(Fraction, ("1/128", "1/32", "1/10", "1/8")))
+        eta_primes = tuple(map(Fraction, ("1/10", "1/3", "1/2", "7/5", "2")))
+        rng = random.Random(77)
+        kinds = set()
+        for seed in range(10):
+            n = rng.randint(6, 30)
+            d = rng.randint(1, min(6, n - 1))
+            g = gen_left_regular(n, rng.randint(d, n - 1), d, seed)
+            planted = sample_codeword(g, seed)
+            pair = rng.sample(max(g.right_adj, key=len), 2)
+            heavy = rng.sample(range(n), n // 3 + 2)
+            for errs in ([], pair, heavy):
+                y = plant_errors(planted, errs)
+                for eps in epss:
+                    for eta_prime in eta_primes:
+                        params = ExpanderParams(rng.choice((1, 2, 3)) * Fraction(1, n), eps)
+                        ref = _grid_guesses_by_value(params.eps, eta_prime)
+                        want = _seen_dedup_runner(g, y, params, ref, "guess-expansion-grid")
+                        got = guess_expansion_decode_grid(g, y, params, eta_prime)
+                        assert got == want, (g, y, params, eta_prime)
+                        kinds.add((got.status, got.guess.branch if got.ok else None))
+        assert kinds == {("success", "plain"), ("success", "sqrt"), ("failure", None)}
+        # a failure whose last grid value, ceil(1/eta) * eta, brings a new cut
+        # (1 after 2 at D = 4, eps = 1/8, eta' = 1/5)
+        g = gen_left_regular(20, 15, 4, 3)
+        y = plant_errors(sample_codeword(g, 3), range(0, 20, 2))
+        params = ExpanderParams(Fraction(1, 10), Fraction(1, 8))
+        ref = _grid_guesses_by_value(params.eps, Fraction(1, 5))
+        want = _seen_dedup_runner(g, y, params, ref, "guess-expansion-grid")
+        assert guess_expansion_decode_grid(g, y, params, Fraction(1, 5)) == want
+        assert not want.ok
+
+    def test_guess_decoders_resolve_few_thresholds(self, monkeypatch):
+        # the cut listings probe O(D log(D N)) thresholds; walking every k or
+        # grid value would resolve thousands, or 10^8 at eta' = 1/100000
+        calls = 0
+        resolve = FindConfig.effective_threshold
+
+        def counted(cfg, d):
+            nonlocal calls
+            calls += 1
+            if calls > 200:
+                raise AssertionError("more than 200 threshold resolutions")
+            return resolve(cfg, d)
+
+        monkeypatch.setattr(FindConfig, "effective_threshold", counted)
+        g = gen_left_regular(400, 300, 6, 1)
+        y = plant_errors(sample_codeword(g, 1), random.Random(0).sample(range(400), 30))
+        params = ExpanderParams(Fraction(1, 50), Fraction(1, 128))
+        for decode in (
+            lambda: guess_expansion_decode_grid(g, y, params, Fraction(1, 1000)),
+            lambda: guess_expansion_decode_poly(g, y, params),
+        ):
+            calls = 0
+            assert not decode().ok
+            assert calls <= 100
+        g = gen_left_regular(24, 18, 6, 1)
+        y = plant_errors(sample_codeword(g, 1), range(0, 24, 3))
+        params = ExpanderParams(Fraction(1, 12), Fraction(1, 1000))
+        calls = 0
+        guess_expansion_decode_grid(g, y, params, Fraction(1, 100000))
+        assert calls <= 100
 
     def test_poly_on_empty_graph_makes_no_guess(self):
         g = BipartiteGraph(0, 3, 2, ())
@@ -652,6 +783,44 @@ class TestGuessExpansion:
         assert out.ok
         if out.guess.branch == "sqrt":
             assert out.guess.x >= 1
+
+
+def _seen_dedup_runner(g, y, params, guesses, algorithm):
+    """The former guess runner: resolve every guess's cut, skip cuts already
+    tried, and stop after a sqrt cut of 0."""
+    n, d = g.n_left, g.d_left
+    accept = (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
+    seen, attempts = set(), 0
+    for enum_index, guess in guesses:
+        cfg = FindConfig(guess.delta_radicand, guess.delta_affine)
+        heff = cfg.effective_threshold(d)
+        if heff in seen:
+            continue
+        seen.add(heff)
+        attempts += 1
+        cand, _, _ = _find_and_erase(g, y.bits, cfg, None)
+        if cand is not None and (y.bits ^ cand).bit_count() <= accept:
+            return DecodeOutcome(
+                algorithm, "success", word=Word(n, cand), radius=accept,
+                corrected=(y.bits ^ cand).bit_count(), iterations=attempts,
+                enumeration_index=enum_index, guess=guess,
+            )
+        if heff == 0 and guess.branch == "sqrt":
+            break
+    return DecodeOutcome(
+        algorithm, "failure", reason="no-candidate", radius=accept, iterations=attempts
+    )
+
+
+def _grid_guesses_by_value(eps, eta_prime):
+    """Reference for guess_expansion_decode_grid: every grid value, in order,
+    each with its own threshold."""
+    eta = eps * eta_prime
+    for idx, gv in enumerate(grid_guess_values(eps, eta_prime)):
+        if gv >= eps:
+            yield (idx,), ExpansionGuess(None, None, gv, "sqrt", gv * eps, eta)
+        else:
+            yield (idx,), ExpansionGuess(None, None, gv, "plain", Fraction(0), eps + 2 * eta)
 
 
 def _poly_guesses_by_pair(g, params, slack):
