@@ -8,6 +8,12 @@ are re-checked even where theory would guarantee it. Threshold comparisons
 are exact: each rational (or rational-plus-square-root) threshold is resolved
 once per call to the smallest integer count it admits, and the per-vertex
 loops compare integer counts against that integer cut.
+
+Find-and-erase works in the syndrome domain. A decode computes s = H*y once;
+suspect counts start at the neighbors of the unsatisfied checks, peeling and
+elimination touch only the checks next to the suspect set L, and the result
+is an error pattern e on L with H*e = s, re-checked in O(|e|). Past that one
+syndrome the cost follows |s| and |L|, not N.
 """
 
 from __future__ import annotations
@@ -16,8 +22,10 @@ import bisect
 import heapq
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from ._util import _echelon, _solve, as_fraction, mask_to_indices
@@ -123,18 +131,55 @@ def _check_plain(g: BipartiteGraph, y: Word) -> None:
         raise InvalidInput("word must not contain erasures")
 
 
-def _unsat_counts(g: BipartiteGraph, synd: int) -> list[int]:
-    """Per left vertex, how many of its checks are set in ``synd``."""
-    return [(m & synd).bit_count() for m in g.left_masks]
+def _at_least(g: BipartiteGraph, synd: int, cuts: Sequence[int]) -> list[int]:
+    """Per integer cut t in ``cuts``, the mask of the left vertices with at
+    least t checks set in ``synd``. Only the neighbors of those checks are
+    counted; a cut t <= 0 selects all N vertices."""
+    right_adj = g.right_adj
+    counts = Counter(chain.from_iterable(right_adj[c] for c in mask_to_indices(synd)))
+    return [
+        sum(1 << i for i, k in counts.items() if k >= t) if t > 0 else (1 << g.n_left) - 1
+        for t in cuts
+    ]
 
 
-def _at_least(counts: list[int], t: int) -> int:
-    """Mask of the vertices whose count is at least the integer cut ``t``."""
-    mask = 0
-    for i, c in enumerate(counts):
-        if c >= t:
-            mask |= 1 << i
-    return mask
+def _suspects(
+    g: BipartiteGraph, s: int, h: int, key: Optional[Sequence[int]] = None
+) -> FindTrace:
+    """The find loop in the syndrome domain: R starts at the checks set in
+    ``s``, and a vertex joins L once at least ``h`` of its checks are in R.
+    Among the eligible vertices the one of smallest ``key`` (default: its
+    index) joins first. Counts start at zero and only checks entering R raise
+    them, so past the count array the work follows |s| and Gamma(L), not N.
+    """
+    n = g.n_left
+    key = key or range(n)
+    left_masks = g.left_masks
+    right_adj = g.right_adj
+    counts = [0] * n
+    # heap items key * N + vertex. Counts only grow, so a vertex enters the
+    # heap once: at the start if h = 0, else when its count reaches h
+    heap = [key[i] * n + i for i in range(n)] if h <= 0 else []
+    heapq.heapify(heap)
+    r_mask = new_checks = s
+    added: list[int] = []
+    growth: list[int] = []
+    while True:
+        while new_checks:
+            low = new_checks & -new_checks
+            for u in right_adj[low.bit_length() - 1]:
+                counts[u] += 1
+                if counts[u] == h:
+                    heapq.heappush(heap, key[u] * n + u)
+            new_checks ^= low
+        if not heap:
+            break
+        i = heapq.heappop(heap) % n
+        added.append(i)
+        new_checks = left_masks[i] & ~r_mask
+        r_mask |= left_masks[i]
+        growth.append(r_mask.bit_count())
+    return FindTrace(tuple(added), sum(1 << i for i in added), r_mask, tuple(growth))
 
 
 def find_suspects(
@@ -152,50 +197,27 @@ def find_suspects(
 
     One pick rule: among the eligible vertices, those in ``prefer`` come
     first, then ``order`` decides: ascending index (the default), descending
-    index, or a permutation of the indices seeded by ``seed`` ("random").
-    Preferring the error positions realizes the errors-first insertion order.
-    Only L and R are independent of the pick rule; the trace's insertion
-    order and growth follow it.
+    index, or a permutation of the indices seeded by ``seed`` ("random",
+    which needs a seed). Preferring the error positions realizes the
+    errors-first insertion order. Only L and R are independent of the pick
+    rule; the trace's insertion order and growth follow it.
     """
     _check_plain(g, y)
-    n, d = g.n_left, g.d_left
+    n = g.n_left
     if order == "ascending":
         rank = range(n)
     elif order == "descending":
         rank = range(n - 1, -1, -1)
     elif order == "random":
+        if seed is None:
+            raise InvalidParameters('order "random" needs a seed')
         rank = list(range(n))
         random.Random(seed).shuffle(rank)
     else:
         raise InvalidParameters(f"unknown order {order!r}")
     pref = frozenset(prefer) if prefer is not None else frozenset()
-
-    left_masks = g.left_masks
-    right_adj = g.right_adj
-    h = cfg.effective_threshold(d)
-    r_mask = syndrome_bits(g, y.bits)
-    counts = _unsat_counts(g, r_mask)
-    # counts only grow, so a vertex enters the heap once: at the start, or
-    # when its count reaches the cut h
-    heap = [(i not in pref, rank[i], i) for i in range(n) if counts[i] >= h]
-    heapq.heapify(heap)
-
-    added: list[int] = []
-    growth: list[int] = []
-    while heap:
-        i = heapq.heappop(heap)[2]
-        added.append(i)
-        new_checks = left_masks[i] & ~r_mask
-        r_mask |= left_masks[i]
-        growth.append(r_mask.bit_count())
-        while new_checks:
-            low = new_checks & -new_checks
-            for u in right_adj[low.bit_length() - 1]:
-                counts[u] += 1
-                if counts[u] == h:
-                    heapq.heappush(heap, (u not in pref, rank[u], u))
-            new_checks ^= low
-    return FindTrace(tuple(added), sum(1 << i for i in added), r_mask, tuple(growth))
+    key = [rank[i] - n if i in pref else rank[i] for i in range(n)] if pref else rank
+    return _suspects(g, syndrome_bits(g, y.bits), cfg.effective_threshold(g.d_left), key)
 
 
 # -- outcomes ----------------------------------------------------------------
@@ -269,6 +291,64 @@ class ErasureConfig:
         return math.floor((1 - self.xi) / (2 * self.eps) * self.alpha * n)
 
 
+def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, str]:
+    """The error pattern e inside the mask ``erased`` with H e = s, as
+    (e, "ok", path), or (None, reason, path) when there is no such e
+    (not-a-codeword) or more than one (stalled).
+
+    Peels checks with one erased neighbor, then eliminates over the checks
+    left, one column per position left, so the work follows the erased
+    positions and their checks. The result is re-checked: H e = s exactly.
+    """
+    adj, left_masks, right_masks = g.adj, g.left_masks, g.right_masks
+    positions = mask_to_indices(erased)
+    counts = [0] * g.m_right  # erased neighbors per check
+    for b in positions:
+        for c in adj[b]:
+            counts[c] += 1
+    stack = [c for b in positions for c in adj[b] if counts[c] == 1]
+    e, parity = 0, s
+    while stack:
+        c = stack.pop()
+        if counts[c] != 1:
+            continue
+        b = (right_masks[c] & erased).bit_length() - 1
+        if parity >> c & 1:
+            e |= 1 << b
+            parity ^= left_masks[b]
+        erased ^= 1 << b
+        for c2 in adj[b]:
+            counts[c2] -= 1
+            if counts[c2] == 1:
+                stack.append(c2)
+
+    path = "peeling"
+    if erased:
+        path = "peeling+gauss"
+        cols = mask_to_indices(erased)
+        # a row per odd check and per check next to a column; column
+        # len(cols) is fixed to 1 and holds the parity, so an odd check next
+        # to no column leaves the system inconsistent
+        one = 1 << len(cols)
+        rows = dict.fromkeys(mask_to_indices(parity), one)
+        for j, b in enumerate(cols):
+            for c in adj[b]:
+                rows[c] = rows.get(c, 0) | 1 << j
+        pivots = _echelon(rows.values())
+        if len(cols) in pivots:
+            return None, "not-a-codeword", path
+        if len(pivots) < len(cols):
+            return None, "stalled", path
+        sol = _solve(pivots, one)[0]
+        solved = sum(1 << b for j, b in enumerate(cols) if sol >> j & 1)
+        e |= solved
+        parity ^= syndrome_bits(g, solved)
+
+    if parity:  # s ^ H e, each bit of e folded in once
+        return None, "not-a-codeword", path
+    return e, "ok", path
+
+
 def decode_erasures(
     g: BipartiteGraph, y: Word, cfg: Optional[ErasureConfig] = None
 ) -> DecodeOutcome:
@@ -283,8 +363,7 @@ def decode_erasures(
     if y.n != g.n_left:
         raise InvalidInput(f"word length {y.n} != N = {g.n_left}")
     algorithm = "erasure"
-    erased0 = y.erasures
-    n_erased = erased0.bit_count()
+    n_erased = y.erasures.bit_count()
     cap = cfg.max_erasures(g.n_left) if cfg is not None else None
     if cap is not None and n_erased > cap:
         return DecodeOutcome(
@@ -295,52 +374,13 @@ def decode_erasures(
             corrected=0,
             path="capacity",
         )
-
-    left_masks = g.left_masks
-    right_masks = g.right_masks
-    known = y.bits
-    parity = syndrome_bits(g, known)
-    erased = erased0
-    counts = [(rm & erased).bit_count() for rm in right_masks]
-    stack = [c for c, cnt in enumerate(counts) if cnt == 1]
-    while stack:
-        c = stack.pop()
-        if counts[c] != 1:
-            continue
-        bit_mask = right_masks[c] & erased
-        b = bit_mask.bit_length() - 1
-        if (parity >> c) & 1:
-            known |= 1 << b
-            parity ^= left_masks[b]
-        erased ^= 1 << b
-        for c2 in g.adj[b]:
-            counts[c2] -= 1
-            if counts[c2] == 1:
-                stack.append(c2)
-
-    path = "peeling"
-    if erased:
-        path = "peeling+gauss"
-        # column N is fixed to 1 and carries each row's parity bit
-        one = 1 << g.n_left
-        pivots = _echelon(
-            (rm & erased) | (one if (parity >> c) & 1 else 0)
-            for c, rm in enumerate(right_masks)
-        )
-        if g.n_left in pivots:
-            return DecodeOutcome(algorithm, "failure", reason="not-a-codeword", path=path)
-        if len(pivots) < erased.bit_count():
-            return DecodeOutcome(algorithm, "failure", reason="stalled", path=path)
-        known |= _solve(pivots, one)[0] ^ one
-        parity = syndrome_bits(g, known)
-
-    if parity != 0:
-        return DecodeOutcome(algorithm, "failure", reason="not-a-codeword", path=path)
-    word = Word(g.n_left, known)
+    e, why, path = _erase(g, syndrome_bits(g, y.bits), y.erasures)
+    if e is None:
+        return DecodeOutcome(algorithm, "failure", reason=why, path=path)
     return DecodeOutcome(
         algorithm,
         "success",
-        word=word,
+        word=Word(g.n_left, y.bits | e),
         radius=Fraction(cap) if cap is not None else None,
         corrected=n_erased,
         iterations=n_erased,
@@ -349,16 +389,15 @@ def decode_erasures(
 
 
 def _find_and_erase(
-    g: BipartiteGraph, bits: int, cfg: FindConfig, capacity: Optional[int]
+    g: BipartiteGraph, s: int, cfg: FindConfig, capacity: Optional[int]
 ) -> tuple[Optional[int], str, FindTrace]:
-    """Find suspects, erase them, erasure-decode. Returns candidate bits."""
-    trace = find_suspects(g, Word(g.n_left, bits), cfg)
+    """Find suspects from the word's syndrome ``s`` and return the error
+    pattern e on them with H e = s; the candidate is the word XOR e."""
+    trace = _suspects(g, s, cfg.effective_threshold(g.d_left))
     if capacity is not None and trace.size > capacity:
         return None, "list-exceeds-capacity", trace
-    sub = decode_erasures(g, Word(g.n_left, bits & ~trace.l_mask, trace.l_mask))
-    if not sub.ok:
-        return None, sub.reason or "failed", trace
-    return sub.word.bits, "ok", trace
+    e, why, _ = _erase(g, s, trace.l_mask)
+    return e, why, trace
 
 
 def _find_erase_decode(
@@ -371,15 +410,15 @@ def _find_erase_decode(
     """Find suspects at delta = eps, erase them, decode from erasures; then,
     unless ``radius`` is None, check the candidate's distance against it."""
     capacity = ErasureConfig.from_params(params).max_erasures(g.n_left)
-    cand, why, trace = _find_and_erase(
-        g, y.bits, FindConfig.from_delta(params.eps), capacity
+    e, why, trace = _find_and_erase(
+        g, syndrome_bits(g, y.bits), FindConfig.from_delta(params.eps), capacity
     )
-    if cand is None:
+    if e is None:
         return DecodeOutcome(
             algorithm, "failure", reason="no-candidate",
             radius=radius, iterations=trace.size, path=why,
         )
-    dist = (y.bits ^ cand).bit_count()
+    dist = e.bit_count()
     if radius is not None and dist > radius:
         return DecodeOutcome(
             algorithm, "failure", reason="radius-exceeded",
@@ -388,7 +427,7 @@ def _find_erase_decode(
     return DecodeOutcome(
         algorithm,
         "success",
-        word=Word(g.n_left, cand),
+        word=Word(g.n_left, y.bits ^ e),
         radius=radius,
         corrected=dist,
         iterations=trace.size,
@@ -458,7 +497,7 @@ def flip_decode_ss(
                 "ss-flip", "failure", reason="stalled",
                 iterations=rounds, flips=flips, path="max-rounds",
             )
-        l0 = _at_least(_unsat_counts(g, synd), t)
+        l0 = _at_least(g, synd, [t])[0]
         if l0 == 0:
             return DecodeOutcome(
                 "ss-flip", "failure", reason="stalled",
@@ -490,8 +529,7 @@ def flip_round(g: BipartiteGraph, y: Word, gamma) -> tuple[Word, FlipRoundReport
     if not 0 <= gamma <= 1:
         raise InvalidParameters(f"gamma must be in [0, 1], got {gamma}")
     need = (1 - 3 * gamma) * g.d_left
-    counts = _unsat_counts(g, syndrome_bits(g, y.bits))
-    l0 = _at_least(counts, math.ceil(need))
+    l0 = _at_least(g, syndrome_bits(g, y.bits), [math.ceil(need)])[0]
     return Word(y.n, y.bits ^ l0), FlipRoundReport(mask_to_indices(l0), need)
 
 
@@ -616,9 +654,10 @@ def guess_flip_decode(
     find_cfg = FindConfig.from_delta(eps)
     fixed_cache: dict[int, Optional[int]] = {}
 
-    def fixed(z: int) -> Optional[int]:
+    def fixed(z: int, s: int) -> Optional[int]:  # s is the syndrome of z
         if z not in fixed_cache:
-            fixed_cache[z] = _find_and_erase(g, z, find_cfg, capacity)[0]
+            e = _find_and_erase(g, s, find_cfg, capacity)[0]
+            fixed_cache[z] = None if e is None else z ^ e
         return fixed_cache[z]
 
     y_bits = y.bits
@@ -626,13 +665,13 @@ def guess_flip_decode(
     memo_fail: set[tuple[int, int]] = set()
     found: list = []
 
-    def dfs(z: int, depth: int, flips: int, path: tuple) -> bool:
+    def dfs(z: int, s: int, depth: int, flips: int, path: tuple) -> bool:
         nonlocal nodes
         if (z, depth) in memo_fail:
             return False
         nodes += 1
         if depth == schedule.ell:
-            cand = fixed(z)
+            cand = fixed(z, s)
             if (
                 cand is not None
                 and (z ^ cand).bit_count() <= vid_radius
@@ -642,20 +681,19 @@ def guess_flip_decode(
                 return True
             memo_fail.add((z, depth))
             return False
-        counts = _unsat_counts(g, syndrome_bits(g, z))
-        for t in flip_thresholds:
-            l0 = _at_least(counts, t)
-            if dfs(z ^ l0, depth + 1, flips + l0.bit_count(), path + (("flip", t),)):
+        for t, l0 in zip(flip_thresholds, _at_least(g, s, flip_thresholds)):
+            s1 = s ^ syndrome_bits(g, l0)
+            if dfs(z ^ l0, s1, depth + 1, flips + l0.bit_count(), path + (("flip", t),)):
                 return True
         if has_find:
-            cand = fixed(z)
+            cand = fixed(z, s)
             if cand is not None and (y_bits ^ cand).bit_count() <= radius:
                 found.append((cand, path + ("find",), flips))
                 return True
         memo_fail.add((z, depth))
         return False
 
-    if dfs(y_bits, 0, 0, ()):
+    if dfs(y_bits, syndrome_bits(g, y_bits), 0, 0, ()):
         cand, path, flips = found[0]
         return DecodeOutcome(
             "guess-flip",
@@ -717,20 +755,30 @@ def _run_expansion_branches(
     algorithm: str,
 ) -> DecodeOutcome:
     """Find-and-erase once per guess, in order; accept the first candidate within
-    (1-2 eps)/(4 eps) * alpha * N. Each guess is the first of a distinct cut."""
-    n = g.n_left
+    (1-2 eps)/(4 eps) * alpha * N. Each guess is the first of a distinct cut.
+
+    The syndrome is computed once. The candidate depends only on the word and
+    the suspect set L, so a guess whose L was already erased is not erased
+    again; it still counts as an attempt."""
+    n, d = g.n_left, g.d_left
     accept = (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
+    s = syndrome_bits(g, y.bits)
+    tried: set[int] = set()
     attempts = 0
     for attempts, (enum_index, guess) in enumerate(guesses, 1):
-        cfg = FindConfig(guess.delta_radicand, guess.delta_affine)
-        cand, _, _ = _find_and_erase(g, y.bits, cfg, None)
-        if cand is not None and (y.bits ^ cand).bit_count() <= accept:
+        h = FindConfig(guess.delta_radicand, guess.delta_affine).effective_threshold(d)
+        trace = _suspects(g, s, h)
+        if trace.l_mask in tried:
+            continue
+        tried.add(trace.l_mask)
+        e = _erase(g, s, trace.l_mask)[0]
+        if e is not None and e.bit_count() <= accept:
             return DecodeOutcome(
                 algorithm,
                 "success",
-                word=Word(n, cand),
+                word=Word(n, y.bits ^ e),
                 radius=accept,
-                corrected=(y.bits ^ cand).bit_count(),
+                corrected=e.bit_count(),
                 iterations=attempts,
                 enumeration_index=enum_index,
                 guess=guess,

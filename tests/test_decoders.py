@@ -798,7 +798,8 @@ def _seen_dedup_runner(g, y, params, guesses, algorithm):
             continue
         seen.add(heff)
         attempts += 1
-        cand, _, _ = _find_and_erase(g, y.bits, cfg, None)
+        e, _, _ = _find_and_erase(g, syndrome_bits(g, y.bits), cfg, None)
+        cand = None if e is None else y.bits ^ e
         if cand is not None and (y.bits ^ cand).bit_count() <= accept:
             return DecodeOutcome(
                 algorithm, "success", word=Word(n, cand), radius=accept,

@@ -1,0 +1,275 @@
+"""The syndrome-domain find-and-erase kernel against the code it replaced,
+and the work it does."""
+
+import heapq
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from expander_codes import (
+    DecodeOutcome,
+    ExpanderParams,
+    FindConfig,
+    FindTrace,
+    InvalidParameters,
+    Word,
+    decode_erasures,
+    find_suspects,
+    gen_left_regular,
+    guess_expansion_decode_poly,
+    plant_errors,
+    sample_codeword,
+    viderman_decode,
+)
+from expander_codes import decoders
+from expander_codes._util import _echelon, _solve
+from expander_codes.decoders import _at_least, _find_and_erase
+from expander_codes.linear_code import syndrome_bits
+
+
+# -- the word-domain find-and-erase the kernel replaced ----------------------
+
+
+def _word_find_suspects(g, y, cfg, *, order="ascending", seed=None, prefer=None):
+    """Former find_suspects: counts over all N left masks, one heap of
+    (not preferred, rank, vertex) tuples."""
+    n, d = g.n_left, g.d_left
+    if order == "ascending":
+        rank = range(n)
+    elif order == "descending":
+        rank = range(n - 1, -1, -1)
+    else:
+        rank = list(range(n))
+        random.Random(seed).shuffle(rank)
+    pref = frozenset(prefer) if prefer is not None else frozenset()
+    h = cfg.effective_threshold(d)
+    r_mask = syndrome_bits(g, y.bits)
+    counts = [(m & r_mask).bit_count() for m in g.left_masks]
+    heap = [(i not in pref, rank[i], i) for i in range(n) if counts[i] >= h]
+    heapq.heapify(heap)
+    added, growth = [], []
+    while heap:
+        i = heapq.heappop(heap)[2]
+        added.append(i)
+        new_checks = g.left_masks[i] & ~r_mask
+        r_mask |= g.left_masks[i]
+        growth.append(r_mask.bit_count())
+        while new_checks:
+            low = new_checks & -new_checks
+            for u in g.right_adj[low.bit_length() - 1]:
+                counts[u] += 1
+                if counts[u] == h:
+                    heapq.heappush(heap, (u not in pref, rank[u], u))
+            new_checks ^= low
+    return FindTrace(tuple(added), sum(1 << i for i in added), r_mask, tuple(growth))
+
+
+def _word_decode_erasures(g, y):
+    """Former decode_erasures (no budget): a second syndrome as the parity,
+    counts from all M right masks, elimination over N-bit rows."""
+    known, erased = y.bits, y.erasures
+    n_erased = erased.bit_count()
+    parity = syndrome_bits(g, known)
+    counts = [(rm & erased).bit_count() for rm in g.right_masks]
+    stack = [c for c, cnt in enumerate(counts) if cnt == 1]
+    while stack:
+        c = stack.pop()
+        if counts[c] != 1:
+            continue
+        b = (g.right_masks[c] & erased).bit_length() - 1
+        if (parity >> c) & 1:
+            known |= 1 << b
+            parity ^= g.left_masks[b]
+        erased ^= 1 << b
+        for c2 in g.adj[b]:
+            counts[c2] -= 1
+            if counts[c2] == 1:
+                stack.append(c2)
+    path = "peeling"
+    if erased:
+        path = "peeling+gauss"
+        one = 1 << g.n_left
+        pivots = _echelon(
+            (rm & erased) | (one if (parity >> c) & 1 else 0)
+            for c, rm in enumerate(g.right_masks)
+        )
+        if g.n_left in pivots:
+            return DecodeOutcome("erasure", "failure", reason="not-a-codeword", path=path)
+        if len(pivots) < erased.bit_count():
+            return DecodeOutcome("erasure", "failure", reason="stalled", path=path)
+        known |= _solve(pivots, one)[0] ^ one
+        parity = syndrome_bits(g, known)
+    if parity != 0:
+        return DecodeOutcome("erasure", "failure", reason="not-a-codeword", path=path)
+    return DecodeOutcome(
+        "erasure", "success", word=Word(g.n_left, known),
+        corrected=n_erased, iterations=n_erased, path=path,
+    )
+
+
+def _word_find_and_erase(g, bits, cfg, capacity):
+    """Former _find_and_erase: candidate bits from the word, not the syndrome."""
+    trace = _word_find_suspects(g, Word(g.n_left, bits), cfg)
+    if capacity is not None and trace.size > capacity:
+        return None, "list-exceeds-capacity", trace
+    sub = _word_decode_erasures(g, Word(g.n_left, bits & ~trace.l_mask, trace.l_mask))
+    if not sub.ok:
+        return None, sub.reason, trace
+    return sub.word.bits, "ok", trace
+
+
+class _Cut:
+    """A find configuration with a given integer cut, d + 1 included, which
+    no FindConfig resolves to."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def effective_threshold(self, d):
+        return self.h
+
+
+def _gamma(g, positions):
+    out = 0
+    for b in positions:
+        out |= g.left_masks[b]
+    return out
+
+
+def _random_graphs(rng, count):
+    out = []
+    for seed in range(count):
+        n = rng.randint(1, 40)
+        d = rng.randint(1, 6)
+        # M below N leaves a code of positive dimension, so stalls happen
+        m = rng.randint(d, max(d, n)) if seed % 2 else rng.randint(d, max(d, n // 2))
+        out.append(gen_left_regular(n, m, d, seed))
+    return out
+
+
+class TestMatchesWordDomain:
+    def test_find_erase_and_erasures(self):
+        rng = random.Random(8)
+        graphs = _random_graphs(rng, 40)
+        seen = set()
+        for case in range(900):
+            g = graphs[case % len(graphs)]
+            n, d = g.n_left, g.d_left
+            errors = rng.sample(range(n), min(n, rng.choice((0, 1, 2, 3, rng.randint(0, n)))))
+            y = plant_errors(sample_codeword(g, case), errors)
+            s = syndrome_bits(g, y.bits)
+            if case % 4 == 0:
+                cfg = _Cut(rng.choice((0, d, d + 1, rng.randint(0, d + 1))))
+            else:
+                cfg = FindConfig(Fraction(rng.randrange(0, 9), 64), Fraction(rng.randrange(0, 13), 24))
+            h = cfg.effective_threshold(d)
+            seen.add(("h=0", h == 0))
+            seen.add(("h=d+1", h == d + 1))
+            seen.add(("s=0", s == 0))
+
+            for order in ("ascending", "descending", "random"):
+                for prefer in (None, errors, rng.sample(range(-3, n + 3), rng.randint(0, n + 6))):
+                    kw = dict(order=order, seed=case, prefer=prefer)
+                    assert find_suspects(g, y, cfg, **kw) == _word_find_suspects(g, y, cfg, **kw)
+
+            capacity = rng.choice((None, None, rng.randint(0, n)))
+            want = _word_find_and_erase(g, y.bits, cfg, capacity)
+            e, why, trace = _find_and_erase(g, s, cfg, capacity)
+            assert (why, trace) == want[1:], case
+            assert (None if e is None else y.bits ^ e) == want[0], case
+            outside = (s & ~_gamma(g, trace.order)) != 0
+            seen.add((why, outside))
+
+            # the erasure decoder on the suspects and on a random erasure set
+            for erased in (trace.l_mask, rng.getrandbits(n) if n else 0):
+                w = Word(n, y.bits & ~erased, erased)
+                got = decode_erasures(g, w)
+                assert got == _word_decode_erasures(g, w), case
+                outside = (syndrome_bits(g, w.bits) & ~_gamma(g, w.erased_positions())) != 0
+                seen.add((got.path, got.reason, outside))
+
+        assert {("h=0", True), ("h=d+1", True), ("s=0", True)} <= seen
+        assert {("ok", False), ("stalled", False), ("list-exceeds-capacity", False)} <= seen
+        assert ("not-a-codeword", True) in seen  # an odd check outside Gamma(L)
+        assert {
+            ("peeling", None, False),
+            ("peeling+gauss", None, False),
+            ("peeling+gauss", "stalled", False),
+            ("peeling", "not-a-codeword", True),
+            ("peeling+gauss", "not-a-codeword", True),
+            ("peeling+gauss", "not-a-codeword", False),
+        } <= seen
+
+    def test_flip_masks_match_dense_counts(self):
+        rng = random.Random(3)
+        for g in _random_graphs(rng, 30):
+            n, d = g.n_left, g.d_left
+            synd = rng.getrandbits(g.m_right)
+            dense = [(m & synd).bit_count() for m in g.left_masks]
+            cuts = list(range(-1, d + 2))
+            assert _at_least(g, synd, cuts) == [
+                sum(1 << i for i in range(n) if dense[i] >= t) for t in cuts
+            ]
+
+
+class _CountingReads:
+    """A read-only sequence that counts every entry read from it."""
+
+    def __init__(self, items, name, reads):
+        self._items, self._name, self._reads = items, name, reads
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        self._reads[self._name] += 1
+        return self._items[i]
+
+    def __iter__(self):
+        for item in self._items:
+            self._reads[self._name] += 1
+            yield item
+
+
+def test_decode_reads_follow_the_errors_not_n():
+    g = gen_left_regular(8000, 6000, 6, 1)
+    reads = Counter()
+    for name in ("left_masks", "right_masks", "right_adj"):
+        setattr(g, name, _CountingReads(getattr(g, name), name, reads))
+    y = Word.from_support(8000, [17, 4242, 7999])
+    out = viderman_decode(g, y, ExpanderParams(Fraction(1, 50), Fraction(1, 6)))
+    assert out.ok and out.word == Word.zero(8000) and out.corrected == 3
+    # one syndrome of y (3 masks), the 18 unsatisfied checks' neighbors, the
+    # 3 suspects' masks, the peeled bits and the re-check; no pass over N or M
+    assert sum(reads.values()) <= 60, reads
+
+
+def test_random_order_needs_a_seed():
+    g = gen_left_regular(60, 45, 6, 1)
+    y = Word.from_support(60, [3, 30])
+    cfg = FindConfig.from_delta(Fraction(2, 5))
+    with pytest.raises(InvalidParameters):
+        find_suspects(g, y, cfg, order="random")
+    first = find_suspects(g, y, cfg, order="random", seed=7)
+    assert find_suspects(g, y, cfg, order="random", seed=7) == first
+
+
+def test_guess_runner_erases_each_suspect_set_once(monkeypatch):
+    # every poly guess at N = 60 with 6 errors finds L = all 60, so the
+    # erasure solve runs once while each listed guess still counts
+    g = gen_left_regular(60, 45, 6, 1)
+    y = plant_errors(sample_codeword(g, 1), random.Random(0).sample(range(60), 6))
+    params = ExpanderParams(Fraction(1, 50), Fraction(1, 8))
+    solves = []
+    erase = decoders._erase
+
+    def counted(g, s, erased):
+        solves.append(erased.bit_count())
+        return erase(g, s, erased)
+
+    monkeypatch.setattr(decoders, "_erase", counted)
+    out = guess_expansion_decode_poly(g, y, params)
+    assert not out.ok and out.iterations > 1
+    assert solves == [60]
