@@ -110,6 +110,8 @@ class ExpansionProfile:
 
         Exact for exhaustive profiles; a lower-bound estimate for sampled.
         """
+        if self.d_left < 1:
+            raise InvalidInput("graph has no edges")
         worst = Fraction(0)
         for s in range(1, self.s_max + 1):
             defect = 1 - Fraction(self.min_at(s), self.d_left * s)
@@ -133,9 +135,13 @@ def measure_profile(
 ) -> ExpansionProfile:
     """Minimum neighbor counts for every set size up to ``s_max``.
 
-    Exhaustive mode enumerates every subset (refusing above ``budget``
-    subsets); sampled mode draws ``trials`` uniform subsets per size and its
-    minima are upper-bound estimates, flagged via ``mode``.
+    Exhaustive mode is exact: it walks the subsets by branch and bound,
+    skipping every superset that could at most tie a minimum already found,
+    so its minima and witnesses are those of visiting every subset. It still
+    refuses when the sum of C(N, s) over s <= ``s_max`` exceeds ``budget``,
+    however many subsets the walk would visit. Sampled mode draws ``trials``
+    uniform subsets per size and its minima are upper-bound estimates,
+    flagged via ``mode``.
     """
     n = g.n_left
     if not 1 <= s_max <= n:
@@ -156,26 +162,37 @@ def measure_profile(
 
 
 def _profile_exhaustive(g: BipartiteGraph, s_max: int) -> ExpansionProfile:
+    # Branch and bound over the pre-order DFS of all sets in ascending index
+    # order, which reaches the sets of each size in lexicographic order.
+    # |Gamma| only grows under inclusion, and a minimum is replaced only on a
+    # strict <, so the subtree under a set whose count is >= best[t] at every
+    # deeper size t holds no set that could replace a minimum: skipping it
+    # leaves minima and witnesses as the full enumeration finds them.
     n = g.n_left
     masks = g.left_masks
-    best = [None] * (s_max + 1)
+    unseen = g.m_right + 1  # above every count: no minimum yet
+    best = [unseen] * (s_max + 1)
     wit: list = [None] * (s_max + 1)
-    stack_members: list[int] = []
+    # floor[s] = max(best[s+1:]), 0 at s_max where nothing is deeper; the
+    # subtree under a size-s set with at least floor[s] neighbors is skipped
+    floor = [unseen] * s_max + [0]
+    members: list[int] = []
 
-    def rec(start: int, depth: int, cur: int) -> None:
+    def rec(start: int, size: int, cur: int) -> None:
         for v in range(start, n):
             merged = cur | masks[v]
-            stack_members.append(v)
-            size = depth + 1
             cnt = merged.bit_count()
-            if best[size] is None or cnt < best[size]:
+            if cnt < best[size]:
                 best[size] = cnt
-                wit[size] = tuple(stack_members)
-            if size < s_max:
-                rec(v + 1, size, merged)
-            stack_members.pop()
+                wit[size] = (*members, v)
+                for s in range(size - 1, 0, -1):
+                    floor[s] = max(floor[s + 1], best[s + 1])
+            if cnt < floor[size]:
+                members.append(v)
+                rec(v + 1, size + 1, merged)
+                members.pop()
 
-    rec(0, 0, 0)
+    rec(0, 1, 0)
     return ExpansionProfile(
         n_left=n,
         d_left=g.d_left,
@@ -439,6 +456,8 @@ def collisions(g: BipartiteGraph, s: Iterable[int]) -> CollisionReport:
     members = mask_to_indices(mask)
     if not members:
         return CollisionReport((), 0, Fraction(0))
+    if g.d_left < 1:
+        raise InvalidInput("graph has no edges")
     total = g.d_left * len(members)
     nb = _neighbor_masks(g, mask)[0].bit_count()
     count = total - nb

@@ -1,14 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import expander_codes.expansion as expansion
 from expander_codes import (
+    BipartiteGraph,
     BudgetExceeded,
     ExpanderParams,
     InvalidInput,
     InvalidParameters,
     collisions,
+    complete_graph,
+    cycle_graph,
     gen_biregular,
     gen_left_regular,
     measure_profile,
@@ -18,7 +23,9 @@ from expander_codes import (
     profile_to_csv,
     tradeoff_bound_first,
     tradeoff_bound_second,
+    union_graph,
     unique_neighbors,
+    vertex_edge_graph,
     verify_expander,
 )
 from conftest import cyc_graph
@@ -101,12 +108,125 @@ class TestProfile:
         for s in range(1, 5):
             assert sampled.min_at(s) >= exact.min_at(s)
 
+    def test_edgeless_measured_eps_raises(self):
+        prof = measure_profile(BipartiteGraph(3, 2, 0, ((),) * 3), 2)
+        assert prof.min_neighbors == (0, 0)
+        with pytest.raises(InvalidInput, match="no edges"):
+            prof.measured_eps()
+
     def test_csv_export(self, tri3):
         text = profile_to_csv(measure_profile(tri3, 2))
         lines = text.strip().splitlines()
         assert lines[0] == "size,min_neighbors,expansion_ratio,witness,mode"
         assert lines[1] == "1,2,2,0,exhaustive"
         assert lines[2].startswith("2,3,3/2,")
+
+
+def _full_profile(g, s_max):
+    """The exhaustive walk before branch and bound: every subset, in DFS order."""
+    n = g.n_left
+    masks = g.left_masks
+    best = [None] * (s_max + 1)
+    wit = [None] * (s_max + 1)
+    stack_members = []
+
+    def rec(start, depth, cur):
+        for v in range(start, n):
+            merged = cur | masks[v]
+            stack_members.append(v)
+            size = depth + 1
+            cnt = merged.bit_count()
+            if best[size] is None or cnt < best[size]:
+                best[size] = cnt
+                wit[size] = tuple(stack_members)
+            if size < s_max:
+                rec(v + 1, size, merged)
+            stack_members.pop()
+
+    rec(0, 0, 0)
+    return expansion.ExpansionProfile(
+        n, g.d_left, s_max, tuple(best[1:]), tuple(wit[1:]), "exhaustive"
+    )
+
+
+def _certify_graphs():
+    """(graph, s_max) shaped like perfbench's certify inputs, seeded as its seed 1."""
+    rng = random.Random("certify:1")
+    shapes = (
+        (24, 18, 6), (32, 24, 4), (36, 27, 5), (36, 27, 5),
+        (26, 12, 4), (30, 13, 4), (32, 14, 4), (28, 12, 4),
+    )
+    return [(gen_left_regular(n, m, 6, rng.getrandbits(32)), s) for n, m, s in shapes]
+
+
+def _tiny_graphs():
+    """(graph, s_max) for 320 seeded left-regular graphs with D from 1 to 6,
+    tie-heavy unions and vertex-edge graphs, and an edgeless graph."""
+    rng = random.Random(11)
+    cases = []
+    for seed in range(320):
+        d = 1 + seed % 6
+        n = rng.randint(2, 10)
+        g = gen_left_regular(n, rng.randint(d, d + 6), d, seed)
+        cases.append((g, rng.randint(1, n)))
+    twin = gen_left_regular(5, 6, 3, 1)
+    cases.append((union_graph(twin, twin), 6))
+    cases.append((union_graph(cyc_graph(4), cyc_graph(3)), 7))
+    cases.append((vertex_edge_graph(complete_graph(5)), 5))
+    cases.append((vertex_edge_graph(cycle_graph(8)), 8))
+    cases.append((BipartiteGraph(4, 2, 0, ((),) * 4), 4))
+    return cases
+
+
+_EPS_GRID = (Fraction(1, 100), Fraction(1, 6), Fraction(1, 3), Fraction(49, 100))
+
+
+class TestBranchAndBound:
+    def _assert_matches_full_walk(self, monkeypatch, cases):
+        verdicts = set()
+        for g, s_max in cases:
+            pruned = measure_profile(g, s_max)
+            full = _full_profile(g, s_max)
+            assert pruned.min_neighbors == full.min_neighbors
+            assert pruned.witnesses == full.witnesses
+            assert profile_to_csv(pruned) == profile_to_csv(full)
+            params = [
+                ExpanderParams(Fraction(s, g.n_left), e)
+                for s in {max(1, s_max // 2), s_max}
+                for e in _EPS_GRID
+            ]
+            got = [verify_expander(g, p) for p in params]
+            with monkeypatch.context() as m:
+                m.setattr(expansion, "_profile_exhaustive", _full_profile)
+                want = [verify_expander(g, p) for p in params]
+            assert got == want
+            verdicts.update(r.passed for r in got)
+        assert verdicts == {True, False}
+
+    def test_certify_graphs_match_full_walk(self, monkeypatch):
+        self._assert_matches_full_walk(monkeypatch, _certify_graphs())
+
+    def test_tiny_graphs_match_full_walk(self, monkeypatch):
+        self._assert_matches_full_walk(monkeypatch, _tiny_graphs())
+
+    def test_visits_a_tenth_of_the_subsets(self):
+        class CountingMasks(tuple):
+            reads = 0
+
+            def __getitem__(self, i):
+                CountingMasks.reads += 1
+                return tuple.__getitem__(self, i)
+
+        g, s_max = _certify_graphs()[2]
+        assert (g.n_left, s_max) == (36, 5)
+        g.__dict__["left_masks"] = CountingMasks(g.left_masks)
+        total = sum(math.comb(36, s) for s in range(1, 6))
+        measure_profile(g, s_max)
+        assert 0 < CountingMasks.reads < total // 10
+        # the budget still counts every subset, not the ones the walk visits
+        with pytest.raises(BudgetExceeded) as exc:
+            measure_profile(g, s_max, budget=total - 1)
+        assert exc.value.required == total
 
 
 class TestVerify:
@@ -217,6 +337,12 @@ class TestCollisions:
 
     def test_empty_set(self, tri3):
         assert collisions(tri3, []).gamma == 0
+
+    def test_edgeless_graph_raises(self):
+        g = BipartiteGraph(3, 2, 0, ((),) * 3)
+        assert collisions(g, []).gamma == 0
+        with pytest.raises(InvalidInput, match="no edges"):
+            collisions(g, [0, 2])
 
     def test_containment(self):
         rng = random.Random(7)
