@@ -13,15 +13,19 @@ def as_fraction(value) -> Fraction:
     Accepts Fraction, int, decimal strings ("0.1", "1/5"), and floats.
     Floats go through repr so that e.g. 0.1 means 1/10, not the nearest
     binary double; pass a Fraction or string when exactness matters.
+    Malformed text, a zero denominator, nan and inf raise InvalidParameters.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
+    try:
+        if isinstance(value, str):
+            return Fraction(value)
+        if isinstance(value, float):
+            return Fraction(repr(value))
+    except (ValueError, ZeroDivisionError):
+        pass
     raise InvalidParameters(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen, verify, profile, distance, decode, sweep, list-radius,
-report-radii. Exit codes:
+report-radii; decode and sweep share the decoder options, verify and profile
+the sampling options. A malformed fraction, a zero denominator, nan or inf is
+invalid input. Exit codes:
 
 - 0: success;
 - 1: the decode subcommand ran but failed to decode;
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,6 +70,19 @@ def _params(args) -> ExpanderParams:
     return ExpanderParams(args.alpha, args.eps)
 
 
+def _sampling(args) -> dict:
+    """The mode and keyword arguments of verify_expander and measure_profile."""
+    return {k: getattr(args, k) for k in ("mode", "budget", "trials", "seed")}
+
+
+def _config(args, **fixed) -> ExperimentConfig:
+    """The ExperimentConfig of the options whose dests name its fields; an
+    option left unset (None) leaves its field at the default."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    return ExperimentConfig(**given, **fixed)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="expander-codes",
@@ -74,12 +90,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, graph=False, params=False):
-        if graph:
-            sp.add_argument("--graph", required=True, help="graph file")
-        if params:
-            sp.add_argument("--alpha", type=_frac, help="set-size fraction")
-            sp.add_argument("--eps", type=_frac, help="expansion defect")
+    # option groups that several subcommands share, as argparse parents
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True, help="graph file")
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--alpha", type=_frac, help="set-size fraction")
+    params.add_argument("--eps", type=_frac, help="expansion defect")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--sampled", dest="mode", action="store_const",
+                          const="sampled", default="exhaustive", help="sampled mode")
+    sampling.add_argument("--trials", type=int, default=2000)
+    sampling.add_argument("--seed", type=int, default=0)
+    sampling.add_argument("--budget", type=int, default=1 << 26)
+    # each dest is the ExperimentConfig field that _config fills from it
+    decoder = argparse.ArgumentParser(add_help=False, parents=[graph, params])
+    decoder.add_argument("--algo", dest="algorithm", choices=DECODER_NAMES,
+                         required=True)
+    decoder.add_argument("--beta", type=_frac)
+    decoder.add_argument("--eta", type=_frac)
+    decoder.add_argument("--slack", type=_frac)
+    decoder.add_argument("--threshold", dest="threshold_fraction", type=_frac,
+                         metavar="THRESHOLD",
+                         help="ss-flip threshold fraction (default 1-2*eps)")
 
     sp = sub.add_parser("gen", help="generate a left-regular or biregular graph")
     sp.add_argument("-n", type=int, required=True, help="left vertices")
@@ -89,65 +121,52 @@ def build_parser() -> argparse.ArgumentParser:
                     default="left-regular")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="output path (default stdout)")
+    sp.set_defaults(run=_cmd_gen)
 
-    sp = sub.add_parser("verify", help="verify expansion parameters")
-    common(sp, graph=True, params=True)
-    sp.add_argument("--sampled", action="store_true", help="sampled mode")
-    sp.add_argument("--trials", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=1 << 26)
+    sp = sub.add_parser("verify", parents=[graph, params, sampling],
+                        help="verify expansion parameters")
+    sp.set_defaults(run=_cmd_verify)
 
-    sp = sub.add_parser("profile", help="expansion profile as CSV")
-    common(sp, graph=True)
+    sp = sub.add_parser("profile", parents=[graph, sampling],
+                        help="expansion profile as CSV")
     sp.add_argument("--smax", type=int, help="largest set size (default N)")
-    sp.add_argument("--sampled", action="store_true")
-    sp.add_argument("--trials", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=1 << 26)
     sp.add_argument("--out")
+    sp.set_defaults(run=_cmd_profile)
 
-    sp = sub.add_parser("distance", help="brute-force minimum distance")
-    common(sp, graph=True, params=True)
+    sp = sub.add_parser("distance", parents=[graph, params],
+                        help="brute-force minimum distance")
     sp.add_argument("--budget", type=int, default=24)
     sp.add_argument("--nullspace-out", help="also write the code basis as 0/1 rows")
+    sp.set_defaults(run=_cmd_distance)
 
-    sp = sub.add_parser("decode", help="decode one word file")
-    common(sp, graph=True, params=True)
+    sp = sub.add_parser("decode", parents=[decoder], help="decode one word file")
     sp.add_argument("word", help="word file over {0,1,?}")
-    sp.add_argument("--algo", choices=DECODER_NAMES, required=True)
-    sp.add_argument("--beta", type=_frac)
-    sp.add_argument("--eta", type=_frac)
-    sp.add_argument("--slack", type=_frac, default=Fraction(0))
-    sp.add_argument("--threshold", type=_frac,
-                    help="ss-flip threshold fraction (default 1-2*eps)")
+    sp.set_defaults(run=_cmd_decode)
 
-    sp = sub.add_parser("sweep", help="radius sweep, CSV output")
-    common(sp, graph=True, params=True)
-    sp.add_argument("--algo", choices=DECODER_NAMES, required=True)
+    sp = sub.add_parser("sweep", parents=[decoder], help="radius sweep, CSV output")
     sp.add_argument("--radius-from", type=int, required=True)
     sp.add_argument("--radius-to", type=int, required=True)
-    sp.add_argument("--radius-step", type=int, default=1)
-    sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--model", choices=ERROR_MODELS, default="uniform-random-set")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--beta", type=_frac)
-    sp.add_argument("--eta", type=_frac)
-    sp.add_argument("--slack", type=_frac, default=Fraction(0))
+    sp.add_argument("--radius-step", type=int)
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--model", choices=ERROR_MODELS)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--measure-time", action="store_true")
-    sp.add_argument("--budget", type=int, default=1 << 26)
+    sp.add_argument("--budget", type=int)
     sp.add_argument("--out")
+    sp.set_defaults(run=_cmd_sweep)
 
-    sp = sub.add_parser("list-radius", help="list-decoding radius calculators")
+    sp = sub.add_parser("list-radius", parents=[params],
+                        help="list-decoding radius calculators")
     sp.add_argument("--delta", type=_frac, help="relative distance")
-    sp.add_argument("--alpha", type=_frac)
-    sp.add_argument("--eps", type=_frac)
     sp.add_argument("--dr", type=_frac, help="average right degree")
     sp.add_argument("--dmax", type=int, required=True, help="max right degree")
     sp.add_argument("--out")
+    sp.set_defaults(run=_cmd_list_radius)
 
     sp = sub.add_parser("report-radii", help="distance/radius formula table")
     sp.add_argument("--alpha", type=_frac, required=True)
     sp.add_argument("--eps", type=_frac, required=True)
+    sp.set_defaults(run=_cmd_report_radii)
     return p
 
 
@@ -160,17 +179,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    mode = "sampled" if args.sampled else "exhaustive"
-    res = verify_expander(
-        g, _params(args), mode, budget=args.budget, trials=args.trials,
-        seed=args.seed,
-    )
+    res = verify_expander(g, _params(args), **_sampling(args))
     if res.passed:
-        print(f"PASS ({mode}): every size up to {res.profile.s_max} expands")
+        print(f"PASS ({args.mode}): every size up to {res.profile.s_max} expands")
     else:
         witness = ",".join(str(i) for i in res.counterexample)
         print(
-            f"FAIL ({mode}): size {res.failing_size} set {{{witness}}} has "
+            f"FAIL ({args.mode}): size {res.failing_size} set {{{witness}}} has "
             f"{res.profile.min_at(res.failing_size)} neighbors, needs {res.required}"
         )
     return 0
@@ -179,11 +194,7 @@ def _cmd_verify(args) -> int:
 def _cmd_profile(args) -> int:
     g = _load_graph(args.graph)
     s_max = args.smax if args.smax is not None else g.n_left
-    mode = "sampled" if args.sampled else "exhaustive"
-    prof = measure_profile(
-        g, s_max, mode, budget=args.budget, trials=args.trials, seed=args.seed
-    )
-    _write_out(args.out, profile_to_csv(prof))
+    _write_out(args.out, profile_to_csv(measure_profile(g, s_max, **_sampling(args))))
     return 0
 
 
@@ -193,6 +204,8 @@ def _cmd_distance(args) -> int:
     print(f"distance {res.distance} witness {res.witness}")
     if args.alpha is not None and args.eps is not None:
         bound = distance_lower_bound(_params(args), g.d_left, g.n_left)
+        if bound.headline > sys.float_info.max:
+            raise ExpanderCodeError("the headline bound is beyond the float range")
         print(
             f"headline lower bound {bound.headline} = {float(bound.headline):.6g}, "
             f"certified floor {bound.certified_floor}"
@@ -205,18 +218,7 @@ def _cmd_distance(args) -> int:
 def _cmd_decode(args) -> int:
     g = _load_graph(args.graph)
     word = parse_word(Path(args.word).read_text())
-    cfg = ExperimentConfig(
-        algorithm=args.algo,
-        radius_from=0,
-        radius_to=0,
-        alpha=args.alpha,
-        eps=args.eps,
-        beta=args.beta,
-        eta=args.eta,
-        slack=args.slack,
-        threshold_fraction=args.threshold,
-    )
-    out = dispatch_decode(cfg, g, word)
+    out = dispatch_decode(_config(args, radius_from=0, radius_to=0), g, word)
     if out.ok:
         print(f"success {out.word} corrected={out.corrected}")
         return 0
@@ -226,23 +228,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_sweep(args) -> int:
     g = _load_graph(args.graph)
-    cfg = ExperimentConfig(
-        algorithm=args.algo,
-        radius_from=args.radius_from,
-        radius_to=args.radius_to,
-        radius_step=args.radius_step,
-        trials=args.trials,
-        model=args.model,
-        seed=args.seed,
-        alpha=args.alpha,
-        eps=args.eps,
-        beta=args.beta,
-        eta=args.eta,
-        slack=args.slack,
-        measure_time=args.measure_time,
-        budget=args.budget,
-    )
-    _write_out(args.out, results_to_csv(sweep(cfg, g)))
+    _write_out(args.out, results_to_csv(sweep(_config(args), g)))
     return 0
 
 
@@ -277,27 +263,12 @@ def _cmd_report_radii(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-    "profile": _cmd_profile,
-    "distance": _cmd_distance,
-    "decode": _cmd_decode,
-    "sweep": _cmd_sweep,
-    "list-radius": _cmd_list_radius,
-    "report-radii": _cmd_report_radii,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
-    except ExpanderCodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.run(args)
+    except (ExpanderCodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -18,7 +18,6 @@ syndrome the cost follows |s| and |L|, not N.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import random
@@ -279,8 +278,8 @@ class ErasureConfig:
         object.__setattr__(self, "xi", as_fraction(self.xi))
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
         object.__setattr__(self, "eps", as_fraction(self.eps))
-        if not 0 < self.xi < 1:
-            raise InvalidParameters(f"xi must be in (0, 1), got {self.xi}")
+        if not 0 < self.xi < 1 or self.alpha <= 0 or self.eps <= 0:
+            raise InvalidParameters(f"need xi in (0, 1), alpha > 0 and eps > 0, got {self}")
 
     @classmethod
     def from_params(cls, params: ExpanderParams) -> "ErasureConfig":
@@ -587,7 +586,10 @@ class GuessSchedule:
         eta = beta / 100 if eta is None else as_fraction(eta)
         if eta <= 0:
             raise InvalidParameters("eta must be positive")
-        min_ell = math.ceil(math.log(1 / 3) / math.log(1 - float(beta)))
+        shrink = math.log(1 - float(beta))
+        if shrink == 0:
+            raise InvalidParameters(f"beta = {beta} rounds 1 - beta to 1 in floats")
+        min_ell = math.ceil(math.log(1 / 3) / shrink)
         if ell is None:
             ell = min_ell
         elif ell < min_ell:
@@ -598,15 +600,22 @@ class GuessSchedule:
 def _cut_steps(cut, lo: int, hi: int):
     """Yield (first index, value) for each value the nonincreasing integer
     function ``cut`` takes on range(lo, hi), stopping after a value of 0. Each
-    change is found by bisection: O(log(hi - lo)) probes per distinct value."""
-    ks = range(lo, hi)
-    i = 0
-    while i < len(ks):
-        t = cut(ks[i])
-        yield ks[i], t
+    change is found by bisection: O(log(hi - lo)) probes per distinct value.
+    The bounds may exceed the machine word, so the bisection is on Python ints."""
+    k = lo
+    while k < hi:
+        t = cut(k)
+        yield k, t
         if t == 0:
             return
-        i = bisect.bisect_left(ks, True, i + 1, key=lambda k: cut(k) < t)
+        a, b = k + 1, hi  # the first k' in [a, b) with cut(k') < t, else hi
+        while a < b:
+            mid = (a + b) // 2
+            if cut(mid) < t:
+                b = mid
+            else:
+                a = mid + 1
+        k = a
 
 
 def _flip_cuts(eta: Fraction, cutoff: Fraction, d: int) -> tuple[list[int], bool]:
@@ -623,7 +632,6 @@ def guess_flip_decode(
     y: Word,
     params: ExpanderParams,
     beta,
-    schedule: Optional[GuessSchedule] = None,
 ) -> DecodeOutcome:
     """Enumerate guess sequences; per guess either flip the heavy-unsatisfied
     bits (small guess) or find-and-erase (large guess), finishing each
@@ -641,8 +649,7 @@ def guess_flip_decode(
     eps, alpha = params.eps, params.alpha
     if eps > Fraction(1, 4) - beta:
         raise InvalidParameters(f"need eps <= 1/4 - beta, got eps={eps}, beta={beta}")
-    if schedule is None:
-        schedule = GuessSchedule.for_beta(beta)
+    schedule = GuessSchedule.for_beta(beta)
     n, d = g.n_left, g.d_left
     radius = (1 - eps) * alpha * n
     capacity = ErasureConfig.from_params(params).max_erasures(n)
@@ -751,7 +758,7 @@ def _run_expansion_branches(
     g: BipartiteGraph,
     y: Word,
     params: ExpanderParams,
-    guesses,  # iterable of (enum_index, ExpansionGuess)
+    guesses,  # iterable of (enum_index, ExpansionGuess, its integer cut)
     algorithm: str,
 ) -> DecodeOutcome:
     """Find-and-erase once per guess, in order; accept the first candidate within
@@ -760,13 +767,12 @@ def _run_expansion_branches(
     The syndrome is computed once. The candidate depends only on the word and
     the suspect set L, so a guess whose L was already erased is not erased
     again; it still counts as an attempt."""
-    n, d = g.n_left, g.d_left
+    n = g.n_left
     accept = (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
     s = syndrome_bits(g, y.bits)
     tried: set[int] = set()
     attempts = 0
-    for attempts, (enum_index, guess) in enumerate(guesses, 1):
-        h = FindConfig(guess.delta_radicand, guess.delta_affine).effective_threshold(d)
+    for attempts, (enum_index, guess, h) in enumerate(guesses, 1):
         trace = _suspects(g, s, h)
         if trace.l_mask in tried:
             continue
@@ -817,10 +823,10 @@ def guess_expansion_decode_poly(
         if n == 0:  # there is no guess (i, j) to make
             return
         # gamma = 0 at (1, D), which puts it on the plain branch (D <= M)
+        plain = FindConfig(0, eps + slack).effective_threshold(d)
         yield (1, d), ExpansionGuess(
             1 / alpha_n, Fraction(0), None, "plain", Fraction(0), eps + slack
-        )
-        plain = FindConfig(0, eps + slack).effective_threshold(d)
+        ), plain
         q = lambda k: k * eps / (d * alpha_n)  # gamma * x * eps
         cut = lambda k: FindConfig(q(k), slack).effective_threshold(d)
         for k, t in _cut_steps(cut, max(d * i0 - m, math.ceil(eps * d * alpha_n)), d * n):
@@ -828,7 +834,7 @@ def guess_expansion_decode_poly(
                 i = max(i0, k // d + 1)
                 yield (i, d * i - k), ExpansionGuess(
                     i / alpha_n, Fraction(k, d * i), None, "sqrt", q(k), slack
-                )
+                ), t
 
     return _run_expansion_branches(g, y, params, guesses(), "guess-expansion")
 
@@ -863,11 +869,15 @@ def guess_expansion_decode_grid(
     d = g.d_left
 
     def guesses():
-        yield (0,), ExpansionGuess(None, None, Fraction(0), "plain", Fraction(0), eps + 2 * eta)
         plain = FindConfig(0, eps + 2 * eta).effective_threshold(d)
+        yield (0,), ExpansionGuess(
+            None, None, Fraction(0), "plain", Fraction(0), eps + 2 * eta
+        ), plain
         cut = lambda idx: FindConfig(idx * eta * eps, eta).effective_threshold(d)
         for idx, t in _cut_steps(cut, math.ceil(eps / eta), math.ceil(1 / eta) + 1):
             if t != plain:
-                yield (idx,), ExpansionGuess(None, None, idx * eta, "sqrt", idx * eta * eps, eta)
+                yield (idx,), ExpansionGuess(
+                    None, None, idx * eta, "sqrt", idx * eta * eps, eta
+                ), t
 
     return _run_expansion_branches(g, y, params, guesses(), "guess-expansion-grid")

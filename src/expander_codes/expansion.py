@@ -375,8 +375,8 @@ def parameter_facts(alpha, eps, d: int, d_r, m: int, n: int) -> ParameterFacts:
     alpha = as_fraction(alpha)
     eps = as_fraction(eps)
     d_r = as_fraction(d_r)
-    if d < 1 or d_r <= 0 or m < 1 or n < 1:
-        raise InvalidParameters("need d >= 1, d_r > 0, m >= 1, n >= 1")
+    if alpha <= 0 or eps <= 0 or d < 1 or d_r <= 0 or m < 1 or n < 1:
+        raise InvalidParameters("need alpha, eps, d, d_r, m and n all positive")
 
     inv_d = Fraction(1, d)
     eps_min = FactCheck(

@@ -8,6 +8,7 @@ import io
 import itertools
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -137,6 +138,8 @@ def iter_error_patterns(
     n: int, radius: int, budget: int = 1 << 26
 ) -> Iterator[tuple[int, ...]]:
     """All size-``radius`` index sets in lexicographic order."""
+    if n < 0 or radius < 0:
+        raise InvalidParameters(f"need n >= 0 and radius >= 0, got {n}, {radius}")
     cost = math.comb(n, radius)
     if cost > budget:
         raise BudgetExceeded(
@@ -223,10 +226,7 @@ def trial_seed(master: int, radius: int, trial: int) -> int:
 
 
 def dispatch_decode(cfg: ExperimentConfig, g: BipartiteGraph, word: Word) -> DecodeOutcome:
-    decode = _DECODERS.get(cfg.algorithm)
-    if decode is None:
-        raise InvalidParameters(f"unknown algorithm {cfg.algorithm!r}")
-    return decode(cfg, g, word)
+    return _DECODERS[cfg.algorithm](cfg, g, word)
 
 
 def run_trial(
@@ -334,6 +334,8 @@ def report_radii(alpha, eps) -> RadiiReport:
         raise InvalidParameters(f"alpha must be in (0, 1], got {alpha}")
     if not 0 < eps < Fraction(1, 2):
         raise InvalidParameters(f"eps must be in (0, 1/2), got {eps}")
+    if float(eps) == 0 or alpha / eps > sys.float_info.max:
+        raise InvalidParameters("eps and alpha/eps must be within the float range")
     distance = alpha / (2 * eps)
     prior = (1 - 3 * eps) / (1 - 2 * eps) * alpha if eps < Fraction(1, 3) else None
     # eps < (3 - 2*sqrt(2))/2  <=>  (3 - 2*eps)^2 > 8, decided exactly

@@ -51,6 +51,8 @@ class Word:
     erasures: int = 0
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InvalidInput(f"word length must be nonnegative, got {self.n}")
         full = (1 << self.n) - 1
         if not 0 <= self.bits <= full:
             raise InvalidInput(f"bits out of range for length {self.n}")
@@ -69,6 +71,9 @@ class Word:
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "Word":
+        support = tuple(support)
+        if any(i < 0 for i in support):
+            raise InvalidInput(f"negative position in support {support}")
         return cls(n, indices_to_mask(support))
 
     @classmethod

@@ -110,9 +110,11 @@ def improved_radius(
     (delta/2)/(1 - 0.04/d_max) is returned with regime="fallback". The result
     is checked against that closed-form bound in all cases.
     """
-    ddelta = float(as_fraction(delta))
-    if not 0.0 < ddelta < 0.5:
+    exact = as_fraction(delta)
+    # exact bounds first: float() of a huge delta overflows
+    if not 0 < exact < Fraction(1, 2) or not 0.0 < float(exact) < 0.5:
         raise InvalidParameters(f"delta must be in (0, 1/2), got {delta}")
+    ddelta = float(exact)
     if d_max < 2:
         raise InvalidParameters(f"d_max must be >= 2, got {d_max}")
     theta = float(HEAVY_NUMERATOR) / d_max
@@ -122,15 +124,7 @@ def improved_radius(
 
     conditions = None
     if alpha is not None and eps is not None:
-        alpha_f, eps_f = as_fraction(alpha), as_fraction(eps)
-        conditions = {
-            "eps <= 1/4": eps_f <= Fraction(1, 4),
-            "alpha/eps <= 0.1": alpha_f / eps_f <= Fraction(1, 10),
-        }
-        if d_r is not None:
-            conditions["d_max <= 1.1*d_r"] = (
-                Fraction(d_max) <= Fraction(11, 10) * as_fraction(d_r)
-            )
+        conditions = {c.name: c.holds for c in _claim_gates(alpha, eps, d_max, d_r)}
 
     lo, hi = ddelta / 2.0, 0.54 * ddelta
     n_h_hi = HEAVY_MASS * hi * (1.0 - 0.9) / theta
@@ -165,6 +159,27 @@ def improved_radius(
     )
 
 
+def _claim_gates(alpha, eps, d_max: int, d_r=None) -> tuple[FactCheck, ...]:
+    """The claim's gate conditions eps <= 1/4, alpha/eps <= 0.1 and, when
+    ``d_r`` is given, d_max <= 1.1*d_r."""
+    alpha, eps = as_fraction(alpha), as_fraction(eps)
+    d_r = None if d_r is None else as_fraction(d_r)
+    if alpha <= 0 or eps <= 0 or d_max <= 0 or (d_r is not None and d_r <= 0):
+        raise InvalidParameters("alpha, eps, d_max and d_r must be positive")
+    ratio = alpha / eps
+    gates = [
+        FactCheck("eps <= 1/4", True, eps <= Fraction(1, 4), eps, Fraction(1, 4),
+                  Fraction(1, 4) - eps),
+        FactCheck("alpha/eps <= 0.1", True, ratio <= Fraction(1, 10), ratio,
+                  Fraction(1, 10), Fraction(1, 10) - ratio),
+    ]
+    if d_r is not None:
+        cap = Fraction(11, 10) * d_r
+        gates.append(FactCheck("d_max <= 1.1*d_r", True, d_max <= cap,
+                               Fraction(d_max), cap, cap - d_max))
+    return tuple(gates)
+
+
 @dataclass(frozen=True)
 class ThresholdClaimReport:
     conditions: tuple[FactCheck, ...]
@@ -186,21 +201,11 @@ def threshold_claim_check(alpha, eps, d_max: int, d_r) -> ThresholdClaimReport:
     gate conditions; with a failed gate they are still reported, flagged
     not-applicable.
     """
-    alpha = as_fraction(alpha)
-    eps = as_fraction(eps)
-    d_r = as_fraction(d_r)
-    if alpha <= 0 or eps <= 0:
-        raise InvalidParameters("alpha and eps must be positive")
+    conditions = _claim_gates(alpha, eps, d_max, d_r)
+    alpha, eps, d_r = as_fraction(alpha), as_fraction(eps), as_fraction(d_r)
     delta = alpha / (2 * eps)
     ratio = alpha / eps
-    conditions = (
-        FactCheck("eps <= 1/4", True, eps <= Fraction(1, 4), eps, Fraction(1, 4),
-                  Fraction(1, 4) - eps),
-        FactCheck("alpha/eps <= 0.1", True, ratio <= Fraction(1, 10), ratio,
-                  Fraction(1, 10), Fraction(1, 10) - ratio),
-        FactCheck("d_max <= 1.1*d_r", True,
-                  Fraction(d_max) <= Fraction(11, 10) * d_r, Fraction(d_max),
-                  Fraction(11, 10) * d_r, Fraction(11, 10) * d_r - d_max),
+    conditions += (
         FactCheck("1/d_r >= 0.3325*alpha/eps", True,
                   1 / d_r >= Fraction(3325, 10000) * ratio, 1 / d_r,
                   Fraction(3325, 10000) * ratio,

@@ -269,6 +269,11 @@ class TestDecodeErasures:
         assert not out.ok and out.reason == "radius-exceeded"
         assert decode_erasures(tri3, parse_word("1?1"), cfg).ok
 
+    @pytest.mark.parametrize("alpha, eps", [(Fraction(1, 3), 0), (0, Fraction(1, 4))])
+    def test_config_needs_positive_alpha_and_eps(self, alpha, eps):
+        with pytest.raises(InvalidParameters):
+            ErasureConfig(Fraction(1, 100), alpha, eps)
+
     def test_within_budget_always_unique(self, decode_instances):
         # any erasure count below the distance has independent columns
         inst = decode_instances[1]
@@ -390,6 +395,10 @@ class TestGuessSchedule:
 
         assert sched.ell >= math.ceil(math.log(1 / 3) / math.log(1 - 1 / 12))
 
+    def test_beta_lost_in_float_rounding(self):
+        with pytest.raises(InvalidParameters):
+            GuessSchedule.for_beta(Fraction(1, 10**20))
+
     def test_ell_floor_enforced(self):
         with pytest.raises(InvalidParameters):
             GuessSchedule.for_beta(Fraction(1, 12), ell=2)
@@ -498,6 +507,18 @@ class TestCutSteps:
         probes = 0
         assert list(_cut_steps(cut, at[-1], hi)) == [(at[-1], 0)]
         assert probes == 1
+
+    def test_bounds_beyond_machine_word(self):
+        at = [10**20, 10**29]
+        cut = lambda k: 2 - bisect.bisect_right(at, k)
+        assert list(_cut_steps(cut, 0, 10**30)) == [(0, 2), (10**20, 1), (10**29, 0)]
+
+    def test_grid_decoder_with_a_tiny_eta(self):
+        # ceil(1/eta) exceeds the machine word; the listing must still run
+        g = gen_left_regular(12, 9, 3, 1)
+        params = ExpanderParams(Fraction(1, 6), Fraction(1, 8))
+        out = guess_expansion_decode_grid(g, Word(12, 111), params, Fraction(1, 10**20))
+        assert not out.ok and out.reason == "no-candidate"
 
 
 class TestGuessFlip:

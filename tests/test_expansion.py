@@ -309,6 +309,11 @@ class TestParameterFacts:
         facts = parameter_facts(Fraction(1, 100), Fraction(1, 20), d=10, d_r=8, m=10, n=100)
         assert not facts.eps_min.holds
 
+    @pytest.mark.parametrize("alpha, eps", [(Fraction(1, 10), 0), (0, Fraction(1, 10))])
+    def test_non_positive_alpha_or_eps(self, alpha, eps):
+        with pytest.raises(InvalidParameters):
+            parameter_facts(alpha, eps, 6, 8, 10, 10)
+
     def test_ratio_fact(self):
         facts = parameter_facts(Fraction(1, 100), Fraction(1, 10), d=10, d_r=8, m=10, n=100)
         assert facts.alpha_ratio.holds  # 1/40 <= 1/8

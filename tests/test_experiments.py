@@ -53,6 +53,10 @@ class TestInjectErrors:
         assert len(pats) == math.comb(4, 2)
         assert pats[0] == (0, 1)
 
+    def test_exhaustive_iterator_negative_radius(self):
+        with pytest.raises(InvalidParameters):
+            iter_error_patterns(3, -1)
+
 
 class TestSweep:
     def _cfg(self, **kw):
@@ -208,6 +212,14 @@ class TestReportRadii:
     def test_rejects_bad_eps(self):
         with pytest.raises(InvalidParameters):
             report_radii(Fraction(1, 100), Fraction(1, 2))
+
+    @pytest.mark.parametrize("alpha, eps", [
+        (Fraction(1, 100), Fraction(1, 10**400)),  # float(eps) == 0
+        (Fraction(1), Fraction(1, 10**310)),  # float(alpha/eps) overflows
+    ])
+    def test_rejects_eps_beyond_float_range(self, alpha, eps):
+        with pytest.raises(InvalidParameters):
+            report_radii(alpha, eps)
 
     def test_table_renders(self):
         text = format_radii_table(report_radii(Fraction(1, 100), Fraction(1, 8)))

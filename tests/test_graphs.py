@@ -160,6 +160,12 @@ class TestParams:
         with pytest.raises(InvalidParameters):
             ExpanderParams(Fraction(1, 2), Fraction(1, 2))
 
+    @pytest.mark.parametrize("alpha", ["abc", "1/0", "-3/0", "", float("nan"),
+                                       float("inf")])
+    def test_uninterpretable_alpha(self, alpha):
+        with pytest.raises(InvalidParameters):
+            ExpanderParams(alpha, "1/8")
+
     def test_s_max(self):
         p = ExpanderParams(Fraction(1, 3), Fraction(1, 10))
         assert p.s_max(10) == 3

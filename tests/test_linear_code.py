@@ -43,6 +43,14 @@ class TestWord:
         with pytest.raises(InvalidInput):
             Word(3, 0b010, 0b010)
 
+    def test_negative_length(self):
+        with pytest.raises(InvalidInput):
+            Word(-1, 0)
+
+    def test_negative_support_position(self):
+        with pytest.raises(InvalidInput):
+            Word.from_support(3, [-1])
+
     def test_distance_needs_full_words(self):
         with pytest.raises(InvalidInput):
             parse_word("1?1").distance(parse_word("111"))

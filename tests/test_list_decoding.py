@@ -98,6 +98,19 @@ class TestThresholdClaim:
         # theta >= (0.9/1.1) * 0.3325 * (alpha/eps) ~ 0.272 * alpha/eps
         assert rep.theta_above.lhs >= Fraction(272, 1000) * Fraction(1, 10)
 
+    @pytest.mark.parametrize("d_max, d_r", [(33, 0), (0, 30)])
+    def test_non_positive_degree(self, d_max, d_r):
+        with pytest.raises(InvalidParameters):
+            threshold_claim_check(Fraction(1, 100), Fraction(1, 10), d_max, d_r)
+
+    def test_improved_radius_huge_delta(self):
+        with pytest.raises(InvalidParameters):
+            improved_radius(Fraction(10**400), 9)
+
+    def test_improved_radius_zero_eps(self):
+        with pytest.raises(InvalidParameters):
+            improved_radius(Fraction(1, 20), 9, alpha=Fraction(1, 10), eps=0)
+
     def test_gate_failure_makes_no_assertion(self):
         rep = threshold_claim_check(Fraction(2, 100), Fraction(1, 10), 33, 30)
         assert not rep.all_conditions_hold
