@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 from .errors import InvalidParameters
 
@@ -30,12 +31,25 @@ def as_fraction(value) -> Fraction:
 
 
 def mask_to_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    """The positions of the set bits of ``mask``, ascending.
+
+    Stripping the lowest bit costs O(N/64) word operations plus a Python step
+    per set bit of an N-bit mask; scanning the digits of ``bin(mask)`` in C
+    costs O(N) whatever the count k of set bits. Timed on CPython 3.11, the
+    strip wins for k below about N/8 (3 of 2000: 1.5 against 60 us), and for
+    k up to 8 on short masks, where the scan's fixed cost dominates; past
+    about 256 the scan wins at every N measured up to 32 000 (1000 of 2000:
+    470 against 95 us). Masks of at most max(8, min(256, N/8)) set bits strip.
+    """
+    if mask.bit_count() <= max(8, min(256, mask.bit_length() >> 3)):
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
+    digits = bin(mask)[:1:-1].encode().replace(b"0", b"\0")  # bit i at index i
+    return tuple(compress(range(len(digits)), digits))
 
 
 def indices_to_mask(indices) -> int:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
-from ._util import _echelon, _solve, as_fraction, mask_to_indices
+from ._util import _echelon, _solve, as_fraction, indices_to_mask, mask_to_indices
 from .errors import InvalidInput, InvalidParameters
 from .graphs import BipartiteGraph, ExpanderParams
 from .linear_code import Word, syndrome_bits
@@ -164,6 +164,8 @@ def _suspects(
     added: list[int] = []
     growth: list[int] = []
     while True:
+        # not mask_to_indices: each vertex brings at most D new checks, and a call
+        # per vertex in the guess decoders' hottest loop has not been shown free
         while new_checks:
             low = new_checks & -new_checks
             for u in right_adj[low.bit_length() - 1]:
@@ -339,7 +341,7 @@ def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, 
         if len(pivots) < len(cols):
             return None, "stalled", path
         sol = _solve(pivots, one)[0]
-        solved = sum(1 << b for j, b in enumerate(cols) if sol >> j & 1)
+        solved = indices_to_mask(cols[j] for j in mask_to_indices(sol ^ one))
         e |= solved
         parity ^= syndrome_bits(g, solved)
 
@@ -388,11 +390,11 @@ def decode_erasures(
 
 
 def _find_and_erase(
-    g: BipartiteGraph, s: int, cfg: FindConfig, capacity: Optional[int]
+    g: BipartiteGraph, s: int, h: int, capacity: Optional[int]
 ) -> tuple[Optional[int], str, FindTrace]:
-    """Find suspects from the word's syndrome ``s`` and return the error
-    pattern e on them with H e = s; the candidate is the word XOR e."""
-    trace = _suspects(g, s, cfg.effective_threshold(g.d_left))
+    """Find suspects at cut ``h`` from the word's syndrome ``s`` and return the
+    error pattern e on them with H e = s; the candidate is the word XOR e."""
+    trace = _suspects(g, s, h)
     if capacity is not None and trace.size > capacity:
         return None, "list-exceeds-capacity", trace
     e, why, _ = _erase(g, s, trace.l_mask)
@@ -409,9 +411,8 @@ def _find_erase_decode(
     """Find suspects at delta = eps, erase them, decode from erasures; then,
     unless ``radius`` is None, check the candidate's distance against it."""
     capacity = ErasureConfig.from_params(params).max_erasures(g.n_left)
-    e, why, trace = _find_and_erase(
-        g, syndrome_bits(g, y.bits), FindConfig.from_delta(params.eps), capacity
-    )
+    h = FindConfig.from_delta(params.eps).effective_threshold(g.d_left)
+    e, why, trace = _find_and_erase(g, syndrome_bits(g, y.bits), h, capacity)
     if e is None:
         return DecodeOutcome(
             algorithm, "failure", reason="no-candidate",
@@ -658,12 +659,12 @@ def guess_flip_decode(
 
     flip_thresholds, has_find = _flip_cuts(schedule.eta, cutoff, d)
 
-    find_cfg = FindConfig.from_delta(eps)
+    find_h = FindConfig.from_delta(eps).effective_threshold(d)
     fixed_cache: dict[int, Optional[int]] = {}
 
     def fixed(z: int, s: int) -> Optional[int]:  # s is the syndrome of z
         if z not in fixed_cache:
-            e = _find_and_erase(g, s, find_cfg, capacity)[0]
+            e = _find_and_erase(g, s, find_h, capacity)[0]
             fixed_cache[z] = None if e is None else z ^ e
         return fixed_cache[z]
 

@@ -51,14 +51,11 @@ def _neighbor_masks(g: BipartiteGraph, members: int) -> tuple[int, int, int]:
     more = 0
     odd = 0
     masks = g.left_masks
-    rest = members
-    while rest:
-        low = rest & -rest
-        m = masks[low.bit_length() - 1]
+    for i in mask_to_indices(members):
+        m = masks[i]
         more |= once & m
         once |= m
         odd ^= m
-        rest ^= low
     return once, once & ~more, odd
 
 

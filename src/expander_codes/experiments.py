@@ -85,21 +85,19 @@ DECODER_NAMES = tuple(_DECODERS)
 def _greedy_low_expansion_set(g: BipartiteGraph, size: int) -> tuple[int, ...]:
     """Grow a set adding, at each step, the first vertex (ascending index)
     whose marginal new-neighbor count is minimal."""
+    d = g.d_left
+    gain = [d] * g.n_left  # per vertex, its checks not yet covered
+    covered = [False] * g.m_right
     chosen: list[int] = []
-    cur = 0
-    covered = 0
     for _ in range(size):
-        best_i = None
-        best_gain = None
-        for i in range(g.n_left):
-            if (cur >> i) & 1:
-                continue
-            gain = (g.left_masks[i] | covered).bit_count() - covered.bit_count()
-            if best_gain is None or gain < best_gain:
-                best_gain, best_i = gain, i
-        chosen.append(best_i)
-        cur |= 1 << best_i
-        covered |= g.left_masks[best_i]
+        best = min(range(g.n_left), key=gain.__getitem__)
+        chosen.append(best)
+        for c in g.adj[best]:
+            if not covered[c]:
+                covered[c] = True
+                for u in g.right_adj[c]:
+                    gain[u] -= 1
+        gain[best] = d + 1  # all its checks are covered, so no later update reaches it
     return tuple(sorted(chosen))
 
 

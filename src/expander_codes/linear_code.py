@@ -12,6 +12,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator
 
 from ._util import _echelon, _solve, indices_to_mask, mask_to_indices
@@ -110,26 +111,19 @@ class Word:
 def parse_word(text: str) -> Word:
     """Parse one line over {0,1,?}; '?' marks an erasure."""
     line = text.strip()
-    bits = 0
-    erasures = 0
-    for i, ch in enumerate(line):
-        if ch == "1":
-            bits |= 1 << i
-        elif ch == "?":
-            erasures |= 1 << i
-        elif ch != "0":
-            raise InvalidInput(f"position {i}: invalid symbol {ch!r}")
-    return Word(len(line), bits, erasures)
+    bad = line.lstrip("01?")
+    if bad:
+        raise InvalidInput(f"position {len(line) - len(bad)}: invalid symbol {bad[0]!r}")
+    rev = "0" + line[::-1]  # character i at bit i; the "0" reads "" as 0
+    erasures = int(rev.replace("1", "0").replace("?", "1"), 2)
+    return Word(len(line), int(rev.replace("?", "0"), 2), erasures)
 
 
 def format_word(w: Word) -> str:
-    out = []
-    for i in range(w.n):
-        if (w.erasures >> i) & 1:
-            out.append("?")
-        else:
-            out.append("1" if (w.bits >> i) & 1 else "0")
-    return "".join(out)
+    chars = list(bin(w.bits | 1 << w.n)[:2:-1])  # the bit at n marks the length
+    for i in mask_to_indices(w.erasures):
+        chars[i] = "?"
+    return "".join(chars)
 
 
 @dataclass(frozen=True)
@@ -152,14 +146,7 @@ class Syndrome:
 
 def syndrome_bits(g: BipartiteGraph, bits: int) -> int:
     """Syndrome of a raw bit vector, as a mask over checks."""
-    s = 0
-    masks = g.left_masks
-    rest = bits
-    while rest:
-        low = rest & -rest
-        s ^= masks[low.bit_length() - 1]
-        rest ^= low
-    return s
+    return reduce(operator.xor, map(g.left_masks.__getitem__, mask_to_indices(bits)), 0)
 
 
 def syndrome(g: BipartiteGraph, w: Word) -> Syndrome:
@@ -300,10 +287,7 @@ def sample_codeword(g: BipartiteGraph, seed: int) -> Word:
     ns = nullspace(g)
     rng = random.Random(seed)
     coeffs = rng.getrandbits(ns.dimension) if ns.dimension else 0
-    word = 0
-    for j, vec in enumerate(ns.basis):
-        if (coeffs >> j) & 1:
-            word ^= vec
+    word = reduce(operator.xor, map(ns.basis.__getitem__, mask_to_indices(coeffs)), 0)
     return Word(g.n_left, word)
 
 

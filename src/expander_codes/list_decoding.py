@@ -303,7 +303,7 @@ def tau_profile(
             tau[i] += 1
 
     theta = HEAVY_NUMERATOR / g.d_max
-    cutoff = theta * big_l
+    cutoff = math.ceil(theta * big_l)  # tau[i] >= theta * L exactly, as tau is integral
     heavy = tuple(i for i in range(n) if tau[i] >= cutoff)
     triple_count = sum(t * (big_l - t) for t in tau)
 

@@ -819,7 +819,7 @@ def _seen_dedup_runner(g, y, params, guesses, algorithm):
             continue
         seen.add(heff)
         attempts += 1
-        e, _, _ = _find_and_erase(g, syndrome_bits(g, y.bits), cfg, None)
+        e, _, _ = _find_and_erase(g, syndrome_bits(g, y.bits), cfg.effective_threshold(g.d_left), None)
         cand = None if e is None else y.bits ^ e
         if cand is not None and (y.bits ^ cand).bit_count() <= accept:
             return DecodeOutcome(

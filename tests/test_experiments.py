@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,29 @@ from expander_codes import (
     sweep,
     trial_seed,
 )
+from expander_codes.experiments import _greedy_low_expansion_set
+
+
+def _greedy_by_rescan(g, size):
+    """The former chooser: rescan every vertex's marginal new-neighbor count
+    per pick; the reference for the kept per-vertex counts."""
+    chosen = []
+    cur = 0
+    covered = 0
+    for _ in range(size):
+        best_i = None
+        best_gain = None
+        for i in range(g.n_left):
+            if (cur >> i) & 1:
+                continue
+            gain = (g.left_masks[i] | covered).bit_count() - covered.bit_count()
+            if best_gain is None or gain < best_gain:
+                best_gain, best_i = gain, i
+        chosen.append(best_i)
+        cur |= 1 << best_i
+        covered |= g.left_masks[best_i]
+    return tuple(sorted(chosen))
+
 
 class TestInjectErrors:
     def test_radius_zero(self, tri3):
@@ -42,6 +66,15 @@ class TestInjectErrors:
             len(neighbors(g, rng.sample(range(14), 4))) for _ in range(50)
         ]
         assert len(neighbors(g, errs)) <= sum(sizes) / len(sizes)
+
+    def test_greedy_matches_rescanning_chooser(self):
+        # few checks per vertex and M near D make many ties on the least gain
+        rng = random.Random(11)
+        for seed in range(120):
+            n, d = rng.randint(1, 60), rng.randint(1, 6)
+            g = gen_left_regular(n, rng.randint(d, max(d, n)), d, seed)
+            for size in range(n + 1):
+                assert _greedy_low_expansion_set(g, size) == _greedy_by_rescan(g, size), (seed, size)
 
     def test_deterministic(self, tri3):
         a = inject_errors(tri3, Word.zero(3), 2, "uniform-random-set", 9)

@@ -10,9 +10,11 @@ from expander_codes import (
     InvalidParameters,
     Word,
     enumerate_list,
+    gen_left_regular,
     improved_radius,
     johnson_radius,
     min_distance_bruteforce,
+    nullspace,
     parse_word,
     tau_profile,
     threshold_claim_check,
@@ -173,3 +175,27 @@ class TestTauProfile:
                 continue
             prof = tau_profile(g, y, lst)
             assert prof.sum_tau <= radius * prof.list_size
+
+    def test_heavy_matches_fraction_cut(self):
+        # tau[i] >= theta * L compared exactly in Fractions, per position.
+        # theta * L = 9 L / (10 D_max) is an integer only for L a multiple of
+        # 10, so prefixes of 10 and 20 codewords reach the equality case
+        rng = random.Random(3)
+        ties = below = 0
+        for case in range(150):
+            n = rng.randint(3, 14)
+            d = rng.choice((1, 2, 3))
+            g = gen_left_regular(n, rng.randint(d, max(d, n // 2)), d, case)
+            if nullspace(g).dimension == 0:
+                continue
+            y = Word(n, rng.getrandbits(n))
+            lst = enumerate_list(g, y, rng.randint(0, n))
+            for size in {len(lst), 10, 20}:
+                if not 0 < size <= len(lst):
+                    continue
+                prof = tau_profile(g, y, lst[:size])
+                cut = prof.theta * size
+                assert prof.heavy == tuple(i for i in range(n) if prof.tau[i] >= cut)
+                ties += cut in prof.tau
+                below += math.floor(cut) in prof.tau and math.floor(cut) < cut
+        assert ties and below

@@ -2,7 +2,8 @@
 word files (`parse_word`). Each accepts its own output and rejects any other
 text only with its typed error."""
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from expander_codes import (
     BipartiteGraph,
@@ -63,3 +64,49 @@ def test_parse_word_raises_only_invalid_input(text):
         return
     assert isinstance(w, Word)
     assert parse_word(format_word(w)) == w
+
+
+def _parse_word_by_char(text):
+    """The former parser, one character at a time: the reference for its
+    error message."""
+    line = text.strip()
+    bits = erasures = 0
+    for i, ch in enumerate(line):
+        if ch == "1":
+            bits |= 1 << i
+        elif ch == "?":
+            erasures |= 1 << i
+        elif ch != "0":
+            raise InvalidInput(f"position {i}: invalid symbol {ch!r}")
+    return Word(len(line), bits, erasures)
+
+
+# a short line, or one repeated past the 4300 digits int() limits in base 10
+word_texts = st.one_of(
+    st.text(alphabet="01?", max_size=40),
+    st.builds(lambda s, k: s * k, st.text(alphabet="01?", min_size=1, max_size=20),
+              st.integers(1, 600)),
+)
+
+
+@SETTINGS
+@given(word_texts)
+@example("")
+@example("1" * 5000)
+@example("?" * 4301 + "1")
+def test_format_parse_round_trip(text):
+    assert format_word(parse_word(text)) == text
+
+
+@SETTINGS
+@given(word_texts, st.integers(0, 10**4), st.characters(exclude_characters="01?"))
+def test_parse_word_reports_the_first_bad_symbol(text, at, bad):
+    text = text[:at] + bad + text[at:]
+    try:
+        want = _parse_word_by_char(text)
+    except InvalidInput as exc:
+        with pytest.raises(InvalidInput) as got:
+            parse_word(text)
+        assert str(got.value) == str(exc)
+    else:  # the bad character was whitespace at an end, and stripped
+        assert parse_word(text) == want

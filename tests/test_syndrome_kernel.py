@@ -176,7 +176,7 @@ class TestMatchesWordDomain:
 
             capacity = rng.choice((None, None, rng.randint(0, n)))
             want = _word_find_and_erase(g, y.bits, cfg, capacity)
-            e, why, trace = _find_and_erase(g, s, cfg, capacity)
+            e, why, trace = _find_and_erase(g, s, cfg.effective_threshold(g.d_left), capacity)
             assert (why, trace) == want[1:], case
             assert (None if e is None else y.bits ^ e) == want[0], case
             outside = (s & ~_gamma(g, trace.order)) != 0
