@@ -5,9 +5,10 @@ Every decoder is a pure function of (graph, word, configuration) and returns
 a DecodeOutcome. A success always carries a zero-syndrome codeword whose
 distance to the input respects the decoder's validation radius; candidates
 are re-checked even where theory would guarantee it. Threshold comparisons
-are exact: each rational (or rational-plus-square-root) threshold is resolved
-once per call to the smallest integer count it admits, and the per-vertex
-loops compare integer counts against that integer cut.
+are exact: every threshold is (1 - 2*delta)*D with delta = sqrt(q) + s for
+rationals q, s >= 0, and one integer closed form (``_cut``, built on
+``math.isqrt``) turns it once per call into the least integer count it admits;
+the per-vertex loops compare integer counts against that integer cut.
 
 Find-and-erase works in the syndrome domain. A decode computes s = H*y once;
 suspect counts start at the neighbors of the unsatisfied checks, peeling and
@@ -57,14 +58,28 @@ __all__ = [
 # -- suspect finding ---------------------------------------------------------
 
 
+def _cut(d: int, q, s) -> int:
+    """The least integer c >= 0 with c >= (1 - 2*(sqrt(q) + s))*D, for
+    rationals (or ints) q, s >= 0.
+
+    With s = a/b, A = D*(b - 2a) and X = 4*D^2*b^2*q, the condition is the
+    integer inequality A - c*b <= sqrt(X). An integer is at most sqrt(X) iff
+    it is at most isqrt(floor(X)), so the cut is ceil((A - isqrt(floor(X)))/b),
+    clipped at 0: exact, on integers, with no loop.
+    """
+    b = s.denominator
+    v = math.isqrt(4 * d * d * b * b * q.numerator // q.denominator)
+    return max(0, -((v - d * (b - 2 * s.numerator)) // b))
+
+
 @dataclass(frozen=True)
 class FindConfig:
     """Suspect-finding threshold h = (1 - 2*delta)*D with delta = sqrt(q) + s.
 
     Storing the radicand keeps the eligibility test exact even for the
     square-root thresholds the guess-expansion decoders use: a vertex with
-    ``count`` unsatisfied/covered checks is eligible iff count >= h, i.e.
-    delta >= (D - count)/(2D), decided in rational arithmetic.
+    ``count`` unsatisfied/covered checks is eligible iff count >= h, and
+    ``effective_threshold`` gives that least integer count through ``_cut``.
     """
 
     q: Fraction = Fraction(0)
@@ -85,18 +100,11 @@ class FindConfig:
 
     def admits(self, count: int, d: int) -> bool:
         """count >= (1 - 2*delta)*D, exactly."""
-        t = Fraction(d - count, 2 * d)
-        if t <= self.s:
-            return True
-        diff = t - self.s
-        return self.q >= diff * diff
+        return count >= self.effective_threshold(d)
 
     def effective_threshold(self, d: int) -> int:
-        """Smallest admitted count in [0, d]; d+1 when nothing is admitted."""
-        for c in range(d + 1):
-            if self.admits(c, d):
-                return c
-        return d + 1
+        """Smallest admitted count, in [0, d]: count D always passes."""
+        return _cut(d, self.q, self.s)
 
 
 @dataclass(frozen=True)
@@ -411,7 +419,7 @@ def _find_erase_decode(
     """Find suspects at delta = eps, erase them, decode from erasures; then,
     unless ``radius`` is None, check the candidate's distance against it."""
     capacity = ErasureConfig.from_params(params).max_erasures(g.n_left)
-    h = FindConfig.from_delta(params.eps).effective_threshold(g.d_left)
+    h = _cut(g.d_left, 0, params.eps)
     e, why, trace = _find_and_erase(g, syndrome_bits(g, y.bits), h, capacity)
     if e is None:
         return DecodeOutcome(
@@ -476,7 +484,7 @@ def flip_decode_ss(
     if not Fraction(1, 2) < tf <= 1:
         raise InvalidParameters(f"threshold_fraction must be in (1/2, 1], got {tf}")
     n = g.n_left
-    t = math.ceil(tf * g.d_left)
+    t = _cut(g.d_left, 0, (1 - tf) / 2)
     z = y.bits
     synd = syndrome_bits(g, z)
     unsat = synd.bit_count()
@@ -529,7 +537,7 @@ def flip_round(g: BipartiteGraph, y: Word, gamma) -> tuple[Word, FlipRoundReport
     if not 0 <= gamma <= 1:
         raise InvalidParameters(f"gamma must be in [0, 1], got {gamma}")
     need = (1 - 3 * gamma) * g.d_left
-    l0 = _at_least(g, syndrome_bits(g, y.bits), [math.ceil(need)])[0]
+    l0 = _at_least(g, syndrome_bits(g, y.bits), [_cut(g.d_left, 0, 3 * gamma / 2)])[0]
     return Word(y.n, y.bits ^ l0), FlipRoundReport(mask_to_indices(l0), need)
 
 
@@ -624,7 +632,7 @@ def _flip_cuts(eta: Fraction, cutoff: Fraction, d: int) -> tuple[list[int], bool
     below ``cutoff``, descending, and whether a guess reaches ``cutoff``."""
     last = math.ceil(1 / eta)
     below = min(last + 1, math.ceil(cutoff / eta))  # first i with i eta >= cutoff
-    steps = _cut_steps(lambda i: max(0, math.ceil((1 - 3 * i * eta) * d)), 1, below)
+    steps = _cut_steps(lambda i: _cut(d, 0, 3 * i * eta / 2), 1, below)
     return [t for _, t in steps], last * eta >= cutoff
 
 
@@ -659,7 +667,7 @@ def guess_flip_decode(
 
     flip_thresholds, has_find = _flip_cuts(schedule.eta, cutoff, d)
 
-    find_h = FindConfig.from_delta(eps).effective_threshold(d)
+    find_h = _cut(d, 0, eps)
     fixed_cache: dict[int, Optional[int]] = {}
 
     def fixed(z: int, s: int) -> Optional[int]:  # s is the syndrome of z
@@ -824,12 +832,12 @@ def guess_expansion_decode_poly(
         if n == 0:  # there is no guess (i, j) to make
             return
         # gamma = 0 at (1, D), which puts it on the plain branch (D <= M)
-        plain = FindConfig(0, eps + slack).effective_threshold(d)
+        plain = _cut(d, 0, eps + slack)
         yield (1, d), ExpansionGuess(
             1 / alpha_n, Fraction(0), None, "plain", Fraction(0), eps + slack
         ), plain
         q = lambda k: k * eps / (d * alpha_n)  # gamma * x * eps
-        cut = lambda k: FindConfig(q(k), slack).effective_threshold(d)
+        cut = lambda k: _cut(d, q(k), slack)
         for k, t in _cut_steps(cut, max(d * i0 - m, math.ceil(eps * d * alpha_n)), d * n):
             if t != plain:
                 i = max(i0, k // d + 1)
@@ -842,11 +850,9 @@ def guess_expansion_decode_poly(
 
 def grid_guess_values(eps, eta_prime) -> tuple[Fraction, ...]:
     """The product-guess grid {0, eta, ..., ceil(1/eta) eta}, eta = eps*eta'."""
-    eps = as_fraction(eps)
-    eta_prime = as_fraction(eta_prime)
-    if eta_prime <= 0:
-        raise InvalidParameters("eta_prime must be positive")
-    eta = eps * eta_prime
+    eta = as_fraction(eps) * as_fraction(eta_prime)
+    if eta <= 0:
+        raise InvalidParameters(f"eta = eps * eta_prime must be positive, got {eta}")
     return tuple(k * eta for k in range(0, math.ceil(1 / eta) + 1))
 
 
@@ -870,11 +876,11 @@ def guess_expansion_decode_grid(
     d = g.d_left
 
     def guesses():
-        plain = FindConfig(0, eps + 2 * eta).effective_threshold(d)
+        plain = _cut(d, 0, eps + 2 * eta)
         yield (0,), ExpansionGuess(
             None, None, Fraction(0), "plain", Fraction(0), eps + 2 * eta
         ), plain
-        cut = lambda idx: FindConfig(idx * eta * eps, eta).effective_threshold(d)
+        cut = lambda idx: _cut(d, idx * eta * eps, eta)
         for idx, t in _cut_steps(cut, math.ceil(eps / eta), math.ceil(1 / eta) + 1):
             if t != plain:
                 yield (idx,), ExpansionGuess(

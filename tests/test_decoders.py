@@ -35,8 +35,11 @@ from expander_codes import (
     unique_neighbors,
     viderman_decode,
 )
+from expander_codes import decoders
 from expander_codes.decoders import (
     ExpansionGuess,
+    _at_least,
+    _cut,
     _cut_steps,
     _find_and_erase,
     _flip_cuts,
@@ -78,6 +81,99 @@ class TestFindConfig:
                     h = cfg.effective_threshold(d)
                     for c in range(d + 1):
                         assert cfg.admits(c, d) == (c >= h), (q, s, d, c)
+
+    def test_degree_zero_admits_every_count(self):
+        # (1 - 2 delta) * 0 = 0: count 0 passes, with no division by D
+        assert FindConfig().effective_threshold(0) == 0
+        assert FindConfig().admits(0, 0)
+        assert FindConfig(Fraction(1, 9), Fraction(1, 3)).effective_threshold(0) == 0
+
+
+def _scan_cut(d, q, s):
+    """The former FindConfig.effective_threshold: the first count in [0, D]
+    that the former admits passes, comparing t - s with sqrt(q) squared."""
+    for c in range(d + 1):
+        t = Fraction(d - c, 2 * d)
+        if t <= s:
+            return c
+        diff = t - s
+        if q >= diff * diff:
+            return c
+    return d + 1
+
+
+def _rational(rng, top, at_most):
+    """A random rational in [0, at_most] with denominator up to ``top``."""
+    den = rng.randint(1, top)
+    return Fraction(rng.randint(0, int(den * at_most)), den)
+
+
+class TestCut:
+    def test_matches_scan_on_random_thresholds(self):
+        rng = random.Random(31)
+        degrees = list(range(1, 65)) + [1000]
+        for n in range(3000):
+            top = 10**6 if n % 10 else 2**70  # every tenth past 2^64
+            d = degrees[n % len(degrees)] if n < 2 * len(degrees) else rng.randint(1, 64)
+            q, s = _rational(rng, top, Fraction(1, 4)), _rational(rng, top, Fraction(1, 2))
+            if n % 7 == 0:
+                q = Fraction(0)
+            assert _cut(d, q, s) == _scan_cut(d, q, s), (d, q, s)
+
+    def test_large_delta_cuts_to_zero(self):
+        for d in (1, 2, 7, 64, 1000):
+            for s in (Fraction(1, 2), Fraction(3, 5), Fraction(7), Fraction(2**65 + 1, 2**65)):
+                assert _cut(d, 0, s) == _scan_cut(d, Fraction(0), s) == 0
+            assert _cut(d, Fraction(1, 4), 0) == _cut(d, Fraction(5), Fraction(1, 3)) == 0
+            assert _cut(d, 0, 0) == d
+
+    def test_perfect_square_boundaries(self):
+        # q = ((D - c)/(2D) - s)^2 puts sqrt(q) exactly on the count c, so the
+        # scan stops at c; a hair below it, at c + 1. The scan costs O(D) per
+        # boundary, so D = 1000 checks those two known answers only
+        rng = random.Random(32)
+        hair = Fraction(1, 10**30)
+        for d in list(range(1, 65)) + [1000]:
+            for s in (Fraction(0), Fraction(1, 7), _rational(rng, 10**6, Fraction(1, 2))):
+                for c in range(d + 1):
+                    root = Fraction(d - c, 2 * d) - s
+                    q = root * root
+                    if d <= 64:
+                        assert _cut(d, q, s) == _scan_cut(d, q, s), (d, q, s)
+                        if q:
+                            assert _cut(d, q - hair, s) == _scan_cut(d, q - hair, s), (d, q, s)
+                    if root > 0:
+                        assert (_cut(d, q, s), _cut(d, q - hair, s)) == (c, c + 1), (d, q, s)
+
+    def test_flip_cuts_are_the_former_ceils(self):
+        rng = random.Random(33)
+        for _ in range(2000):
+            d = rng.randint(0, 64)
+            # ss-flip: tf in (1/2, 1] gives ceil(tf D) with s = (1 - tf)/2
+            den = rng.randint(1, 10**6)
+            tf = Fraction(rng.randint(den // 2 + 1, den), den)
+            assert _cut(d, 0, (1 - tf) / 2) == math.ceil(tf * d), (d, tf)
+            # flip_round and the guess-flip cuts: gamma in [0, 1] gives
+            # ceil((1 - 3 gamma) D), which _at_least reads as 0 when negative
+            gamma = _rational(rng, 10**6, 1)
+            assert _cut(d, 0, 3 * gamma / 2) == max(0, math.ceil((1 - 3 * gamma) * d)), (d, gamma)
+        for d in range(0, 13):
+            for tf in (Fraction(1, 2) + Fraction(1, 10**9), Fraction(2, 3), Fraction(1)):
+                assert _cut(d, 0, (1 - tf) / 2) == math.ceil(tf * d)
+            for gamma in (Fraction(0), Fraction(1, 3), Fraction(1, 6), Fraction(1)):
+                assert _cut(d, 0, 3 * gamma / 2) == max(0, math.ceil((1 - 3 * gamma) * d))
+
+    def test_flip_round_flips_at_the_former_cut(self, decode_instances):
+        rng = random.Random(34)
+        for inst in decode_instances:
+            g = inst.graph
+            for _ in range(10):
+                y = Word(g.n_left, rng.getrandbits(g.n_left))
+                gamma = _rational(rng, 60, 1)
+                word, rep = flip_round(g, y, gamma)
+                need = (1 - 3 * gamma) * g.d_left
+                l0 = _at_least(g, syndrome_bits(g, y.bits), [math.ceil(need)])[0]
+                assert word.bits == y.bits ^ l0 and rep.threshold == need
 
 
 def _three_branch_find(g, y, cfg, order="ascending", seed=None, prefer=None):
@@ -665,6 +761,13 @@ class TestGuessExpansion:
         assert len(values) == math.ceil(1 / eta) + 1
         assert values[0] == 0 and values[1] == eta
 
+    @pytest.mark.parametrize("eps", [0, Fraction(-1, 8)])
+    def test_grid_values_need_positive_step(self, eps):
+        # eta = eps * eta' <= 0 has no grid: 1/eta divides by zero at 0 and
+        # would give an empty grid below it
+        with pytest.raises(InvalidParameters):
+            grid_guess_values(eps, 1)
+
     def test_k_walk_matches_pair_enumeration(self):
         alpha_ns = tuple(map(Fraction, ("1/2", "5/6", "1", "2", "5/2", "3")))
         epss = tuple(map(Fraction, ("1/128", "1/32", "1/10", "1/8")))
@@ -752,16 +855,16 @@ class TestGuessExpansion:
         # the cut listings probe O(D log(D N)) thresholds; walking every k or
         # grid value would resolve thousands, or 10^8 at eta' = 1/100000
         calls = 0
-        resolve = FindConfig.effective_threshold
+        resolve = decoders._cut
 
-        def counted(cfg, d):
+        def counted(d, q, s):
             nonlocal calls
             calls += 1
             if calls > 200:
                 raise AssertionError("more than 200 threshold resolutions")
-            return resolve(cfg, d)
+            return resolve(d, q, s)
 
-        monkeypatch.setattr(FindConfig, "effective_threshold", counted)
+        monkeypatch.setattr(decoders, "_cut", counted)
         g = gen_left_regular(400, 300, 6, 1)
         y = plant_errors(sample_codeword(g, 1), random.Random(0).sample(range(400), 30))
         params = ExpanderParams(Fraction(1, 50), Fraction(1, 128))
@@ -771,13 +874,13 @@ class TestGuessExpansion:
         ):
             calls = 0
             assert not decode().ok
-            assert calls <= 100
+            assert 0 < calls <= 100
         g = gen_left_regular(24, 18, 6, 1)
         y = plant_errors(sample_codeword(g, 1), range(0, 24, 3))
         params = ExpanderParams(Fraction(1, 12), Fraction(1, 1000))
         calls = 0
         guess_expansion_decode_grid(g, y, params, Fraction(1, 100000))
-        assert calls <= 100
+        assert 0 < calls <= 100
 
     def test_poly_on_empty_graph_makes_no_guess(self):
         g = BipartiteGraph(0, 3, 2, ())
