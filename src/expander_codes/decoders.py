@@ -145,7 +145,9 @@ def _at_least(g: BipartiteGraph, synd: int, cuts: Sequence[int]) -> list[int]:
     right_adj = g.right_adj
     counts = Counter(chain.from_iterable(right_adj[c] for c in mask_to_indices(synd)))
     return [
-        sum(1 << i for i, k in counts.items() if k >= t) if t > 0 else (1 << g.n_left) - 1
+        indices_to_mask([i for i, k in counts.items() if k >= t], g.n_left)
+        if t > 0
+        else (1 << g.n_left) - 1
         for t in cuts
     ]
 
@@ -188,7 +190,7 @@ def _suspects(
         new_checks = left_masks[i] & ~r_mask
         r_mask |= left_masks[i]
         growth.append(r_mask.bit_count())
-    return FindTrace(tuple(added), sum(1 << i for i in added), r_mask, tuple(growth))
+    return FindTrace(tuple(added), indices_to_mask(added, n), r_mask, tuple(growth))
 
 
 def find_suspects(
@@ -297,7 +299,11 @@ class ErasureConfig:
         return cls(Fraction(1, 100), params.alpha, params.eps)
 
     def max_erasures(self, n: int) -> int:
-        return math.floor((1 - self.xi) / (2 * self.eps) * self.alpha * n)
+        """floor((1-xi)/(2 eps) * alpha * n), as one integer floor division."""
+        xi, alpha, eps = self.xi, self.alpha, self.eps
+        return (xi.denominator - xi.numerator) * eps.denominator * alpha.numerator * n // (
+            2 * xi.denominator * eps.numerator * alpha.denominator
+        )
 
 
 def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, str]:
@@ -337,7 +343,10 @@ def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, 
         cols = mask_to_indices(erased)
         # a row per odd check and per check next to a column; column
         # len(cols) is fixed to 1 and holds the parity, so an odd check next
-        # to no column leaves the system inconsistent
+        # to no column leaves the system inconsistent. The rows transpose the
+        # columns, one bit per (column, check) pair ORed in as the row grows:
+        # listing each row for indices_to_mask first took 3x as long (92
+        # against 26 us for 30 columns at N = 200)
         one = 1 << len(cols)
         rows = dict.fromkeys(mask_to_indices(parity), one)
         for j, b in enumerate(cols):
@@ -349,7 +358,7 @@ def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, 
         if len(pivots) < len(cols):
             return None, "stalled", path
         sol = _solve(pivots, one)[0]
-        solved = indices_to_mask(cols[j] for j in mask_to_indices(sol ^ one))
+        solved = indices_to_mask([cols[j] for j in mask_to_indices(sol ^ one)], g.n_left)
         e |= solved
         parity ^= syndrome_bits(g, solved)
 
@@ -836,7 +845,9 @@ def guess_expansion_decode_poly(
         yield (1, d), ExpansionGuess(
             1 / alpha_n, Fraction(0), None, "plain", Fraction(0), eps + slack
         ), plain
-        q = lambda k: k * eps / (d * alpha_n)  # gamma * x * eps
+        step = eps / (d * alpha_n)  # gamma * x * eps = k * step
+        a, b = step.numerator, step.denominator
+        q = lambda k: Fraction(k * a, b)
         cut = lambda k: _cut(d, q(k), slack)
         for k, t in _cut_steps(cut, max(d * i0 - m, math.ceil(eps * d * alpha_n)), d * n):
             if t != plain:
@@ -880,11 +891,14 @@ def guess_expansion_decode_grid(
         yield (0,), ExpansionGuess(
             None, None, Fraction(0), "plain", Fraction(0), eps + 2 * eta
         ), plain
-        cut = lambda idx: _cut(d, idx * eta * eps, eta)
+        step = eta * eps  # value * eps = idx * step
+        a, b = step.numerator, step.denominator
+        q = lambda idx: Fraction(idx * a, b)
+        cut = lambda idx: _cut(d, q(idx), eta)
         for idx, t in _cut_steps(cut, math.ceil(eps / eta), math.ceil(1 / eta) + 1):
             if t != plain:
                 yield (idx,), ExpansionGuess(
-                    None, None, idx * eta, "sqrt", idx * eta * eps, eta
+                    None, None, idx * eta, "sqrt", q(idx), eta
                 ), t
 
     return _run_expansion_branches(g, y, params, guesses(), "guess-expansion-grid")

@@ -36,15 +36,6 @@ __all__ = [
 ]
 
 
-def _set_mask(g: BipartiteGraph, s: Iterable[int]) -> int:
-    mask = 0
-    for i in s:
-        if not 0 <= i < g.n_left:
-            raise InvalidInput(f"left index {i} out of range [0, {g.n_left})")
-        mask |= 1 << i
-    return mask
-
-
 def _neighbor_masks(g: BipartiteGraph, members: int) -> tuple[int, int, int]:
     """(all, unique, odd) neighbor masks of the left set given as a bit mask."""
     once = 0
@@ -61,19 +52,19 @@ def _neighbor_masks(g: BipartiteGraph, members: int) -> tuple[int, int, int]:
 
 def neighbors(g: BipartiteGraph, s: Iterable[int]) -> frozenset[int]:
     """All right vertices adjacent to the left set."""
-    all_, _, _ = _neighbor_masks(g, _set_mask(g, s))
+    all_, _, _ = _neighbor_masks(g, indices_to_mask(s, g.n_left))
     return frozenset(mask_to_indices(all_))
 
 
 def unique_neighbors(g: BipartiteGraph, s: Iterable[int]) -> frozenset[int]:
     """Right vertices with exactly one edge into the left set."""
-    _, uniq, _ = _neighbor_masks(g, _set_mask(g, s))
+    _, uniq, _ = _neighbor_masks(g, indices_to_mask(s, g.n_left))
     return frozenset(mask_to_indices(uniq))
 
 
 def odd_neighbors(g: BipartiteGraph, s: Iterable[int]) -> frozenset[int]:
     """Right vertices with an odd number of edges into the left set."""
-    _, _, odd = _neighbor_masks(g, _set_mask(g, s))
+    _, _, odd = _neighbor_masks(g, indices_to_mask(s, g.n_left))
     return frozenset(mask_to_indices(odd))
 
 
@@ -212,7 +203,7 @@ def _profile_sampled(
         w = None
         for _ in range(trials):
             members = sorted(rng.sample(range(n), s))
-            cnt = _neighbor_masks(g, indices_to_mask(members))[0].bit_count()
+            cnt = _neighbor_masks(g, indices_to_mask(members, n))[0].bit_count()
             if b is None or cnt < b:
                 b, w = cnt, tuple(members)
         best.append(b)
@@ -449,7 +440,7 @@ class CollisionReport:
 
 
 def collisions(g: BipartiteGraph, s: Iterable[int]) -> CollisionReport:
-    mask = _set_mask(g, s)
+    mask = indices_to_mask(s, g.n_left)
     members = mask_to_indices(mask)
     if not members:
         return CollisionReport((), 0, Fraction(0))

@@ -127,7 +127,7 @@ def inject_errors(
         raise InvalidInput("codeword must be a fully known length-N word")
     errs = _error_set(g, model, radius, seed)
     return (
-        Word(g.n_left, codeword.bits ^ indices_to_mask(errs)),
+        Word(g.n_left, codeword.bits ^ indices_to_mask(errs, g.n_left)),
         frozenset(errs),
     )
 
@@ -235,8 +235,8 @@ def run_trial(
     errors: Iterable[int],
     seed: int,
 ) -> TrialResult:
+    err_mask = indices_to_mask(errors, g.n_left)
     planted = sample_codeword(g, seed)
-    err_mask = indices_to_mask(errors)
     if cfg.algorithm == "erasure":
         word = Word(g.n_left, planted.bits & ~err_mask, err_mask)
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from ._util import as_fraction
+from ._util import as_fraction, indices_to_mask
 from .errors import GenerationFailed, GraphFormatError, InvalidParameters
 
 __all__ = [
@@ -77,7 +77,7 @@ class BipartiteGraph:
     @cached_property
     def left_masks(self) -> tuple[int, ...]:
         """Per left vertex, its neighbor set as a bit mask over checks."""
-        return tuple(sum(1 << r for r in row) for row in self.adj)
+        return tuple(indices_to_mask(row, self.m_right) for row in self.adj)
 
     @cached_property
     def right_adj(self) -> tuple[tuple[int, ...], ...]:
@@ -91,7 +91,7 @@ class BipartiteGraph:
     @cached_property
     def right_masks(self) -> tuple[int, ...]:
         """Per right vertex, its neighbor set as a bit mask over left bits."""
-        return tuple(sum(1 << i for i in row) for row in self.right_adj)
+        return tuple(indices_to_mask(row, self.n_left) for row in self.right_adj)
 
     @cached_property
     def _code_basis(self):

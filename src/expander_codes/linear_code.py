@@ -72,10 +72,7 @@ class Word:
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "Word":
-        support = tuple(support)
-        if any(i < 0 for i in support):
-            raise InvalidInput(f"negative position in support {support}")
-        return cls(n, indices_to_mask(support))
+        return cls(n, indices_to_mask(support, n))
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
@@ -295,12 +292,12 @@ def plant_errors(c: Word, errors: Iterable[int]) -> Word:
     """Flip exactly the positions in ``errors``; an involution."""
     if c.has_erasures:
         raise InvalidInput("cannot plant errors on an erased word")
-    mask = 0
-    for i in errors:
-        if not 0 <= i < c.n:
-            raise InvalidInput(f"error position {i} out of range [0, {c.n})")
-        bit = 1 << i
-        if mask & bit:
-            raise InvalidInput(f"duplicate error position {i}")
-        mask |= bit
+    errors = tuple(errors)
+    mask = indices_to_mask(errors, c.n)
+    if mask.bit_count() < len(errors):
+        seen = set()
+        for i in errors:
+            if i in seen:
+                raise InvalidInput(f"duplicate error position {i}")
+            seen.add(i)
     return Word(c.n, c.bits ^ mask)

@@ -1,12 +1,24 @@
-"""The one mask-to-position walker, `_util.mask_to_indices`, and the syndrome
-kernel built on it, against the lowest-bit strip and per-check parity."""
+"""The one mask-to-position walker, `_util.mask_to_indices`, and the one
+position-to-mask builder, `_util.indices_to_mask`, against the lowest-bit
+strip and the `|=` loop; and the syndrome kernel built on them, against
+per-check parity."""
 
+import math
 import random
+import tracemalloc
 
 import pytest
 
-from expander_codes import gen_left_regular, plant_errors, sample_codeword
-from expander_codes._util import mask_to_indices
+from expander_codes import (
+    ExperimentConfig,
+    InvalidInput,
+    Word,
+    gen_left_regular,
+    plant_errors,
+    sample_codeword,
+)
+from expander_codes._util import indices_to_mask, mask_to_indices
+from expander_codes.experiments import run_trial
 from expander_codes.linear_code import syndrome_bits
 
 
@@ -65,3 +77,103 @@ def test_syndrome_bits_is_per_check_parity(big_graph):
         want = sum(((g.right_masks[c] & bits).bit_count() & 1) << c for c in range(g.m_right))
         assert syndrome_bits(g, bits) == want
     assert syndrome_bits(g, codeword.bits) == 0
+
+
+def _or_loop(indices):
+    """The `|=` loop, the builder's only algorithm before the digit buffer."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def _random_positions(rng, n, density):
+    """Each position of [0, n) with probability ``density``, shuffled, with a
+    few repeated."""
+    out = [i for i in range(n) if rng.random() < density]
+    out += rng.sample(out, min(3, len(out)))
+    rng.shuffle(out)
+    return out
+
+
+def test_builder_matches_or_loop_at_every_density():
+    rng = random.Random(6)
+    for n in (1, 7, 8, 9, 63, 64, 65, 200, 500, 2000, 1 << 14):
+        for density in (1 / 1000, 1 / 100, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1):
+            positions = _random_positions(rng, n, density)
+            assert indices_to_mask(positions, n) == _or_loop(positions), (n, density)
+
+
+def test_builder_on_both_sides_of_the_crossover():
+    rng = random.Random(7)
+    for n in (1, 12, 60, 200, 512, 2000, 8000, 1 << 14):
+        k0 = math.isqrt(3 * n)  # the loop serves k * k < 3n positions
+        for k in range(max(0, k0 - 2), min(n, k0 + 2) + 1):
+            positions = rng.sample(range(n), k)
+            mask = indices_to_mask(positions, n)
+            assert mask == _or_loop(positions), (n, k)
+            assert mask_to_indices(mask) == tuple(sorted(positions))
+            # the extreme positions land on the top and the lowest bit
+            ends = [n - 1] + [0] * (k - 1)
+            assert indices_to_mask(ends, n) == _or_loop(ends), (n, k)
+
+
+def test_builder_inputs():
+    assert indices_to_mask([], 0) == 0
+    assert indices_to_mask((), 5) == 0
+    assert indices_to_mask(iter(()), 5) == 0
+    assert indices_to_mask([3, 3, 3], 4) == 0b1000
+    assert indices_to_mask([2] * 500, 3) == 0b100  # duplicates past the crossover
+    assert indices_to_mask((0, 2), 3) == 0b101
+    assert indices_to_mask(range(0, 900, 3), 900) == _or_loop(range(0, 900, 3))
+    assert indices_to_mask(frozenset({1, 4}), 5) == 0b10010
+    # a generator is read once, on either side of the crossover
+    for positions in ([1, 5], list(range(0, 2000, 2))):
+        gen = (i for i in positions)
+        assert indices_to_mask(gen, 2000) == _or_loop(positions)
+        assert next(gen, None) is None
+
+
+def test_builder_round_trip():
+    rng = random.Random(8)
+    for n in (1, 64, 500, 2000, 1 << 14):
+        for density in (1 / 1000, 1 / 16, 1 / 2, 1):
+            mask = int("".join("1" if rng.random() < density else "0" for _ in range(n)), 2)
+            assert indices_to_mask(mask_to_indices(mask), n) == mask, (n, density)
+
+
+@pytest.mark.parametrize("n", [1, 5, 100, 2000])
+@pytest.mark.parametrize("many", [False, True])
+def test_out_of_range_position_raises_on_both_paths(n, many):
+    good = list(range(n)) * (4 if many else 0) + [n - 1]
+    for bad in (-1, -n, n, n + 5, 2**62, -(2**70)):
+        with pytest.raises(InvalidInput, match=f"position {bad} out of range"):
+            indices_to_mask(good + [bad], n)
+    # the first bad position is named, whatever comes after it
+    with pytest.raises(InvalidInput, match=f"position {n} out of range"):
+        indices_to_mask([n, -1] + good, n)
+    with pytest.raises(InvalidInput, match="position 0 out of range"):
+        indices_to_mask([0] * (n if many else 1), 0)
+
+
+@pytest.mark.parametrize(
+    "position", [2**62, 2**70, 10**8, -1, 3], ids=["2^62", "2^70", "10^8", "-1", "n"]
+)
+def test_from_support_range_checks_before_allocating(position):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInput):
+            Word.from_support(3, [position])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 10^8 would be a 12.5 MB int
+
+
+@pytest.mark.parametrize("position", [-1, 2**62, 24])
+def test_run_trial_range_checks_errors(position):
+    g = gen_left_regular(24, 18, 6, 1)
+    cfg = ExperimentConfig("viderman", 0, 1, alpha="1/12", eps="1/8")
+    with pytest.raises(InvalidInput):
+        run_trial(cfg, g, 1, 0, [position], 1)
+    assert run_trial(cfg, g, 1, 0, [23, 23], 1).errors == 1  # a repeat counts once

@@ -365,6 +365,24 @@ class TestDecodeErasures:
         assert not out.ok and out.reason == "radius-exceeded"
         assert decode_erasures(tri3, parse_word("1?1"), cfg).ok
 
+    def test_capacity_matches_fraction_formula(self):
+        # the integer floor division against the Fraction formula it replaced
+        rng = random.Random(12)
+
+        def frac(hi):
+            return Fraction(rng.randint(1, hi), rng.randint(1, hi))
+
+        for _ in range(3000):
+            hi = 2**70 if rng.random() < 0.1 else 10**4  # some huge terms
+            den = rng.randint(2, hi)
+            cfg = ErasureConfig(Fraction(rng.randint(1, den - 1), den), frac(hi), frac(hi))
+            for n in (0, 1, rng.randint(2, 10**6)):
+                want = math.floor((1 - cfg.xi) / (2 * cfg.eps) * cfg.alpha * n)
+                assert cfg.max_erasures(n) == want, (cfg, n)
+        # whole-number capacities, where an off-by-one floor would show
+        cfg = ErasureConfig(Fraction(1, 2), Fraction(1, 3), Fraction(1, 12))
+        assert [cfg.max_erasures(n) for n in (0, 1, 3, 6)] == [0, 1, 3, 6]
+
     @pytest.mark.parametrize("alpha, eps", [(Fraction(1, 3), 0), (0, Fraction(1, 4))])
     def test_config_needs_positive_alpha_and_eps(self, alpha, eps):
         with pytest.raises(InvalidParameters):
