@@ -175,30 +175,43 @@ class NullspaceBasis:
             raise InvalidParameters("rate undefined for N = 0")
         return Fraction(self.n - self.rank, self.n)
 
-    def iter_codewords(self) -> Iterator[int]:
-        """All codewords as raw bit vectors, each once, the zero word first.
+    def sums(self, start: int, fewest: int, most: int, budget: int) -> Iterator[int]:
+        """``start`` XOR each sum of between ``fewest`` and ``most`` distinct
+        basis words, each sum once; the empty sum, ``start`` itself, comes
+        first when ``fewest`` is 0. From 0 to the dimension this is the span.
 
-        The span of the first half of the basis, at most 12 vectors, is listed
-        once and shifted by each word of a Gray-code walk over the rest, so the
-        per-codeword work runs in ``map`` and a large code is walked lazily.
+        Refused when the dimension exceeds ``budget``. The span of the first
+        basis words, at most 12, is built once, grouped by how many words each
+        of its members sums. Each subset of j remaining words then shifts the
+        groups of fewest - j to most - j words, merged once in ascending order,
+        in one ``map``: the per-codeword work runs in C, a large span is listed
+        lazily, and a caller's sort of the output finds long ascending runs.
         """
-        half = min(self.dimension // 2, 12)
-        low = [0]
-        for vec in self.basis[:half]:
-            low += [word ^ vec for word in low]
-        high = self.basis[half:]
-        steps = (high[(i & -i).bit_length() - 1] for i in range(1, 1 << len(high)))
-        shifts = itertools.accumulate(steps, operator.xor, initial=0)
-        return itertools.chain.from_iterable(map(shift.__xor__, low) for shift in shifts)
-
-    def _budgeted_walk(self, budget: int) -> Iterator[int]:
-        """``iter_codewords``, refused when the dimension exceeds ``budget``."""
         if self.dimension > budget:
             raise BudgetExceeded(
                 f"code dimension {self.dimension} exceeds budget {budget}",
                 required=self.dimension,
             )
-        return self.iter_codewords()
+        low, high = self.basis[:12], self.basis[12:]
+        groups = [[start]]  # groups[c]: start XOR each sum of c words of low
+        for vec in low:
+            if len(groups) <= most:
+                groups.append([])
+            for c in range(len(groups) - 1, 0, -1):
+                groups[c] += map(vec.__xor__, groups[c - 1])
+        counts = {  # j words of high -> the range of counts of low words to add
+            j: (max(fewest - j, 0), min(most - j, len(low)) + 1)
+            for j in range(max(fewest - len(low), 0), min(most, len(high)) + 1)
+        }
+        merged = {
+            span: sorted(itertools.chain.from_iterable(groups[slice(*span)]))
+            for span in set(counts.values())
+        }
+        return itertools.chain.from_iterable(
+            map(reduce(operator.xor, subset, 0).__xor__, merged[span])
+            for j, span in counts.items()
+            for subset in itertools.combinations(high, j)
+        )
 
     def to_text(self) -> str:
         """One basis word per line as 0/1 characters."""
@@ -209,9 +222,11 @@ def nullspace(g: BipartiteGraph) -> NullspaceBasis:
     """Gaussian elimination over GF(2) on the check matrix.
 
     The basis is the reduced one: one word per free column, ascending, with
-    that column set and every other free column clear. It is computed once
-    per graph and cached on it, so every later call returns the same
-    immutable ``NullspaceBasis``.
+    that column set and every other free column clear. A word's highest set
+    bit is its free column, as back-substitution sets no pivot column above
+    the free one it starts from. The basis is computed once per graph and
+    cached on it, so every later call returns the same immutable
+    ``NullspaceBasis``.
     """
     return g._code_basis
 
@@ -229,7 +244,13 @@ class DistanceResult:
 
 
 def min_distance_bruteforce(g: BipartiteGraph, budget: int = 24) -> DistanceResult:
-    """Minimum weight over all nonzero codewords, by nullspace enumeration.
+    """Minimum weight over all nonzero codewords, exact, by listing the sums
+    of w = 1, 2, ... basis words.
+
+    The reduced basis is systematic on its free columns, an information set:
+    a sum of w basis words has weight at least w. So once w exceeds the
+    least weight found, every codeword of that weight has been listed, and
+    only sum(C(k, <= w)) of the 2^k codewords are visited.
 
     Refuses when the code dimension exceeds ``budget``. Ties among witnesses
     break by smallest integer bit-encoding, so the result is deterministic.
@@ -237,12 +258,13 @@ def min_distance_bruteforce(g: BipartiteGraph, budget: int = 24) -> DistanceResu
     ns = nullspace(g)
     if ns.dimension == 0:
         raise InvalidParameters("code is trivial (only the zero word)")
-    best_w, best_bits = g.n_left + 1, 0
-    for word in itertools.islice(ns._budgeted_walk(budget), 1, None):  # skip the zero word
-        w = word.bit_count()
-        if w < best_w or (w == best_w and word < best_bits):
-            best_w, best_bits = w, word
-    return DistanceResult(best_w, Word(g.n_left, best_bits))
+    n = g.n_left
+    best = (n + 1) << n  # weight << n | word: min() takes the lightest, then the smallest
+    for w in range(1, ns.dimension + 1):
+        if w > best >> n:
+            break
+        best = min(best, min(word.bit_count() << n | word for word in ns.sums(0, w, w, budget)))
+    return DistanceResult(best >> n, Word(n, best & ((1 << n) - 1)))
 
 
 @dataclass(frozen=True)

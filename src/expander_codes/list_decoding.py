@@ -1,4 +1,5 @@
-"""List-decoding radius calculators and brute-force list machinery.
+"""List-decoding radius calculators, and the exact list within a radius
+with its disagreement profile.
 
 The improved-radius calculator solves the normalized fixed-point system that
 splits disagreement counts into heavy and light positions; every intermediate
@@ -8,8 +9,10 @@ quantity is exposed so tests can audit each stage.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 from ._util import as_fraction, mask_to_indices
@@ -238,16 +241,27 @@ def threshold_claim_check(alpha, eps, d_max: int, d_r) -> ThresholdClaimReport:
 def enumerate_list(
     g: BipartiteGraph, y: Word, radius: int, budget: int = 24
 ) -> list[Word]:
-    """All codewords within Hamming distance ``radius`` of y, by nullspace
-    enumeration; sorted by their integer bit encoding."""
+    """All codewords within Hamming distance ``radius`` of y, sorted by their
+    integer bit encoding; ``radius`` may be any nonnegative real.
+
+    The reduced basis is systematic on its free columns, an information set.
+    Every codeword is the one that agrees with y there XOR a sum of basis
+    words, and a sum of w words differs from y in w free columns. So only
+    the sums of at most floor(radius) words are listed, sum(C(k, <= r)) of
+    the 2^k codewords. Refuses when the code dimension exceeds ``budget``.
+    """
     if y.n != g.n_left:
         raise InvalidInput(f"word length {y.n} != N = {g.n_left}")
     if y.has_erasures:
         raise InvalidInput("list enumeration needs a fully known center")
-    if radius < 0:
+    if not radius >= 0:  # also refuses nan
         raise InvalidParameters("radius must be nonnegative")
-    walk = nullspace(g)._budgeted_walk(budget)
-    hits = sorted(bits for bits in walk if (bits ^ y.bits).bit_count() <= radius)
+    ns = nullspace(g)
+    # a reduced basis word's highest set bit is its free column
+    agree = [vec for vec in ns.basis if y.bits >> (vec.bit_length() - 1) & 1]
+    r = math.floor(min(radius, g.n_left))
+    walk = ns.sums(reduce(operator.xor, agree, 0), 0, r, budget)
+    hits = sorted(bits for bits in walk if (bits ^ y.bits).bit_count() <= r)
     return [Word(g.n_left, bits) for bits in hits]
 
 

@@ -37,6 +37,16 @@ def eliminations(monkeypatch) -> list:
     return calls
 
 
+def gray_walk(basis):
+    """Every sum of the words of ``basis``, the zero word first, one basis
+    word per step of a Gray code: the test oracle for the code's span."""
+    word = 0
+    yield word
+    for i in range(1, 1 << len(basis)):
+        word ^= basis[(i & -i).bit_length() - 1]
+        yield word
+
+
 def tri3_graph() -> BipartiteGraph:
     return vertex_edge_graph(cycle_graph(3))
 

@@ -29,7 +29,7 @@ from expander_codes import (
 )
 from expander_codes.experiments import DECODER_NAMES, ExperimentConfig, dispatch_decode
 from expander_codes.linear_code import syndrome_bits
-from conftest import gen_four_cycle_free
+from conftest import gen_four_cycle_free, gray_walk
 
 SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -59,7 +59,7 @@ def _check_erasure(g, y_bits, erased):
     cfg = ExperimentConfig("erasure", 0, 0)
     out = dispatch_decode(cfg, g, word)
     completions = [
-        c for c in nullspace(g).iter_codewords() if (c ^ y_bits) & ~erased == 0
+        c for c in gray_walk(nullspace(g).basis) if (c ^ y_bits) & ~erased == 0
     ]
     if out.ok:
         assert completions == [out.word.bits]

@@ -1,15 +1,18 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from expander_codes import (
+    BipartiteGraph,
     BudgetExceeded,
     DistanceResult,
     ExpanderParams,
     InvalidInput,
+    InvalidParameters,
     NullspaceBasis,
     Word,
     distance_lower_bound,
@@ -26,7 +29,7 @@ from expander_codes import (
     union_graph,
 )
 from expander_codes._util import _echelon, _solve
-from conftest import cyc_graph
+from conftest import cyc_graph, gray_walk
 
 
 class TestWord:
@@ -96,7 +99,7 @@ class TestNullspace:
     def test_union_block_structure(self, tri3):
         ns = nullspace(union_graph(tri3, tri3))
         assert set(ns.basis) == {0b000111, 0b111000}
-        assert sorted(ns.iter_codewords()) == [0, 0b000111, 0b111000, 0b111111]
+        assert sorted(gray_walk(ns.basis)) == [0, 0b000111, 0b111000, 0b111111]
 
     def test_every_basis_element_is_codeword(self):
         for seed in range(10):
@@ -107,15 +110,38 @@ class TestNullspace:
             for vec in ns.basis:
                 assert is_codeword(g, Word(14, vec))
 
-    @pytest.mark.parametrize("dim", range(11))
+    def test_highest_bits_are_the_free_columns(self):
+        # the list walk reads each basis word's free column off its top bit
+        for seed in range(10):
+            g = gen_left_regular(20, 12, 6, seed)
+            basis = nullspace(g).basis
+            free = [vec.bit_length() - 1 for vec in basis]
+            pivots = _echelon(g.right_masks)
+            assert free == [f for f in range(20) if f not in pivots]
+            free_mask = sum(1 << f for f in free)
+            assert [vec & free_mask for vec in basis] == [1 << f for f in free]
+
+    @pytest.mark.parametrize("dim", [*range(11), 12, 13, 16])
     def test_walk_yields_the_span_once_zero_first(self, dim):
         # the low dim bits of the basis form an identity, so it is independent
+        # and a sum's low dim bits say which basis words it sums
         rng = random.Random(dim)
         basis = tuple((1 << k) | (rng.getrandbits(6) << dim) for k in range(dim))
         span = {0}
         for vec in basis:
             span |= {word ^ vec for word in span}
-        walked = list(NullspaceBasis(dim + 6, 6, basis).iter_codewords())
+        ns = NullspaceBasis(dim + 6, 6, basis)
+        levels = [list(ns.sums(0, w, w, dim)) for w in range(dim + 1)]
+        identity = (1 << dim) - 1
+        for w, level in enumerate(levels):
+            assert len(level) == math.comb(dim, w)
+            assert {(word & identity).bit_count() for word in level} == {w}
+        walked = list(itertools.chain.from_iterable(levels))
+        assert walked[0] == 0
+        assert len(walked) == 1 << dim
+        assert set(walked) == span
+        # one call over every count lists the same span, the zero word first
+        walked = list(ns.sums(0, 0, dim, dim))
         assert walked[0] == 0
         assert len(walked) == 1 << dim
         assert set(walked) == span
@@ -181,15 +207,6 @@ class TestMinDistance:
             min_distance_bruteforce(g, budget=1)
 
 
-def _gray_walk(basis):
-    # the one-basis-vector-per-step Gray-code walk the chunked walk replaced
-    word = 0
-    yield word
-    for i in range(1, 1 << len(basis)):
-        word ^= basis[(i & -i).bit_length() - 1]
-        yield word
-
-
 def test_walk_callers_match_gray_walk():
     rng = random.Random(21)
     dims = set()
@@ -201,7 +218,7 @@ def test_walk_callers_match_gray_walk():
         dims.add(len(basis))
         if basis:
             best_w = best_bits = None
-            for word in itertools.islice(_gray_walk(basis), 1, None):
+            for word in itertools.islice(gray_walk(basis), 1, None):
                 w = word.bit_count()
                 if best_w is None or w < best_w or (w == best_w and word < best_bits):
                     best_w, best_bits = w, word
@@ -209,7 +226,7 @@ def test_walk_callers_match_gray_walk():
             assert min_distance_bruteforce(g) == expected
         y = Word(n, rng.getrandbits(n))
         for radius in (0, 3, n):
-            hits = sorted(b for b in _gray_walk(basis) if (b ^ y.bits).bit_count() <= radius)
+            hits = sorted(b for b in gray_walk(basis) if (b ^ y.bits).bit_count() <= radius)
             assert enumerate_list(g, y, radius) == [Word(n, b) for b in hits]
         if basis:
             # both callers refuse through the one check, in the same words
@@ -221,6 +238,97 @@ def test_walk_callers_match_gray_walk():
                 assert str(info.value) == text
     # odd and even dimensions, both sides of a split
     assert {1, 2, 3}.issubset(dims) and max(dims) >= 10
+
+
+def _check_callers(g, centers):
+    # both callers against the Gray walk of the whole span; ``centers`` holds
+    # (y, radii) pairs for the list walk
+    n, basis = g.n_left, nullspace(g).basis
+    span = list(gray_walk(basis))
+    if basis:
+        w, bits = min((word.bit_count(), word) for word in span[1:])
+        assert min_distance_bruteforce(g) == DistanceResult(w, Word(n, bits))
+    for y, radii in centers:
+        dists = [(word ^ y.bits).bit_count() for word in span]
+        for radius in radii:
+            hits = sorted(word for word, dist in zip(span, dists) if dist <= radius)
+            assert enumerate_list(g, y, radius) == [Word(n, b) for b in hits], radius
+
+
+@pytest.mark.parametrize("n, m, seed", [
+    (30, 21, 1),  # dimension 10, distance 8
+    (30, 20, 1),  # dimension 11, distance 7
+    (28, 14, 0),  # dimension 15, distance 4
+    (30, 15, 0),  # dimension 16, distance 4
+    (30, 15, 2),  # dimension 16, distance 5
+])
+def test_information_set_walk_matches_gray_walk(n, m, seed):
+    # distance >= 4: the distance walk crosses several weight levels before
+    # it stops, and the list walk stops short of the span below radius dim
+    g = gen_left_regular(n, m, 6, seed)
+    dim = nullspace(g).dimension
+    rng = random.Random(seed)
+    planted = sample_codeword(g, seed).bits
+    near = [0, 1, 2, 3, Fraction(7, 2), 4, 5]
+    _check_callers(g, [
+        (Word(n, planted), near + [dim - 1, dim, n, 10**9]),
+        (Word(n, planted ^ _error_mask(rng, n, 2)), near),
+        (Word(n, planted ^ _error_mask(rng, n, 4)), near + [8]),
+        (Word(n, rng.getrandbits(n)), near + [6, 7, 8]),
+    ])
+
+
+@pytest.mark.parametrize("n, m, d, seed", [(12, 6, 3, 3), (14, 8, 3, 8), (16, 9, 4, 32)])
+def test_distance_walk_lists_the_level_of_the_least_weight(n, m, d, seed):
+    # a sum of one word already weighs 2, yet the smallest weight-2 codeword
+    # sums two: a walk that stopped once w reached the least weight found
+    # would return the wrong witness
+    g = gen_left_regular(n, m, d, seed)
+    res = min_distance_bruteforce(g)
+    basis = nullspace(g).basis
+    assert min(vec.bit_count() for vec in basis) == 2
+    free_mask = sum(1 << (vec.bit_length() - 1) for vec in basis)
+    assert (res.distance, (res.witness.bits & free_mask).bit_count()) == (2, 2)
+    _check_callers(g, [(Word(n, random.Random(seed).getrandbits(n)), [0, 1, 2, 3])])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_information_set_walk_matches_gray_walk_on_d32_codes(seed):
+    # the certify benchmark's shape: dimension 19, distance 4
+    g = gen_left_regular(32, 14, 6, seed)
+    assert nullspace(g).dimension == 19
+    rng = random.Random(seed)
+    y = Word(32, sample_codeword(g, seed).bits ^ _error_mask(rng, 32, 3))
+    _check_callers(g, [(y, [0, 1, 3, Fraction(7, 2), 4])])
+
+
+def test_list_walk_of_a_dimension_0_code():
+    g = BipartiteGraph(3, 3, 1, ((0,), (1,), (2,)))  # every bit its own check
+    assert nullspace(g).dimension == 0
+    radii = [0, 1, Fraction(3, 2), 2, 3, 10**9]
+    _check_callers(g, [(Word(3, bits), radii) for bits in range(8)])
+    assert enumerate_list(g, Word(3, 0b101), 2) == [Word.zero(3)]
+    assert enumerate_list(g, Word(3, 0b101), 1) == []
+
+
+def test_list_radius_may_be_any_nonnegative_real():
+    # a codeword at distance 4 is out at radius 7/2: the walk bounds the
+    # weight of its sums by floor(radius), and the filter by radius itself
+    g = gen_left_regular(30, 15, 6, 0)
+    c = sample_codeword(g, 5)
+    y = Word(30, c.bits ^ 0b1111)
+    assert c in enumerate_list(g, y, 4)
+    assert c not in enumerate_list(g, y, Fraction(7, 2))
+    assert enumerate_list(g, y, Fraction(7, 2)) == enumerate_list(g, y, 3)
+    assert enumerate_list(g, y, 3.5) == enumerate_list(g, y, 3)
+    assert enumerate_list(g, y, float("inf")) == enumerate_list(g, y, 30)
+    for bad in (-1, Fraction(-1, 2), float("nan")):
+        with pytest.raises(InvalidParameters):
+            enumerate_list(g, y, bad)
+
+
+def _error_mask(rng, n, k):
+    return sum(1 << i for i in rng.sample(range(n), k))
 
 
 class TestDistanceLowerBound:
