@@ -51,7 +51,6 @@ __all__ = [
     "ExpansionGuess",
     "guess_expansion_decode_poly",
     "guess_expansion_decode_grid",
-    "grid_guess_values",
 ]
 
 
@@ -563,7 +562,7 @@ def viderman_decode(
     against the decoding radius.
 
     The default radius is the baseline (1-3 eps)/(1-2 eps) * floor(alpha*N),
-    which needs eps < 1/3; pass ``radius`` to override.
+    which needs eps < 1/3; pass a nonnegative ``radius`` to override.
     """
     _check_plain(g, y)
     eps = params.eps
@@ -573,6 +572,8 @@ def viderman_decode(
         radius = (1 - 3 * eps) / (1 - 2 * eps) * math.floor(params.alpha * g.n_left)
     else:
         radius = as_fraction(radius)
+        if radius < 0:
+            raise InvalidParameters(f"radius must be nonnegative, got {radius}")
     return _find_erase_decode(g, y, params, "viderman", radius)
 
 
@@ -583,36 +584,26 @@ def viderman_decode(
 class GuessSchedule:
     """Enumerated per-iteration collision-density guesses.
 
-    ``gammas`` is the grid {eta, 2 eta, ..., ceil(1/eta) eta}; a run makes
-    ``ell`` guesses, enough rounds for a per-round error reduction of beta
-    to shrink any starting error set to a third.
+    Each guess comes from the grid {eta, 2 eta, ..., ceil(1/eta) eta} with
+    eta = beta/100, which ``_flip_cuts`` lists by its distinct integer cuts
+    and never builds; a run makes ``ell`` guesses, enough rounds for a
+    per-round error reduction of beta to shrink any starting error set to a
+    third.
     """
 
     beta: Fraction
     eta: Fraction
     ell: int
 
-    @property
-    def gammas(self) -> tuple[Fraction, ...]:
-        return tuple(i * self.eta for i in range(1, math.ceil(1 / self.eta) + 1))
-
     @classmethod
-    def for_beta(cls, beta, eta=None, ell: Optional[int] = None) -> "GuessSchedule":
+    def for_beta(cls, beta) -> "GuessSchedule":
         beta = as_fraction(beta)
         if not 0 < beta < Fraction(1, 4):
             raise InvalidParameters(f"beta must be in (0, 1/4), got {beta}")
-        eta = beta / 100 if eta is None else as_fraction(eta)
-        if eta <= 0:
-            raise InvalidParameters("eta must be positive")
         shrink = math.log(1 - float(beta))
         if shrink == 0:
             raise InvalidParameters(f"beta = {beta} rounds 1 - beta to 1 in floats")
-        min_ell = math.ceil(math.log(1 / 3) / shrink)
-        if ell is None:
-            ell = min_ell
-        elif ell < min_ell:
-            raise InvalidParameters(f"ell must be at least {min_ell}")
-        return cls(beta, eta, ell)
+        return cls(beta, beta / 100, math.ceil(math.log(1 / 3) / shrink))
 
 
 def _cut_steps(cut, lo: int, hi: int):
@@ -660,7 +651,9 @@ def guess_flip_decode(
     branch choices run identically, so the enumeration walks behavior
     classes depth-first (ascending grid order, find branch last) with
     memoization instead of materializing every sequence; the accepted
-    candidate is the first in that deterministic order.
+    candidate is the first in that deterministic order. The search recurses
+    one frame per level, ``ell`` deep; each frame returns its first hit, and
+    the enumeration path is built once, as that hit unwinds.
     """
     _check_plain(g, y)
     beta = as_fraction(beta)
@@ -688,12 +681,13 @@ def guess_flip_decode(
     y_bits = y.bits
     nodes = 0
     memo_fail: set[tuple[int, int]] = set()
-    found: list = []
 
-    def dfs(z: int, s: int, depth: int, flips: int, path: tuple) -> bool:
+    def dfs(z: int, s: int, depth: int) -> Optional[tuple[int, list, int]]:
+        """The first hit under word z at ``depth``: (candidate, the path
+        steps from here in reverse, bits flipped from here), or None."""
         nonlocal nodes
         if (z, depth) in memo_fail:
-            return False
+            return None
         nodes += 1
         if depth == schedule.ell:
             cand = fixed(z, s)
@@ -702,24 +696,24 @@ def guess_flip_decode(
                 and (z ^ cand).bit_count() <= vid_radius
                 and (y_bits ^ cand).bit_count() <= radius
             ):
-                found.append((cand, path + ("baseline",), flips))
-                return True
-            memo_fail.add((z, depth))
-            return False
-        for t, l0 in zip(flip_thresholds, _at_least(g, s, flip_thresholds)):
-            s1 = s ^ syndrome_bits(g, l0)
-            if dfs(z ^ l0, s1, depth + 1, flips + l0.bit_count(), path + (("flip", t),)):
-                return True
-        if has_find:
-            cand = fixed(z, s)
-            if cand is not None and (y_bits ^ cand).bit_count() <= radius:
-                found.append((cand, path + ("find",), flips))
-                return True
+                return cand, ["baseline"], 0
+        else:
+            for t, l0 in zip(flip_thresholds, _at_least(g, s, flip_thresholds)):
+                hit = dfs(z ^ l0, s ^ syndrome_bits(g, l0), depth + 1)
+                if hit is not None:
+                    cand, steps, flips = hit
+                    steps.append(("flip", t))
+                    return cand, steps, flips + l0.bit_count()
+            if has_find:
+                cand = fixed(z, s)
+                if cand is not None and (y_bits ^ cand).bit_count() <= radius:
+                    return cand, ["find"], 0
         memo_fail.add((z, depth))
-        return False
+        return None
 
-    if dfs(y_bits, syndrome_bits(g, y_bits), 0, 0, ()):
-        cand, path, flips = found[0]
+    hit = dfs(y_bits, syndrome_bits(g, y_bits), 0)
+    if hit is not None:
+        cand, steps, flips = hit
         return DecodeOutcome(
             "guess-flip",
             "success",
@@ -728,7 +722,7 @@ def guess_flip_decode(
             corrected=(y_bits ^ cand).bit_count(),
             iterations=nodes,
             flips=flips,
-            enumeration_index=path,
+            enumeration_index=tuple(reversed(steps)),
         )
     return DecodeOutcome(
         "guess-flip", "failure", reason="no-candidate",
@@ -746,13 +740,13 @@ def scaled_guess_flip_decode(
     (k*alpha, k*eps) with k = (1/4 - beta)/eps, beta = eta.
 
     The validated radius becomes (1 - k*eps) * k*alpha * N. k is capped at
-    1/alpha so the scaled set-size fraction stays at most 1; k <= 1 falls
-    back to the unscaled decoder.
+    1/alpha so the scaled set-size fraction stays at most 1; 0 <= k <= 1
+    falls back to the unscaled decoder, and eta > 1/4 (k < 0) is refused.
     """
     _check_plain(g, y)
     eta = as_fraction(eta)
-    if eta <= 0:
-        raise InvalidParameters("eta must be positive")
+    if not 0 < eta <= Fraction(1, 4):
+        raise InvalidParameters(f"eta must be in (0, 1/4], got {eta}")
     eps, alpha = params.eps, params.alpha
     if eps >= Fraction(1, 4):
         raise InvalidParameters(f"need eps < 1/4, got {eps}")
@@ -859,23 +853,16 @@ def guess_expansion_decode_poly(
     return _run_expansion_branches(g, y, params, guesses(), "guess-expansion")
 
 
-def grid_guess_values(eps, eta_prime) -> tuple[Fraction, ...]:
-    """The product-guess grid {0, eta, ..., ceil(1/eta) eta}, eta = eps*eta'."""
-    eta = as_fraction(eps) * as_fraction(eta_prime)
-    if eta <= 0:
-        raise InvalidParameters(f"eta = eps * eta_prime must be positive, got {eta}")
-    return tuple(k * eta for k in range(0, math.ceil(1 / eta) + 1))
-
-
 def guess_expansion_decode_grid(
     g: BipartiteGraph, y: Word, params: ExpanderParams, eta_prime
 ) -> DecodeOutcome:
     """Grid variant: only the product gamma*x is guessed, from the grid
-    ``grid_guess_values`` (step eta = eps * eta_prime), so the number of
-    branches is independent of the graph size. delta = sqrt(value*eps) + eta
-    on the large branch (value >= eps), eps + 2*eta on the small branch, whose
-    one cut is tried at value 0; then, without materialising the grid, each
-    other distinct large-branch cut up to the first 0, at its first value.
+    {0, eta, ..., ceil(1/eta) eta} with step eta = eps * eta_prime > 0, so the
+    number of branches is independent of the graph size. delta =
+    sqrt(value*eps) + eta on the large branch (value >= eps), eps + 2*eta on
+    the small branch, whose one cut is tried at value 0; then ``_cut_steps``
+    lists, without building the grid, each other distinct large-branch cut up
+    to the first 0, at its first value.
     """
     _check_plain(g, y)
     eps = params.eps

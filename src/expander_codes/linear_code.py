@@ -67,16 +67,8 @@ class Word:
         return cls(n, 0)
 
     @classmethod
-    def from_bits(cls, n: int, bits: int) -> "Word":
-        return cls(n, bits)
-
-    @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "Word":
         return cls(n, indices_to_mask(support, n))
-
-    @classmethod
-    def from_string(cls, text: str) -> "Word":
-        return parse_word(text)
 
     @property
     def has_erasures(self) -> bool:

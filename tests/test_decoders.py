@@ -2,6 +2,9 @@ import bisect
 import itertools
 import math
 import random
+import sys
+import traceback
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -43,7 +46,6 @@ from expander_codes.decoders import (
     _cut_steps,
     _find_and_erase,
     _flip_cuts,
-    grid_guess_values,
 )
 from expander_codes.linear_code import syndrome_bits
 from conftest import cyc_graph
@@ -497,32 +499,30 @@ class TestViderman:
         with pytest.raises(InvalidParameters):
             viderman_decode(tri3, parse_word("100"), params)
 
+    def test_negative_radius_refused(self, tri3):
+        params = ExpanderParams(Fraction(1, 3), Fraction(1, 10))
+        with pytest.raises(InvalidParameters, match="radius"):
+            viderman_decode(tri3, parse_word("100"), params, radius=-1)
+
 
 class TestGuessSchedule:
     def test_defaults(self):
         sched = GuessSchedule.for_beta(Fraction(1, 12))
         assert sched.eta == Fraction(1, 1200)
-        assert sched.gammas[0] == sched.eta
-        assert sched.gammas[-1] >= 1
-        assert len(sched.gammas) == 1200
-        import math
-
+        assert math.ceil(1 / sched.eta) == 1200
         assert sched.ell >= math.ceil(math.log(1 / 3) / math.log(1 - 1 / 12))
 
     def test_beta_lost_in_float_rounding(self):
         with pytest.raises(InvalidParameters):
             GuessSchedule.for_beta(Fraction(1, 10**20))
 
-    def test_ell_floor_enforced(self):
-        with pytest.raises(InvalidParameters):
-            GuessSchedule.for_beta(Fraction(1, 12), ell=2)
-
     @staticmethod
-    def _grid_cuts(sched, cutoff, d):
-        # the grid walk the cut listing replaces: every gamma below the
-        # cutoff, keeping each cut once in first-seen order
+    def _grid_cuts(eta, cutoff, d):
+        # the grid walk the cut listing replaces: every gamma in
+        # {eta, 2 eta, ..., ceil(1/eta) eta} below the cutoff, keeping each
+        # cut once in first-seen order
         cuts: list[int] = []
-        for gv in sched.gammas:
+        for gv in (i * eta for i in range(1, math.ceil(1 / eta) + 1)):
             if gv >= cutoff:
                 return cuts, True
             t = max(0, math.ceil((1 - 3 * gv) * d))
@@ -549,10 +549,10 @@ class TestGuessSchedule:
             cases.append((beta, eta, eps, rng.randint(0, 12)))
         finds = set()
         for beta, eta, eps, d in cases:
-            sched = GuessSchedule.for_beta(beta, eta=eta)
-            cutoff = Fraction(2, 3) * eps + sched.eta
-            expected = self._grid_cuts(sched, cutoff, d)
-            assert _flip_cuts(sched.eta, cutoff, d) == expected, (beta, eta, eps, d)
+            eta = GuessSchedule.for_beta(beta).eta if eta is None else eta
+            cutoff = Fraction(2, 3) * eps + eta
+            expected = self._grid_cuts(eta, cutoff, d)
+            assert _flip_cuts(eta, cutoff, d) == expected, (beta, eta, eps, d)
             finds.add((expected[1], bool(expected[0])))
         # both branches, with and without flip cuts, are exercised
         assert finds == {(True, True), (True, False), (False, True)}
@@ -671,6 +671,122 @@ class TestGuessFlip:
             assert syndrome(g, out.word).is_zero
             assert y.distance(out.word) <= out.radius
 
+    def test_search_matches_found_list_dfs(self, monkeypatch):
+        # seeded tiny graphs, 0 to 6 errors, both entries: the search that
+        # returns its hit must agree with the one that copied its path
+        betas = (Fraction(1, 12), Fraction(1, 20), Fraction(1, 7), Fraction(6, 25))
+        alpha_ns = tuple(map(Fraction, ("1/2", "1", "3/2", "2", "5/2", "3")))
+        rng = random.Random(15)
+        kinds = set()
+        for seed in range(24):
+            n = rng.randint(6, 14)
+            d = rng.randint(2, 4)
+            g = gen_left_regular(n, rng.randint(max(d, n // 2), n - 1), d, seed)
+            planted = sample_codeword(g, seed)
+            for beta in betas:
+                eps = (Fraction(1, 4) - beta) * rng.choice((1, Fraction(1, 2), Fraction(1, 5)))
+                params = ExpanderParams(rng.choice(alpha_ns) / n, eps)
+                for w in range(7):
+                    y = plant_errors(planted, rng.sample(range(n), w))
+                    got = guess_flip_decode(g, y, params, beta)
+                    assert got == _found_list_guess_flip(g, y, params, beta), (g, y, params)
+                    kinds.add(got.enumeration_index[-1] if got.ok else got.reason)
+                    got = scaled_guess_flip_decode(g, y, params, beta)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(decoders, "guess_flip_decode", _found_list_guess_flip)
+                        want = scaled_guess_flip_decode(g, y, params, beta)
+                    assert got == want, (g, y, params)
+                    kinds.add(got.enumeration_index[-1] if got.ok else got.reason)
+        assert kinds == {"baseline", "find", "no-candidate"}
+
+    def test_search_memory_is_linear_in_depth(self, tri3):
+        # beta = 1/455 gives a schedule 500 levels deep on tri3; copying the
+        # path at every node peaks at about 1.2 MB, returning the hit at 0.2
+        beta = Fraction(1, 455)
+        ell = GuessSchedule.for_beta(beta).ell
+        assert ell == 500
+        # the search holds one frame per level: leave room below the limit
+        frames = sum(1 for _ in traceback.walk_stack(None))
+        assert frames + ell + 100 < sys.getrecursionlimit()
+        params = ExpanderParams(Fraction(1, 3), Fraction(1, 8))
+        tracemalloc.start()
+        try:
+            out = guess_flip_decode(tri3, parse_word("100"), params, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.iterations == ell + 1
+        assert peak < 500_000
+
+
+def _found_list_guess_flip(g, y, params, beta):
+    """The former guess-flip search, the reference for guess_flip_decode:
+    every node copies its path tuple and flip count, and a hit is appended to
+    a found list."""
+    decoders._check_plain(g, y)
+    beta = Fraction(beta)
+    eps, alpha = params.eps, params.alpha
+    if eps > Fraction(1, 4) - beta:
+        raise InvalidParameters("need eps <= 1/4 - beta")
+    schedule = GuessSchedule.for_beta(beta)
+    n, d = g.n_left, g.d_left
+    radius = (1 - eps) * alpha * n
+    capacity = ErasureConfig.from_params(params).max_erasures(n)
+    vid_radius = (1 - 3 * eps) / (1 - 2 * eps) * math.floor(alpha * n)
+    flip_thresholds, has_find = _flip_cuts(schedule.eta, Fraction(2, 3) * eps + schedule.eta, d)
+    find_h = _cut(d, 0, eps)
+    fixed_cache = {}
+
+    def fixed(z, s):
+        if z not in fixed_cache:
+            e = _find_and_erase(g, s, find_h, capacity)[0]
+            fixed_cache[z] = None if e is None else z ^ e
+        return fixed_cache[z]
+
+    y_bits = y.bits
+    nodes = 0
+    memo_fail = set()
+    found = []
+
+    def dfs(z, s, depth, flips, path):
+        nonlocal nodes
+        if (z, depth) in memo_fail:
+            return False
+        nodes += 1
+        if depth == schedule.ell:
+            cand = fixed(z, s)
+            if (
+                cand is not None
+                and (z ^ cand).bit_count() <= vid_radius
+                and (y_bits ^ cand).bit_count() <= radius
+            ):
+                found.append((cand, path + ("baseline",), flips))
+                return True
+            memo_fail.add((z, depth))
+            return False
+        for t, l0 in zip(flip_thresholds, _at_least(g, s, flip_thresholds)):
+            s1 = s ^ syndrome_bits(g, l0)
+            if dfs(z ^ l0, s1, depth + 1, flips + l0.bit_count(), path + (("flip", t),)):
+                return True
+        if has_find:
+            cand = fixed(z, s)
+            if cand is not None and (y_bits ^ cand).bit_count() <= radius:
+                found.append((cand, path + ("find",), flips))
+                return True
+        memo_fail.add((z, depth))
+        return False
+
+    if dfs(y_bits, syndrome_bits(g, y_bits), 0, 0, ()):
+        cand, path, flips = found[0]
+        return DecodeOutcome(
+            "guess-flip", "success", word=Word(n, cand), radius=radius,
+            corrected=(y_bits ^ cand).bit_count(), iterations=nodes, flips=flips,
+            enumeration_index=path,
+        )
+    return DecodeOutcome(
+        "guess-flip", "failure", reason="no-candidate", radius=radius, iterations=nodes
+    )
+
 
 class TestScaledGuessFlip:
     def test_uses_cap_not_optimum(self, decode_instances):
@@ -708,6 +824,16 @@ class TestScaledGuessFlip:
         assert out.ok
         # the fallback radius is the unscaled (1-eps)*alpha*N
         assert out.radius == (1 - inst.eps) * inst.params.alpha * inst.graph.n_left
+
+    @pytest.mark.parametrize("eta", [Fraction(1, 4) + Fraction(1, 1000), Fraction(7)])
+    def test_eta_above_quarter_refused(self, decode_instances, eta):
+        # k = (1/4 - eta)/eps < 0 is no trade; eta = 1/4 (k = 0) still falls back
+        inst = decode_instances[0]
+        y = Word.zero(inst.graph.n_left)
+        with pytest.raises(InvalidParameters, match="eta"):
+            scaled_guess_flip_decode(inst.graph, y, inst.params, eta)
+        out = scaled_guess_flip_decode(inst.graph, y, inst.params, Fraction(1, 4))
+        assert out.ok and out.path == "unscaled-fallback"
 
     def test_single_errors_recovered(self, decode_instances):
         inst = decode_instances[2]
@@ -769,22 +895,14 @@ class TestGuessExpansion:
                 poly = guess_expansion_decode_poly(g, y, inst.params)
                 assert poly.ok
 
-    def test_grid_enumeration_size_contract(self):
-        import math
-
-        eps = Fraction(1, 8)
-        eta_prime = Fraction(1, 10)
-        values = grid_guess_values(eps, eta_prime)
-        eta = eps * eta_prime
-        assert len(values) == math.ceil(1 / eta) + 1
-        assert values[0] == 0 and values[1] == eta
-
-    @pytest.mark.parametrize("eps", [0, Fraction(-1, 8)])
-    def test_grid_values_need_positive_step(self, eps):
+    @pytest.mark.parametrize("eta_prime", [0, Fraction(-1, 8)])
+    def test_grid_values_need_positive_step(self, eta_prime):
         # eta = eps * eta' <= 0 has no grid: 1/eta divides by zero at 0 and
         # would give an empty grid below it
+        g = gen_left_regular(12, 9, 3, 1)
+        params = ExpanderParams(Fraction(1, 6), Fraction(1, 8))
         with pytest.raises(InvalidParameters):
-            grid_guess_values(eps, 1)
+            guess_expansion_decode_grid(g, Word.zero(12), params, eta_prime)
 
     def test_k_walk_matches_pair_enumeration(self):
         alpha_ns = tuple(map(Fraction, ("1/2", "5/6", "1", "2", "5/2", "3")))
@@ -959,7 +1077,8 @@ def _grid_guesses_by_value(eps, eta_prime):
     """Reference for guess_expansion_decode_grid: every grid value, in order,
     each with its own threshold."""
     eta = eps * eta_prime
-    for idx, gv in enumerate(grid_guess_values(eps, eta_prime)):
+    for idx in range(math.ceil(1 / eta) + 1):
+        gv = idx * eta
         if gv >= eps:
             yield (idx,), ExpansionGuess(None, None, gv, "sqrt", gv * eps, eta)
         else:
