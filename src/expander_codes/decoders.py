@@ -153,25 +153,40 @@ def _at_least(g: BipartiteGraph, synd: int, cuts: Sequence[int]) -> list[int]:
 
 def _suspects(
     g: BipartiteGraph, s: int, h: int, key: Optional[Sequence[int]] = None
-) -> FindTrace:
+) -> tuple[list[int], int]:
     """The find loop in the syndrome domain: R starts at the checks set in
     ``s``, and a vertex joins L once at least ``h`` of its checks are in R.
-    Among the eligible vertices the one of smallest ``key`` (default: its
-    index) joins first. Counts start at zero and only checks entering R raise
-    them, so past the count array the work follows |s| and Gamma(L), not N.
+    Returns L in insertion order and the mask of R.
+
+    L and R are the closure, the same for any pick order: counts only grow,
+    so a vertex once eligible stays eligible. With no ``key`` the eligible
+    vertices wait on a plain stack; with one, the eligible vertex of smallest
+    ``key`` joins first, through a heap. Counts start at zero and only checks
+    entering R raise them, so past the count array the work follows |s| and
+    Gamma(L), not N.
     """
     n = g.n_left
-    key = key or range(n)
     left_masks = g.left_masks
     right_adj = g.right_adj
     counts = [0] * n
-    # heap items key * N + vertex. Counts only grow, so a vertex enters the
-    # heap once: at the start if h = 0, else when its count reaches h
-    heap = [key[i] * n + i for i in range(n)] if h <= 0 else []
-    heapq.heapify(heap)
+    # counts only grow, so a vertex is pushed once: at the start if h = 0,
+    # else when its count reaches h
+    if key is None:
+        ready = list(range(n)) if h <= 0 else []
+        push, pop = ready.append, ready.pop
+    else:
+        # heap items key * N + vertex
+        ready = [key[i] * n + i for i in range(n)] if h <= 0 else []
+        heapq.heapify(ready)
+
+        def push(u: int) -> None:
+            heapq.heappush(ready, key[u] * n + u)
+
+        def pop() -> int:
+            return heapq.heappop(ready) % n
+
     r_mask = new_checks = s
     added: list[int] = []
-    growth: list[int] = []
     while True:
         # not mask_to_indices: each vertex brings at most D new checks, and a call
         # per vertex in the guess decoders' hottest loop has not been shown free
@@ -180,16 +195,15 @@ def _suspects(
             for u in right_adj[low.bit_length() - 1]:
                 counts[u] += 1
                 if counts[u] == h:
-                    heapq.heappush(heap, key[u] * n + u)
+                    push(u)
             new_checks ^= low
-        if not heap:
+        if not ready:
             break
-        i = heapq.heappop(heap) % n
+        i = pop()
         added.append(i)
         new_checks = left_masks[i] & ~r_mask
         r_mask |= left_masks[i]
-        growth.append(r_mask.bit_count())
-    return FindTrace(tuple(added), indices_to_mask(added, n), r_mask, tuple(growth))
+    return added, r_mask
 
 
 def find_suspects(
@@ -227,7 +241,13 @@ def find_suspects(
         raise InvalidParameters(f"unknown order {order!r}")
     pref = frozenset(prefer) if prefer is not None else frozenset()
     key = [rank[i] - n if i in pref else rank[i] for i in range(n)] if pref else rank
-    return _suspects(g, syndrome_bits(g, y.bits), cfg.effective_threshold(g.d_left), key)
+    s = syndrome_bits(g, y.bits)
+    order, r_mask = _suspects(g, s, cfg.effective_threshold(g.d_left), key)
+    growth, r = [], s  # R replayed along the insertion order
+    for i in order:
+        r |= g.left_masks[i]
+        growth.append(r.bit_count())
+    return FindTrace(tuple(order), indices_to_mask(order, n), r_mask, tuple(growth))
 
 
 # -- outcomes ----------------------------------------------------------------
@@ -407,14 +427,15 @@ def decode_erasures(
 
 def _find_and_erase(
     g: BipartiteGraph, s: int, h: int, capacity: Optional[int]
-) -> tuple[Optional[int], str, FindTrace]:
+) -> tuple[Optional[int], str, list[int]]:
     """Find suspects at cut ``h`` from the word's syndrome ``s`` and return the
-    error pattern e on them with H e = s; the candidate is the word XOR e."""
-    trace = _suspects(g, s, h)
-    if capacity is not None and trace.size > capacity:
-        return None, "list-exceeds-capacity", trace
-    e, why, _ = _erase(g, s, trace.l_mask)
-    return e, why, trace
+    error pattern e on them with H e = s, the reason and the suspects L; the
+    candidate is the word XOR e."""
+    suspects = _suspects(g, s, h)[0]
+    if capacity is not None and len(suspects) > capacity:
+        return None, "list-exceeds-capacity", suspects
+    e, why, _ = _erase(g, s, indices_to_mask(suspects, g.n_left))
+    return e, why, suspects
 
 
 def _find_erase_decode(
@@ -428,17 +449,17 @@ def _find_erase_decode(
     unless ``radius`` is None, check the candidate's distance against it."""
     capacity = ErasureConfig.from_params(params).max_erasures(g.n_left)
     h = _cut(g.d_left, 0, params.eps)
-    e, why, trace = _find_and_erase(g, syndrome_bits(g, y.bits), h, capacity)
+    e, why, suspects = _find_and_erase(g, syndrome_bits(g, y.bits), h, capacity)
     if e is None:
         return DecodeOutcome(
             algorithm, "failure", reason="no-candidate",
-            radius=radius, iterations=trace.size, path=why,
+            radius=radius, iterations=len(suspects), path=why,
         )
     dist = e.bit_count()
     if radius is not None and dist > radius:
         return DecodeOutcome(
             algorithm, "failure", reason="radius-exceeded",
-            radius=radius, iterations=trace.size, path="find+erase",
+            radius=radius, iterations=len(suspects), path="find+erase",
         )
     return DecodeOutcome(
         algorithm,
@@ -446,7 +467,7 @@ def _find_erase_decode(
         word=Word(g.n_left, y.bits ^ e),
         radius=radius,
         corrected=dist,
-        iterations=trace.size,
+        iterations=len(suspects),
         path="find+erase",
     )
 
@@ -785,11 +806,11 @@ def _run_expansion_branches(
     tried: set[int] = set()
     attempts = 0
     for attempts, (enum_index, guess, h) in enumerate(guesses, 1):
-        trace = _suspects(g, s, h)
-        if trace.l_mask in tried:
+        l_mask = indices_to_mask(_suspects(g, s, h)[0], n)
+        if l_mask in tried:
             continue
-        tried.add(trace.l_mask)
-        e = _erase(g, s, trace.l_mask)[0]
+        tried.add(l_mask)
+        e = _erase(g, s, l_mask)[0]
         if e is not None and e.bit_count() <= accept:
             return DecodeOutcome(
                 algorithm,

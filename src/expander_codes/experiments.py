@@ -28,7 +28,7 @@ from .decoders import (
 )
 from .errors import BudgetExceeded, InvalidInput, InvalidParameters
 from .graphs import BipartiteGraph, ExpanderParams
-from .linear_code import Word, sample_codeword
+from .linear_code import Word
 
 __all__ = [
     "ERROR_MODELS",
@@ -233,19 +233,24 @@ def run_trial(
     radius: int,
     trial: int,
     errors: Iterable[int],
-    seed: int,
 ) -> TrialResult:
+    """Decode the planted error pattern on the zero word.
+
+    A decoder sees a word only through its syndrome and the weight of its
+    distance to a candidate, so decoding c XOR e for a codeword c gives the
+    outcome for e shifted by c: the trial needs no codeword, and ``recovered``
+    means the zero word came back.
+    """
     err_mask = indices_to_mask(errors, g.n_left)
-    planted = sample_codeword(g, seed)
     if cfg.algorithm == "erasure":
-        word = Word(g.n_left, planted.bits & ~err_mask, err_mask)
+        word = Word(g.n_left, 0, err_mask)
     else:
-        word = Word(g.n_left, planted.bits ^ err_mask)
+        word = Word(g.n_left, err_mask)
     start = time.perf_counter()
     out = dispatch_decode(cfg, g, word)
     elapsed = time.perf_counter() - start if cfg.measure_time else 0.0
     status = out.status if out.ok else f"failure:{out.reason}"
-    recovered = bool(out.ok and out.word is not None and out.word.bits == planted.bits)
+    recovered = bool(out.ok and out.word is not None and out.word.bits == 0)
     return TrialResult(
         algorithm=cfg.algorithm,
         n=g.n_left,
@@ -274,13 +279,12 @@ def sweep(cfg: ExperimentConfig, g: BipartiteGraph) -> list[TrialResult]:
         if cfg.model == "exhaustive":
             patterns = iter_error_patterns(g.n_left, radius, cfg.budget)
             for trial, errs in enumerate(patterns):
-                seed = trial_seed(cfg.seed, radius, trial)
-                results.append(run_trial(cfg, g, radius, trial, errs, seed))
+                results.append(run_trial(cfg, g, radius, trial, errs))
         else:
             for trial in range(cfg.trials):
                 seed = trial_seed(cfg.seed, radius, trial)
                 errs = _error_set(g, cfg.model, radius, seed)
-                results.append(run_trial(cfg, g, radius, trial, errs, seed))
+                results.append(run_trial(cfg, g, radius, trial, errs))
     return results
 
 

@@ -175,5 +175,5 @@ def test_run_trial_range_checks_errors(position):
     g = gen_left_regular(24, 18, 6, 1)
     cfg = ExperimentConfig("viderman", 0, 1, alpha="1/12", eps="1/8")
     with pytest.raises(InvalidInput):
-        run_trial(cfg, g, 1, 0, [position], 1)
-    assert run_trial(cfg, g, 1, 0, [23, 23], 1).errors == 1  # a repeat counts once
+        run_trial(cfg, g, 1, 0, [position])
+    assert run_trial(cfg, g, 1, 0, [23, 23]).errors == 1  # a repeat counts once

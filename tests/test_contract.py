@@ -7,12 +7,17 @@ reported `corrected` count and which lies in the brute-force list
 erasure decoder's success must be the unique codeword that agrees with the
 known bits.
 
-A second property checks Viderman's guarantee: on a graph that
+A second property checks that an outcome depends only on the error pattern:
+decoding c + e for a codeword c gives the outcome for e alone, its word
+shifted by c. Sweeps decode e alone on that ground.
+
+A third property checks Viderman's guarantee: on a graph that
 `verify_expander` certifies with strict slack, `viderman_decode` finds the
 unique codeword inside the baseline radius.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -42,7 +47,7 @@ def instances(draw):
     g = gen_left_regular(n, m, d, draw(st.integers(0, 2**16)))
     planted = sample_codeword(g, draw(st.integers(0, 2**16))).bits
     errors = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 3)))
-    y = planted ^ sum(1 << i for i in errors)
+    e = sum(1 << i for i in errors)
     erased = draw(st.integers(0, (1 << n) - 1))
     cfg = dict(
         alpha=Fraction(1, draw(st.sampled_from([12, 6, 3, 2]))),
@@ -51,7 +56,7 @@ def instances(draw):
         eta=draw(st.sampled_from([Fraction(1, 20), Fraction(1, 4)])),
         slack=draw(st.sampled_from([Fraction(0), Fraction(1, 7)])),
     )
-    return g, y, erased, cfg
+    return g, planted, e, erased, cfg
 
 
 def _check_erasure(g, y_bits, erased):
@@ -71,7 +76,8 @@ def _check_erasure(g, y_bits, erased):
 @SETTINGS
 @given(instances())
 def test_outcome_contract(instance):
-    g, y_bits, erased, params = instance
+    g, planted, e, erased, params = instance
+    y_bits = planted ^ e
     y = Word(g.n_left, y_bits)
     for name in DECODER_NAMES:
         if name == "erasure":
@@ -86,6 +92,23 @@ def test_outcome_contract(instance):
         if out.radius is not None:
             assert out.corrected <= out.radius, name
             assert out.word in enumerate_list(g, y, math.floor(out.radius)), name
+
+
+@SETTINGS
+@given(instances())
+def test_outcome_depends_only_on_the_error_pattern(instance):
+    g, c, e, erased, params = instance
+    n = g.n_left
+    for name in DECODER_NAMES:
+        if name == "erasure":
+            on_c, on_zero = Word(n, c & ~erased, erased), Word(n, 0, erased)
+        else:
+            on_c, on_zero = Word(n, c ^ e), Word(n, e)
+        cfg = ExperimentConfig(name, 0, 0, **params)
+        want = dispatch_decode(cfg, g, on_zero)
+        if want.word is not None:
+            want = replace(want, word=Word(n, want.word.bits ^ c))
+        assert dispatch_decode(cfg, g, on_c) == want, name
 
 
 def _strictly_certified(g, params) -> bool:

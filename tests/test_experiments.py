@@ -168,17 +168,34 @@ class TestSweep:
         )
         assert all(line.endswith(",0.0") for line in a.splitlines()[1:])
 
-    def test_sweep_runs_one_elimination_and_pinned_csv(self, eliminations):
-        # 3 radii x 4 trials plant 12 codewords from one code basis
+    def test_sweep_runs_no_elimination_and_pinned_csv(self, eliminations):
+        # 3 radii x 4 trials decode their error patterns on the zero word
         g = gen_left_regular(96, 72, 6, 3)
         cfg = self._cfg(radius_from=1, radius_to=3, trials=4, seed=11,
                         alpha=Fraction(1, 48))
         csv = results_to_csv(sweep(cfg, g))
-        assert len(eliminations) == 1
+        assert len(eliminations) == 0
         assert len(csv.splitlines()) == 1 + 3 * 4
-        # sha256 of this sweep's CSV from before the basis was cached
+        # sha256 of this sweep's CSV from when each trial planted a codeword
         assert hashlib.sha256(csv.encode()).hexdigest() == (
             "f3c6baffab1ed3786f55b624340a1d5a53475ee5d09fcfdb547f9985dbcc19b4"
+        )
+
+    def test_large_sweep_runs_no_elimination_and_pinned_csv(self, eliminations):
+        # successes, radius-exceeded and no-candidate failures at N = 2000,
+        # where a code basis costs an elimination over 1500 rows
+        g = gen_left_regular(2000, 1500, 6, 1)
+        csv = "".join(
+            results_to_csv(sweep(self._cfg(
+                algorithm=algo, radius_from=0, radius_to=60, radius_step=20,
+                trials=3, seed=5, alpha=Fraction(1, 50)), g))
+            for algo in ("viderman", "erasure", "ss-flip")
+        )
+        assert len(eliminations) == 0
+        assert ",failure:radius-exceeded," in csv and ",failure:no-candidate," in csv
+        # sha256 of these CSVs from when each trial planted a codeword
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "fef391ad403175f4b44851b45a7b2faf22e7f23bc5e68baa385e17a656193f99"
         )
 
     def test_exhaustive_model(self, decode_instances):

@@ -24,8 +24,8 @@ from expander_codes import (
     viderman_decode,
 )
 from expander_codes import decoders
-from expander_codes._util import _echelon, _solve
-from expander_codes.decoders import _at_least, _find_and_erase
+from expander_codes._util import _echelon, _solve, indices_to_mask
+from expander_codes.decoders import _at_least, _find_and_erase, _suspects
 from expander_codes.linear_code import syndrome_bits
 
 
@@ -176,14 +176,15 @@ class TestMatchesWordDomain:
 
             capacity = rng.choice((None, None, rng.randint(0, n)))
             want = _word_find_and_erase(g, y.bits, cfg, capacity)
-            e, why, trace = _find_and_erase(g, s, cfg.effective_threshold(g.d_left), capacity)
-            assert (why, trace) == want[1:], case
+            e, why, suspects = _find_and_erase(g, s, cfg.effective_threshold(g.d_left), capacity)
+            l_mask = indices_to_mask(suspects, n)
+            assert (why, len(suspects), l_mask) == (want[1], want[2].size, want[2].l_mask), case
             assert (None if e is None else y.bits ^ e) == want[0], case
-            outside = (s & ~_gamma(g, trace.order)) != 0
+            outside = (s & ~_gamma(g, suspects)) != 0
             seen.add((why, outside))
 
             # the erasure decoder on the suspects and on a random erasure set
-            for erased in (trace.l_mask, rng.getrandbits(n) if n else 0):
+            for erased in (l_mask, rng.getrandbits(n) if n else 0):
                 w = Word(n, y.bits & ~erased, erased)
                 got = decode_erasures(g, w)
                 assert got == _word_decode_erasures(g, w), case
@@ -201,6 +202,29 @@ class TestMatchesWordDomain:
             ("peeling+gauss", "not-a-codeword", True),
             ("peeling+gauss", "not-a-codeword", False),
         } <= seen
+
+    def test_stack_pick_finds_the_keyed_closure(self):
+        # L and R are the closure of the find loop, so the keyless stack must
+        # reach the same set L, each vertex once, and the same R as the heap
+        # under any key
+        rng = random.Random(12)
+        seen = set()
+        for case, g in enumerate(_random_graphs(rng, 60)):
+            n, m, d = g.n_left, g.m_right, g.d_left
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            keys = (range(n), range(n - 1, -1, -1), shuffled)
+            planted = syndrome_bits(g, rng.getrandbits(rng.choice((2, 4, n))) & ((1 << n) - 1))
+            for s in (0, planted, rng.getrandbits(m)):
+                for h in (0, 1, rng.randint(0, d), d, d + 1, d + 3):
+                    order, r_mask = _suspects(g, s, h)
+                    assert len(order) == len(set(order)), case
+                    for key in keys:
+                        want_order, want_r = _suspects(g, s, h, key)
+                        assert (set(order), r_mask) == (set(want_order), want_r), (case, s, h)
+                    seen.add((s == 0, h == 0, h > d, 0 < len(order) < n))
+        for flag in range(4):
+            assert any(k[flag] for k in seen) and not all(k[flag] for k in seen)
 
     def test_flip_masks_match_dense_counts(self):
         rng = random.Random(3)
