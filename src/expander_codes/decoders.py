@@ -11,10 +11,17 @@ rationals q, s >= 0, and one integer closed form (``_cut``, built on
 the per-vertex loops compare integer counts against that integer cut.
 
 Find-and-erase works in the syndrome domain. A decode computes s = H*y once;
-suspect counts start at the neighbors of the unsatisfied checks, peeling and
-elimination touch only the checks next to the suspect set L, and the result
-is an error pattern e on L with H*e = s, re-checked in O(|e|). Past that one
+suspect counts start at the neighbors of the unsatisfied checks, peeling
+touches only the checks next to the suspect set L, and the result is an
+error pattern e on L with H*e = s, re-checked in O(|e|). Past that one
 syndrome the cost follows |s| and |L|, not N.
+
+Decoding from erasures peels with inactivation: where peeling stalls, one
+erased column becomes a symbol and peeling goes on, so the one GF(2)
+elimination runs over the symbols, not over every column left. At N = 2000,
+M = 1500, D = 6 with 1000 erasures that is 22-40 symbols in place of about
+850 columns, and the solve takes 3-4 ms instead of 27-30 (CPython 3.11, 2
+shared vCPUs).
 """
 
 from __future__ import annotations
@@ -330,58 +337,90 @@ def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, 
     (e, "ok", path), or (None, reason, path) when there is no such e
     (not-a-codeword) or more than one (stalled).
 
-    Peels checks with one erased neighbor, then eliminates over the checks
-    left, one column per position left, so the work follows the erased
-    positions and their checks. The result is re-checked: H e = s exactly.
+    Peeling with inactivation. Checks with one unknown neighbor are peeled.
+    At a stall, one of the two unknowns of some check (else the lowest
+    unknown) is inactivated: it becomes a symbol, a free GF(2) variable, and
+    peeling goes on. A column peeled after that is a constant, folded into e
+    at once, plus a sum of symbols, taken from its check's accumulator. Once
+    no unknown is left, every check not used for peeling is one equation
+    over the symbols, constant bit highest; one elimination solves them, and
+    the symbols are substituted back. Peeling is a triangular change of
+    variables, so the symbol system is consistent, and of full rank, exactly
+    when the system over all erased columns is. The path is "peeling+gauss"
+    when a symbol was made. On ``gen_left_regular(2000, 1500, 6)`` with 1000
+    erasures, peeling stalls with about 850 columns left, and the
+    elimination runs over 22-40 symbols instead: 3-4 ms, where eliminating
+    those columns took 27-30 ms (CPython 3.11, 2 shared vCPUs). The result
+    is re-checked: H e = s exactly.
     """
     adj, left_masks, right_masks = g.adj, g.left_masks, g.right_masks
     positions = mask_to_indices(erased)
-    counts = [0] * g.m_right  # erased neighbors per check
+    counts = [0] * g.m_right  # unknown neighbors per check
     for b in positions:
         for c in adj[b]:
             counts[c] += 1
     stack = [c for b in positions for c in adj[b] if counts[c] == 1]
     e, parity = 0, s
-    while stack:
-        c = stack.pop()
-        if counts[c] != 1:
-            continue
-        b = (right_masks[c] & erased).bit_length() - 1
-        if parity >> c & 1:
-            e |= 1 << b
-            parity ^= left_masks[b]
+    # per check, made at the first stall: the symbols its resolved neighbors sum to
+    acc: list[int] = []
+    carried = []  # (column, its symbols) for each column that depends on one
+    twos: list[int] = []  # checks that had two unknowns at a stall
+    k = 0  # symbols made
+    while True:
+        if stack:  # peel
+            c = stack.pop()
+            if counts[c] != 1:
+                continue
+            b = (right_masks[c] & erased).bit_length() - 1
+            if parity >> c & 1:
+                e |= 1 << b
+                parity ^= left_masks[b]
+            sym = k and acc[c]  # acc exists once a symbol does
+        elif erased:  # a stall: inactivate
+            if not k:
+                acc = [0] * g.m_right
+            while twos and counts[twos[-1]] != 2:
+                twos.pop()
+            if not twos:
+                twos = [c for c, n in enumerate(counts) if n == 2]
+            if twos:
+                b = (right_masks[twos.pop()] & erased).bit_length() - 1
+            else:
+                b = (erased & -erased).bit_length() - 1
+            sym = 1 << k
+            k += 1
+        else:
+            break
         erased ^= 1 << b
         for c2 in adj[b]:
             counts[c2] -= 1
             if counts[c2] == 1:
                 stack.append(c2)
+        if sym:
+            carried.append((b, sym))
+            for c2 in adj[b]:
+                acc[c2] ^= sym
 
     path = "peeling"
-    if erased:
+    if k:
         path = "peeling+gauss"
-        cols = mask_to_indices(erased)
-        # a row per odd check and per check next to a column; column
-        # len(cols) is fixed to 1 and holds the parity, so an odd check next
-        # to no column leaves the system inconsistent. The rows transpose the
-        # columns, one bit per (column, check) pair ORed in as the row grows:
-        # listing each row for indices_to_mask first took 3x as long (92
-        # against 26 us for 30 columns at N = 200)
-        one = 1 << len(cols)
-        rows = dict.fromkeys(mask_to_indices(parity), one)
-        for j, b in enumerate(cols):
-            for c in adj[b]:
-                rows[c] = rows.get(c, 0) | 1 << j
-        pivots = _echelon(rows.values())
-        if len(cols) in pivots:
+        # a peeled check's row is zero, and an odd check next to no symbol
+        # is the row of the constant alone, which leaves no solution
+        one = 1 << k
+        for c in mask_to_indices(parity):
+            acc[c] |= one
+        pivots = _echelon(acc)
+        if k in pivots:
             return None, "not-a-codeword", path
-        if len(pivots) < len(cols):
+        if len(pivots) < k:
             return None, "stalled", path
-        sol = _solve(pivots, one)[0]
-        solved = indices_to_mask([cols[j] for j in mask_to_indices(sol ^ one)], g.n_left)
-        e |= solved
-        parity ^= syndrome_bits(g, solved)
+        x = _solve(pivots, one)[0]
+        for b, sym in carried:
+            if (sym & x).bit_count() & 1:
+                e ^= 1 << b
+                parity ^= left_masks[b]
 
-    if parity:  # s ^ H e, each bit of e folded in once
+    if parity:  # s ^ H e, updated with every change to e
         return None, "not-a-codeword", path
     return e, "ok", path
 
@@ -389,8 +428,10 @@ def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, 
 def decode_erasures(
     g: BipartiteGraph, y: Word, cfg: Optional[ErasureConfig] = None
 ) -> DecodeOutcome:
-    """Fill erasures by peeling degree-1 checks, falling back to a GF(2)
-    solve restricted to the erased columns when peeling stalls.
+    """Fill erasures by peeling checks with one erased neighbor. Where
+    peeling stalls, an erased column is inactivated as a symbol and peeling
+    goes on; one GF(2) solve over the symbols finishes (at N = 2000, M = 1500,
+    D = 6 with 1000 erasures, 22-40 symbols where about 850 columns were left).
 
     Non-erased bits are trusted. Success requires a unique consistent
     completion: an inconsistent system fails as not-a-codeword, multiple

@@ -140,6 +140,34 @@ def decode_instances() -> list[Instance]:
     return out
 
 
+def symplectic_quadrangle_w2() -> BipartiteGraph:
+    """The generalized quadrangle W(2): the 15 points of PG(3,2) as bits, and
+    as checks the 15 lines totally isotropic under the symplectic form
+    x0*y1 + x1*y0 + x2*y3 + x3*y2. Each point lies on 3 lines."""
+
+    def form(x: int, y: int) -> int:
+        partner = (y >> 1 & 0b0101) | (y << 1 & 0b1010)  # y1, y0, y3, y2
+        return (x & partner).bit_count() & 1
+
+    points = range(1, 16)  # the nonzero vectors of GF(2)^4
+    isotropic = {
+        frozenset((x, y, x ^ y)) for x in points for y in points if x != y and not form(x, y)
+    }
+    lines = sorted(isotropic, key=sorted)
+    adj = [tuple(j for j, line in enumerate(lines) if p in line) for p in points]
+    return BipartiteGraph(15, len(lines), 3, tuple(adj))
+
+
+@pytest.fixture(scope="session")
+def w2_instance() -> Instance:
+    """W(2) at alpha*N = 3: measured eps = 2/9 and distance 6, the instance
+    on which guess-flip's target radius 2 beats Viderman's 9/5."""
+    inst = _measured_instance(symplectic_quadrangle_w2(), alpha_n=3)
+    assert inst is not None
+    assert (inst.graph.m_right, inst.eps, inst.distance) == (15, Fraction(2, 9), 6)
+    return inst
+
+
 # GF(4) multiplication for the order-4 affine plane
 _GF4_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
 

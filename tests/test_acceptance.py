@@ -34,6 +34,7 @@ from expander_codes import (
     union_graph,
     unique_neighbors,
     vertex_edge_graph,
+    viderman_decode,
 )
 from conftest import cyc_graph, random_verified_instances, tri3_graph
 
@@ -134,10 +135,11 @@ def test_criterion_3_size_expansion_tradeoff(announce):
     _run(announce, 3, "size-expansion tradeoff exact", 120.0, body)
 
 
-def test_criterion_4_guess_flip_exhaustive_radius(announce, decode_instances):
+def test_criterion_4_guess_flip_exhaustive_radius(announce, decode_instances, w2_instance):
     def body():
         lines = []
-        for inst in decode_instances:
+        # W(2) is the instance whose target, 2, passes Viderman's radius 9/5
+        for inst in (*decode_instances, w2_instance):
             g, eps = inst.graph, inst.eps
             n, alpha_n = g.n_left, inst.alpha_n
             beta = Fraction(1, 4) - eps
@@ -182,9 +184,17 @@ def test_criterion_4_guess_flip_exhaustive_radius(announce, decode_instances):
                 inst.params.alpha * n
             )
             assert achieved >= math.floor(baseline), (achieved, baseline)
+            viderman_missed = sum(
+                viderman_decode(g, plant_errors(planted, pat), inst.params).word != planted
+                for r in range(target + 1)
+                for pat in itertools.combinations(range(n), r)
+            )
+            if inst is w2_instance:
+                assert viderman_missed > 0, "W(2) no longer separates the decoders"
             lines.append(
                 f"N={n} eps={eps} target={target} achieved={achieved} "
-                f"baseline={baseline}={float(baseline):.3f}"
+                f"baseline={baseline}={float(baseline):.3f} "
+                f"viderman_missed={viderman_missed}"
             )
         return "; ".join(lines)
 

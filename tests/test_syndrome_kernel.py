@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from expander_codes import (
+    BipartiteGraph,
     DecodeOutcome,
     ExpanderParams,
     FindConfig,
@@ -24,9 +25,10 @@ from expander_codes import (
     viderman_decode,
 )
 from expander_codes import decoders
-from expander_codes._util import _echelon, _solve, indices_to_mask
+from expander_codes._util import _echelon, _solve, indices_to_mask, mask_to_indices
 from expander_codes.decoders import _at_least, _find_and_erase, _suspects
 from expander_codes.linear_code import syndrome_bits
+from conftest import gray_walk
 
 
 # -- the word-domain find-and-erase the kernel replaced ----------------------
@@ -236,6 +238,107 @@ class TestMatchesWordDomain:
             assert _at_least(g, synd, cuts) == [
                 sum(1 << i for i in range(n) if dense[i] >= t) for t in cuts
             ]
+
+
+@pytest.fixture
+def symbols(monkeypatch) -> list:
+    """Grows by the number of symbols of each erasure solve that has one
+    solution: the columns the final elimination runs over."""
+    counts = []
+    solve = decoders._solve
+
+    def recording(pivots, *fixed):
+        counts.append(fixed[0].bit_length() - 1)  # fixed[0] is the constant bit
+        return solve(pivots, *fixed)
+
+    monkeypatch.setattr(decoders, "_solve", recording)
+    return counts
+
+
+class TestInactivation:
+    """The erasure solve makes a symbol at each stall and eliminates over the
+    symbols alone; the dense elimination over every erased column left, and
+    brute force, are its oracles."""
+
+    def test_matches_dense_elimination_at_scale(self, symbols):
+        g = gen_left_regular(200, 150, 6, 1)
+        w = Word(200, 0, (1 << 200) - 1)
+        got = decode_erasures(g, w)
+        assert got == _word_decode_erasures(g, w)
+        assert (got.reason, got.path) == ("stalled", "peeling+gauss")
+
+        n = 2000
+        g = gen_left_regular(n, 1500, 6, 5)
+        c = sample_codeword(g, 1).bits
+        rng = random.Random(2)
+        for count in (1000, 1100, 1300):
+            erased = indices_to_mask(rng.sample(range(n), count), n)
+            known = next(b for b in range(n) if not erased >> b & 1)
+            for bits, want in ((c, c), (0, 0), (c ^ 1 << known, None)):
+                w = Word(n, bits & ~erased, erased)
+                del symbols[:]
+                got = decode_erasures(g, w)
+                assert got == _word_decode_erasures(g, w), (count, want)
+                assert got.path == "peeling+gauss"
+                if want is None:
+                    assert got.reason == "not-a-codeword"
+                    continue
+                assert got.ok and got.word.bits == want
+                # peeling stalls with 801, 994 and 1250 columns left, which
+                # the dense system eliminated; 24, 83 and 240 symbols here
+                assert len(symbols) == 1 and 2 <= symbols[0] < count // 4
+
+    def test_matches_brute_force_on_tiny_graphs(self, symbols):
+        rng = random.Random(21)
+        graphs = [
+            gen_left_regular(n, rng.randint(d, max(d, n)), d, 4 * n + d)
+            for n in range(1, 13)
+            for d in (1, 2, 3, 4)
+        ]
+        graphs += [
+            BipartiteGraph(4, 3, 3, ((0, 1, 2),) * 4),  # every column on every check
+            BipartiteGraph(5, 2, 0, ((),) * 5),  # no column has a check
+        ]
+        seen = set()
+        for case in range(1500):
+            g = graphs[case % len(graphs)]
+            n = g.n_left
+            erased = rng.getrandbits(n) if case % 3 else (1 << n) - 1
+            bits = rng.getrandbits(n) & ~erased
+            s = syndrome_bits(g, bits)
+            # every e inside the erased mask, tagged with its syndrome above bit n
+            hits = []
+            columns = [g.left_masks[b] << n | 1 << b for b in mask_to_indices(erased)]
+            for tagged in gray_walk(columns):
+                if tagged >> n == s:
+                    hits.append(tagged & ((1 << n) - 1))
+                    if len(hits) == 2:
+                        break
+            w = Word(n, bits, erased)
+            del symbols[:]
+            got = decode_erasures(g, w)
+            assert got == _word_decode_erasures(g, w), case
+            if len(hits) == 1:
+                assert got.ok and got.word == Word(n, bits | hits[0]), case
+            else:
+                assert got.reason == ("not-a-codeword" if not hits else "stalled"), case
+            seen.add((got.reason, got.path))
+            # peeling stalls at once, and no check has two unknowns to pick
+            unknowns = [(rm & erased).bit_count() for rm in g.right_masks]
+            seen.add(("stall, no pair", erased != 0 and not any(0 < k < 3 for k in unknowns)))
+            seen.add(("a column has no check", erased != 0 and g.d_left == 0))
+            if symbols:
+                seen.add(("symbols", min(symbols[0], 2)))
+        assert {
+            (None, "peeling"),
+            (None, "peeling+gauss"),
+            ("stalled", "peeling+gauss"),
+            ("not-a-codeword", "peeling"),
+            ("not-a-codeword", "peeling+gauss"),
+            ("stall, no pair", True),
+            ("symbols", 2),
+            ("a column has no check", True),
+        } <= seen
 
 
 class _CountingReads:
