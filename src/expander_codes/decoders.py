@@ -716,6 +716,21 @@ def guess_flip_decode(
     candidate is the first in that deterministic order. The search recurses
     one frame per level, ``ell`` deep; each frame returns its first hit, and
     the enumeration path is built once, as that hit unwinds.
+
+    A node's children depend on its syndrome alone: per flip cut t, the
+    mask l0 of the bits with at least t unsatisfied checks, and the
+    syndrome after flipping them. So each distinct syndrome is expanded
+    once per call, into a list of (t, l0, next syndrome) that every node
+    with that syndrome walks. Where the top cut flips nothing, the search
+    walks one word down level by level, and every level reuses the one
+    expansion. On ``gen_left_regular(N, 3N/4, 6)`` with eps = 1/6, the
+    scaled entry at eta = 1/100 (N = 200, 6 errors) expands 652 nodes and
+    meets 7 distinct syndromes, and beta = 1/1000 (N = 60, 3 errors) meets
+    2 in the 988 nodes before the recursion limit. The radii are floored
+    once, so a leaf compares integer weights.
+
+    A search deeper than the interpreter's recursion limit (beta below
+    about 1/900) raises a short ``RecursionError`` naming ``ell``.
     """
     _check_plain(g, y)
     beta = as_fraction(beta)
@@ -726,7 +741,9 @@ def guess_flip_decode(
     n, d = g.n_left, g.d_left
     radius = (1 - eps) * alpha * n
     capacity = ErasureConfig.from_params(params).max_erasures(n)
-    vid_radius = (1 - 3 * eps) / (1 - 2 * eps) * math.floor(alpha * n)
+    # integer weights w satisfy w <= r exactly when w <= floor(r)
+    max_dist = math.floor(radius)
+    max_fix = math.floor((1 - 3 * eps) / (1 - 2 * eps) * math.floor(alpha * n))
     cutoff = Fraction(2, 3) * eps + schedule.eta
 
     flip_thresholds, has_find = _flip_cuts(schedule.eta, cutoff, d)
@@ -740,6 +757,8 @@ def guess_flip_decode(
             fixed_cache[z] = None if e is None else z ^ e
         return fixed_cache[z]
 
+    # per syndrome, per flip cut t: (t, the bits l0 it flips, the syndrome after)
+    children: dict[int, list[tuple[int, int, int]]] = {}
     y_bits = y.bits
     nodes = 0
     memo_fail: set[tuple[int, int]] = set()
@@ -755,25 +774,44 @@ def guess_flip_decode(
             cand = fixed(z, s)
             if (
                 cand is not None
-                and (z ^ cand).bit_count() <= vid_radius
-                and (y_bits ^ cand).bit_count() <= radius
+                and (z ^ cand).bit_count() <= max_fix
+                and (y_bits ^ cand).bit_count() <= max_dist
             ):
                 return cand, ["baseline"], 0
         else:
-            for t, l0 in zip(flip_thresholds, _at_least(g, s, flip_thresholds)):
-                hit = dfs(z ^ l0, s ^ syndrome_bits(g, l0), depth + 1)
+            kids = children.get(s)
+            if kids is None:
+                kids = children[s] = [
+                    (t, l0, s ^ syndrome_bits(g, l0))
+                    for t, l0 in zip(flip_thresholds, _at_least(g, s, flip_thresholds))
+                ]
+            for t, l0, s1 in kids:
+                hit = dfs(z ^ l0, s1, depth + 1)
                 if hit is not None:
                     cand, steps, flips = hit
                     steps.append(("flip", t))
                     return cand, steps, flips + l0.bit_count()
             if has_find:
                 cand = fixed(z, s)
-                if cand is not None and (y_bits ^ cand).bit_count() <= radius:
+                if cand is not None and (y_bits ^ cand).bit_count() <= max_dist:
                     return cand, ["find"], 0
         memo_fail.add((z, depth))
         return None
 
-    hit = dfs(y_bits, syndrome_bits(g, y_bits), 0)
+    overrun = False
+    try:
+        hit = dfs(y_bits, syndrome_bits(g, y_bits), 0)
+    except RecursionError:
+        overrun = True
+    finally:
+        # dfs refers to itself through its closure; breaking that cycle frees
+        # the memo and the caches by refcount, without waiting for the cyclic GC
+        dfs = None
+    if overrun:
+        # raised here, not in the handler, so it carries no ell-frame traceback
+        raise RecursionError(
+            f"guess-flip search of depth ell = {schedule.ell} exceeds the recursion limit"
+        )
     if hit is not None:
         cand, steps, flips = hit
         return DecodeOutcome(
@@ -840,19 +878,30 @@ def _run_expansion_branches(
 
     The syndrome is computed once. The candidate depends only on the word and
     the suspect set L, so a guess whose L was already erased is not erased
-    again; it still counts as an attempt."""
-    n = g.n_left
+    again; it still counts as an attempt. Nor is an L larger than M erased
+    (pigeonhole): H restricted to L then has more columns than rows, so a
+    nonzero kernel, and no e on L with H e = s is unique. The solve could
+    only fail, and its reason is not read here. On ``gen_left_regular(N,
+    3N/4, 6)`` every grid failure at N = 200 and every poly failure at
+    N = 60 finds L = all N, where the solve inactivated 91 symbols (N = 200)
+    or 29 (N = 60) to fail. The accept radius is floored once, so each candidate compares an
+    integer weight."""
+    n, m = g.n_left, g.m_right
     accept = (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
+    max_dist = math.floor(accept)
     s = syndrome_bits(g, y.bits)
     tried: set[int] = set()
     attempts = 0
     for attempts, (enum_index, guess, h) in enumerate(guesses, 1):
-        l_mask = indices_to_mask(_suspects(g, s, h)[0], n)
+        suspects = _suspects(g, s, h)[0]
+        if len(suspects) > m:
+            continue
+        l_mask = indices_to_mask(suspects, n)
         if l_mask in tried:
             continue
         tried.add(l_mask)
         e = _erase(g, s, l_mask)[0]
-        if e is not None and e.bit_count() <= accept:
+        if e is not None and e.bit_count() <= max_dist:
             return DecodeOutcome(
                 algorithm,
                 "success",

@@ -672,32 +672,53 @@ class TestGuessFlip:
             assert y.distance(out.word) <= out.radius
 
     def test_search_matches_found_list_dfs(self, monkeypatch):
-        # seeded tiny graphs, 0 to 6 errors, both entries: the search that
-        # returns its hit must agree with the one that copied its path
-        betas = (Fraction(1, 12), Fraction(1, 20), Fraction(1, 7), Fraction(6, 25))
+        # seeded random graphs, 0 to 6 errors, both entries: the search that
+        # expands each syndrome once, returns its hit and compares floored
+        # radii must agree with the one that expands every node, copies its
+        # path and compares Fraction radii. Tiny graphs reach the find kind;
+        # graphs up to N = 40 run deeper searches over more syndromes.
+        regimes = (
+            ((6, 14), ("1/12", "1/20", "1/7", "6/25"), 24, {"baseline", "find", "no-candidate"}),
+            ((16, 40), ("1/12", "1/16"), 3, {"baseline", "no-candidate"}),
+        )
         alpha_ns = tuple(map(Fraction, ("1/2", "1", "3/2", "2", "5/2", "3")))
         rng = random.Random(15)
-        kinds = set()
-        for seed in range(24):
-            n = rng.randint(6, 14)
-            d = rng.randint(2, 4)
-            g = gen_left_regular(n, rng.randint(max(d, n // 2), n - 1), d, seed)
-            planted = sample_codeword(g, seed)
-            for beta in betas:
-                eps = (Fraction(1, 4) - beta) * rng.choice((1, Fraction(1, 2), Fraction(1, 5)))
-                params = ExpanderParams(rng.choice(alpha_ns) / n, eps)
-                for w in range(7):
-                    y = plant_errors(planted, rng.sample(range(n), w))
-                    got = guess_flip_decode(g, y, params, beta)
-                    assert got == _found_list_guess_flip(g, y, params, beta), (g, y, params)
-                    kinds.add(got.enumeration_index[-1] if got.ok else got.reason)
-                    got = scaled_guess_flip_decode(g, y, params, beta)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(decoders, "guess_flip_decode", _found_list_guess_flip)
-                        want = scaled_guess_flip_decode(g, y, params, beta)
-                    assert got == want, (g, y, params)
-                    kinds.add(got.enumeration_index[-1] if got.ok else got.reason)
-        assert kinds == {"baseline", "find", "no-candidate"}
+        for sizes, betas, graphs, kinds_seen in regimes:
+            kinds = set()
+            for seed in range(graphs):
+                n = rng.randint(*sizes)
+                d = rng.randint(2, 4)
+                g = gen_left_regular(n, rng.randint(max(d, n // 2), n - 1), d, seed)
+                planted = sample_codeword(g, seed)
+                for beta in map(Fraction, betas):
+                    eps = (Fraction(1, 4) - beta) * rng.choice((1, Fraction(1, 2), Fraction(1, 5)))
+                    params = ExpanderParams(rng.choice(alpha_ns) / n, eps)
+                    for w in range(7):
+                        y = plant_errors(planted, rng.sample(range(n), w))
+                        expanded = []
+                        with monkeypatch.context() as patch:
+                            patch.setattr(decoders, "_at_least", lambda g, s, cuts:
+                                          expanded.append(s) or _at_least(g, s, cuts))
+                            got = guess_flip_decode(g, y, params, beta)
+                        assert len(expanded) == len(set(expanded))
+                        assert got == _found_list_guess_flip(g, y, params, beta), (g, y, params)
+                        kinds.add(got.enumeration_index[-1] if got.ok else got.reason)
+                        got = scaled_guess_flip_decode(g, y, params, beta)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(decoders, "guess_flip_decode", _found_list_guess_flip)
+                            want = scaled_guess_flip_decode(g, y, params, beta)
+                        assert got == want, (g, y, params)
+                        kinds.add(got.enumeration_index[-1] if got.ok else got.reason)
+            assert kinds == kinds_seen, sizes
+
+    def test_recursion_overrun_raises_a_short_traceback(self, tri3):
+        # beta = 1/1000 makes the search 1099 levels deep, past the recursion
+        # limit: a known defect, raised afresh so it carries no per-level frames
+        params = ExpanderParams(Fraction(1, 3), Fraction(1, 8))
+        with pytest.raises(RecursionError, match="ell = 1099") as info:
+            guess_flip_decode(tri3, parse_word("100"), params, Fraction(1, 1000))
+        assert info.value.__context__ is None
+        assert len(traceback.extract_tb(info.value.__traceback__)) < 20
 
     def test_search_memory_is_linear_in_depth(self, tri3):
         # beta = 1/455 gives a schedule 500 levels deep on tri3; copying the
@@ -722,7 +743,8 @@ class TestGuessFlip:
 def _found_list_guess_flip(g, y, params, beta):
     """The former guess-flip search, the reference for guess_flip_decode:
     every node copies its path tuple and flip count, and a hit is appended to
-    a found list."""
+    a found list; every node runs its own ``_at_least`` and ``syndrome_bits``,
+    and the radii stay ``Fraction``s."""
     decoders._check_plain(g, y)
     beta = Fraction(beta)
     eps, alpha = params.eps, params.alpha

@@ -2,6 +2,7 @@
 and the work it does."""
 
 import heapq
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,6 +21,7 @@ from expander_codes import (
     find_suspects,
     gen_left_regular,
     guess_expansion_decode_poly,
+    nullspace,
     plant_errors,
     sample_codeword,
     viderman_decode,
@@ -384,8 +386,8 @@ def test_random_order_needs_a_seed():
 
 
 def test_guess_runner_erases_each_suspect_set_once(monkeypatch):
-    # every poly guess at N = 60 with 6 errors finds L = all 60, so the
-    # erasure solve runs once while each listed guess still counts
+    # every poly guess at N = 60 with 6 errors finds L = all 60 > M = 45, so
+    # no erasure solve runs (pigeonhole), while each listed guess still counts
     g = gen_left_regular(60, 45, 6, 1)
     y = plant_errors(sample_codeword(g, 1), random.Random(0).sample(range(60), 6))
     params = ExpanderParams(Fraction(1, 50), Fraction(1, 8))
@@ -399,4 +401,41 @@ def test_guess_runner_erases_each_suspect_set_once(monkeypatch):
     monkeypatch.setattr(decoders, "_erase", counted)
     out = guess_expansion_decode_poly(g, y, params)
     assert not out.ok and out.iterations > 1
-    assert solves == [60]
+    assert solves == []
+    # one cut listed twice: its L, at most M, is erased once; that solve
+    # fails, and the second guess only counts
+    h = g.d_left
+    size = len(_suspects(g, syndrome_bits(g, y.bits), h)[0])
+    assert 0 < size <= g.m_right
+    guesses = [((0,), None, h), ((1,), None, h)]
+    out = decoders._run_expansion_branches(g, y, params, guesses, "guess-expansion")
+    assert not out.ok and out.iterations == 2
+    assert solves == [size]
+
+
+def test_guess_runner_erases_a_suspect_set_of_exactly_m():
+    # the pigeonhole skip starts above M: with N = M = 8 and H invertible
+    # (code dimension 0), L = all 8 bits has the unique solution e = y
+    g = gen_left_regular(8, 8, 3, 6)
+    assert nullspace(g).dimension == 0
+    y = Word(8, 0b1011)
+    out = decoders._run_expansion_branches(
+        g, y, ExpanderParams(Fraction(1), Fraction(1, 8)), [((0,), None, 0)], "guess-expansion"
+    )
+    assert out.ok and out.word == Word.zero(8) and out.corrected == 3
+
+
+@pytest.mark.parametrize("n, m, d, seed", [(8, 5, 3, 0), (10, 6, 3, 1), (12, 9, 3, 2),
+                                           (10, 7, 4, 3)])
+def test_erase_on_more_columns_than_checks_is_never_unique(n, m, d, seed):
+    # pigeonhole, by brute force: for every syndrome and every L with |L| > M
+    # the solve fails, so the guess runner may skip it
+    g = gen_left_regular(n, m, d, seed)
+    sets = [
+        indices_to_mask(cols, n)
+        for size in range(m + 1, n + 1)
+        for cols in itertools.combinations(range(n), size)
+    ]
+    for s in range(1 << m):
+        for erased in sets:
+            assert decoders._erase(g, s, erased)[0] is None, (s, erased)
