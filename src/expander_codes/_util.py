@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput, InvalidParameters
 
@@ -30,8 +31,10 @@ def as_fraction(value) -> Fraction:
     raise InvalidParameters(f"cannot interpret {value!r} as an exact rational")
 
 
-def mask_to_indices(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of ``mask``, ascending.
+def _dense_digits(mask: int) -> Optional[bytes]:
+    """None where the lowest-bit strip walks ``mask`` faster, else its binary
+    digits as bytes, bit i at index i and nonzero exactly where set: the one
+    density rule of the bit walkers below.
 
     Stripping the lowest bit costs O(N/64) word operations plus a Python step
     per set bit of an N-bit mask; scanning the digits of ``bin(mask)`` in C
@@ -42,14 +45,38 @@ def mask_to_indices(mask: int) -> tuple[int, ...]:
     470 against 95 us). Masks of at most max(8, min(256, N/8)) set bits strip.
     """
     if mask.bit_count() <= max(8, min(256, mask.bit_length() >> 3)):
+        return None
+    return bin(mask)[:1:-1].encode().replace(b"0", b"\0")
+
+
+def mask_to_indices(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, ascending."""
+    digits = _dense_digits(mask)
+    if digits is None:
         out = []
         while mask:
             low = mask & -mask
             out.append(low.bit_length() - 1)
             mask ^= low
         return tuple(out)
-    digits = bin(mask)[:1:-1].encode().replace(b"0", b"\0")  # bit i at index i
     return tuple(compress(range(len(digits)), digits))
+
+
+def select(mask: int, items: Sequence) -> Iterable:
+    """``items[i]`` for each set bit i of ``mask``, ascending; ``items`` must
+    cover every set bit. A sparse mask is stripped into a list; a dense one
+    is read by ``itertools.compress`` over its digit bytes, so no position is
+    built: at N = 2000 with 1000 set bits, folding the selected items costs
+    about half of folding them through ``mask_to_indices``."""
+    digits = _dense_digits(mask)
+    if digits is None:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(items[low.bit_length() - 1])
+            mask ^= low
+        return out
+    return compress(items, digits)
 
 
 def indices_to_mask(indices, n: int) -> int:
@@ -83,12 +110,15 @@ def indices_to_mask(indices, n: int) -> int:
     return int(digits, 2)
 
 
-def _echelon(rows) -> dict[int, int]:
+def _echelon(rows, limit: Optional[int] = None) -> dict[int, int]:
     """Row-reduce GF(2) rows (int bitsets) to echelon form.
 
     Returns ``{col: row}``: each stored row's lowest set bit is its pivot
     ``col``, so every other column of that row is strictly larger. Rows that
-    reduce to zero are dropped; the number of pivots is the rank.
+    reduce to zero are dropped; the number of pivots is the rank. With a
+    positive ``limit``, the reduction stops once it holds that many pivots
+    and leaves the rows after unread; those pivots are the first ``limit``
+    of the full run, unchanged.
     """
     pivots: dict[int, int] = {}
     for row in rows:
@@ -96,6 +126,8 @@ def _echelon(rows) -> dict[int, int]:
             col = (row & -row).bit_length() - 1
             if col not in pivots:
                 pivots[col] = row
+                if len(pivots) == limit:
+                    return pivots
                 break
             row ^= pivots[col]
     return pivots

@@ -18,10 +18,10 @@ syndrome the cost follows |s| and |L|, not N.
 
 Decoding from erasures peels with inactivation: where peeling stalls, one
 erased column becomes a symbol and peeling goes on, so the one GF(2)
-elimination runs over the symbols, not over every column left. At N = 2000,
-M = 1500, D = 6 with 1000 erasures that is 22-40 symbols in place of about
-850 columns, and the solve takes 3-4 ms instead of 27-30 (CPython 3.11, 2
-shared vCPUs).
+elimination runs over the symbols, not over every column left, and stops
+at full rank. At N = 2000, M = 1500, D = 6 with 1000 erasures that is 22-40
+symbols in place of about 850 columns, and the solve takes 2-3 ms instead
+of 27-30 (CPython 3.11, 2 shared vCPUs).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
-from ._util import _echelon, _solve, as_fraction, indices_to_mask, mask_to_indices
+from ._util import _echelon, _solve, as_fraction, indices_to_mask, mask_to_indices, select
 from .errors import InvalidInput, InvalidParameters
 from .graphs import BipartiteGraph, ExpanderParams
 from .linear_code import Word, syndrome_bits
@@ -148,8 +148,7 @@ def _at_least(g: BipartiteGraph, synd: int, cuts: Sequence[int]) -> list[int]:
     """Per integer cut t in ``cuts``, the mask of the left vertices with at
     least t checks set in ``synd``. Only the neighbors of those checks are
     counted; a cut t <= 0 selects all N vertices."""
-    right_adj = g.right_adj
-    counts = Counter(chain.from_iterable(right_adj[c] for c in mask_to_indices(synd)))
+    counts = Counter(chain.from_iterable(select(synd, g.right_adj)))
     return [
         indices_to_mask([i for i, k in counts.items() if k >= t], g.n_left)
         if t > 0
@@ -160,21 +159,21 @@ def _at_least(g: BipartiteGraph, synd: int, cuts: Sequence[int]) -> list[int]:
 
 def _suspects(
     g: BipartiteGraph, s: int, h: int, key: Optional[Sequence[int]] = None
-) -> tuple[list[int], int]:
+) -> list[int]:
     """The find loop in the syndrome domain: R starts at the checks set in
     ``s``, and a vertex joins L once at least ``h`` of its checks are in R.
-    Returns L in insertion order and the mask of R.
+    Returns L in insertion order.
 
     L and R are the closure, the same for any pick order: counts only grow,
     so a vertex once eligible stays eligible. With no ``key`` the eligible
     vertices wait on a plain stack; with one, the eligible vertex of smallest
-    ``key`` joins first, through a heap. Counts start at zero and only checks
-    entering R raise them, so past the count array the work follows |s| and
-    Gamma(L), not N.
+    ``key`` joins first, through a heap. R is a byte per check, and a joining
+    vertex walks its D checks, so no M-bit mask is built per vertex. Counts
+    start at zero and only checks entering R raise them, so past the count
+    and check arrays the work follows |s| and Gamma(L), not N.
     """
     n = g.n_left
-    left_masks = g.left_masks
-    right_adj = g.right_adj
+    adj, right_adj = g.adj, g.right_adj
     counts = [0] * n
     # counts only grow, so a vertex is pushed once: at the start if h = 0,
     # else when its count reaches h
@@ -192,25 +191,25 @@ def _suspects(
         def pop() -> int:
             return heapq.heappop(ready) % n
 
-    r_mask = new_checks = s
+    in_r = bytearray(g.m_right)  # R, one byte per check
+    checks = mask_to_indices(s)  # ascending, as each adjacency row is
     added: list[int] = []
+    add = added.append
     while True:
-        # not mask_to_indices: each vertex brings at most D new checks, and a call
-        # per vertex in the guess decoders' hottest loop has not been shown free
-        while new_checks:
-            low = new_checks & -new_checks
-            for u in right_adj[low.bit_length() - 1]:
-                counts[u] += 1
-                if counts[u] == h:
-                    push(u)
-            new_checks ^= low
+        for c in checks:
+            if not in_r[c]:
+                in_r[c] = 1
+                for u in right_adj[c]:
+                    k = counts[u] + 1
+                    counts[u] = k
+                    if k == h:
+                        push(u)
         if not ready:
             break
         i = pop()
-        added.append(i)
-        new_checks = left_masks[i] & ~r_mask
-        r_mask |= left_masks[i]
-    return added, r_mask
+        add(i)
+        checks = adj[i]
+    return added
 
 
 def find_suspects(
@@ -248,13 +247,13 @@ def find_suspects(
         raise InvalidParameters(f"unknown order {order!r}")
     pref = frozenset(prefer) if prefer is not None else frozenset()
     key = [rank[i] - n if i in pref else rank[i] for i in range(n)] if pref else rank
-    s = syndrome_bits(g, y.bits)
-    order, r_mask = _suspects(g, s, cfg.effective_threshold(g.d_left), key)
-    growth, r = [], s  # R replayed along the insertion order
+    r = syndrome_bits(g, y.bits)
+    order = _suspects(g, r, cfg.effective_threshold(g.d_left), key)
+    growth = []  # R replayed along the insertion order
     for i in order:
         r |= g.left_masks[i]
         growth.append(r.bit_count())
-    return FindTrace(tuple(order), indices_to_mask(order, n), r_mask, tuple(growth))
+    return FindTrace(tuple(order), indices_to_mask(order, n), r, tuple(growth))
 
 
 # -- outcomes ----------------------------------------------------------------
@@ -343,15 +342,22 @@ def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, 
     peeling goes on. A column peeled after that is a constant, folded into e
     at once, plus a sum of symbols, taken from its check's accumulator. Once
     no unknown is left, every check not used for peeling is one equation
-    over the symbols, constant bit highest; one elimination solves them, and
-    the symbols are substituted back. Peeling is a triangular change of
-    variables, so the symbol system is consistent, and of full rank, exactly
-    when the system over all erased columns is. The path is "peeling+gauss"
-    when a symbol was made. On ``gen_left_regular(2000, 1500, 6)`` with 1000
-    erasures, peeling stalls with about 850 columns left, and the
-    elimination runs over 22-40 symbols instead: 3-4 ms, where eliminating
-    those columns took 27-30 ms (CPython 3.11, 2 shared vCPUs). The result
-    is re-checked: H e = s exactly.
+    over the k symbols, constant bit k highest. Peeling is a triangular
+    change of variables, so the symbol system is consistent, and of full
+    rank, exactly when the system over all erased columns is.
+
+    The elimination reads those equations in check order and stops at k
+    pivots. A pivot at the constant column is an equation 0 = 1:
+    not-a-codeword. k symbol pivots fix the one candidate, which is
+    substituted back; an equation left unread that it breaks shows in the
+    final re-check, H e = s exactly, as not-a-codeword. With fewer than k
+    pivots every equation was read, and the solve is stalled unless one was
+    0 = 1. The path is "peeling+gauss" when a symbol was made. On
+    ``gen_left_regular(2000, 1500, 6)`` with 1000 erasures, peeling stalls
+    with about 850 columns left and makes 22-40 symbols, settled by a few
+    dozen of the ~500 nonzero equations: the solve takes 2.2-2.3 ms, where
+    reading every equation took 3.0 and eliminating those columns 27-30
+    (best of 15, CPython 3.11, 2 shared vCPUs).
     """
     adj, left_masks, right_masks = g.adj, g.left_masks, g.right_masks
     positions = mask_to_indices(erased)
@@ -409,7 +415,7 @@ def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, 
         one = 1 << k
         for c in mask_to_indices(parity):
             acc[c] |= one
-        pivots = _echelon(acc)
+        pivots = _echelon(acc, k)
         if k in pivots:
             return None, "not-a-codeword", path
         if len(pivots) < k:
@@ -472,7 +478,7 @@ def _find_and_erase(
     """Find suspects at cut ``h`` from the word's syndrome ``s`` and return the
     error pattern e on them with H e = s, the reason and the suspects L; the
     candidate is the word XOR e."""
-    suspects = _suspects(g, s, h)[0]
+    suspects = _suspects(g, s, h)
     if capacity is not None and len(suspects) > capacity:
         return None, "list-exceeds-capacity", suspects
     e, why, _ = _erase(g, s, indices_to_mask(suspects, g.n_left))
@@ -893,7 +899,7 @@ def _run_expansion_branches(
     tried: set[int] = set()
     attempts = 0
     for attempts, (enum_index, guess, h) in enumerate(guesses, 1):
-        suspects = _suspects(g, s, h)[0]
+        suspects = _suspects(g, s, h)
         if len(suspects) > m:
             continue
         l_mask = indices_to_mask(suspects, n)

@@ -1,7 +1,7 @@
-"""The one mask-to-position walker, `_util.mask_to_indices`, and the one
-position-to-mask builder, `_util.indices_to_mask`, against the lowest-bit
-strip and the `|=` loop; and the syndrome kernel built on them, against
-per-check parity."""
+"""The one mask-to-position walker, `_util.mask_to_indices`, its item
+selector `_util.select`, and the one position-to-mask builder,
+`_util.indices_to_mask`, against the lowest-bit strip and the `|=` loop; and
+the syndrome kernel built on them, against per-check parity."""
 
 import math
 import random
@@ -17,7 +17,7 @@ from expander_codes import (
     plant_errors,
     sample_codeword,
 )
-from expander_codes._util import indices_to_mask, mask_to_indices
+from expander_codes._util import indices_to_mask, mask_to_indices, select
 from expander_codes.experiments import run_trial
 from expander_codes.linear_code import syndrome_bits
 
@@ -55,6 +55,36 @@ def test_random_masks_at_every_density():
             assert mask_to_indices(mask) == _strip(mask), (n, density)
 
 
+def _selected(mask, items):
+    return tuple(items[i] for i in _strip(mask))
+
+
+def test_select_matches_the_strip_at_every_density():
+    rng = random.Random(9)
+    for n in (1, 7, 8, 9, 63, 64, 65, 500, 2000, 1 << 14):
+        items = [rng.getrandbits(40) for _ in range(n + 5)]  # longer than the mask
+        for density in (1 / 1000, 1 / 100, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1):
+            mask = int("".join("1" if rng.random() < density else "0" for _ in range(n)), 2)
+            assert tuple(select(mask, items)) == _selected(mask, items), (n, density)
+            assert tuple(select(mask, range(n))) == mask_to_indices(mask), (n, density)
+
+
+def test_select_on_both_sides_of_the_crossover():
+    # masks of at most max(8, min(256, N/8)) set bits strip into a list, and
+    # denser ones are read by compress; the top bit fixes N at n
+    rng = random.Random(10)
+    for n in (9, 12, 60, 64, 200, 512, 2000, 2048, 4000, 1 << 14):
+        items = [object() for _ in range(n)]
+        k0 = max(8, min(256, n >> 3))
+        for k in range(k0 - 2, min(n, k0 + 2) + 1):
+            mask = 1 << (n - 1) | _spread(rng, k - 1, n - 1)
+            got = select(mask, items)
+            assert isinstance(got, list) == (k <= k0), (n, k)
+            assert tuple(got) == _selected(mask, items), (n, k)
+            assert mask_to_indices(mask) == _strip(mask), (n, k)
+    assert list(select(0, [])) == []
+
+
 @pytest.fixture(scope="module")
 def big_graph():
     return gen_left_regular(2000, 1500, 6, 3)
@@ -77,6 +107,17 @@ def test_syndrome_bits_is_per_check_parity(big_graph):
         want = sum(((g.right_masks[c] & bits).bit_count() & 1) << c for c in range(g.m_right))
         assert syndrome_bits(g, bits) == want
     assert syndrome_bits(g, codeword.bits) == 0
+
+
+def test_syndrome_bits_is_per_check_parity_on_dense_words():
+    n, m = 4000, 3000
+    g = gen_left_regular(n, m, 6, 11)
+    rng = random.Random(12)
+    words = [(1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)]
+    words += [_spread(rng, k, n) for k in (255, 256, 257, 1000)]  # around the crossover
+    for bits in words:
+        want = sum(((g.right_masks[c] & bits).bit_count() & 1) << c for c in range(m))
+        assert syndrome_bits(g, bits) == want, bits.bit_count()
 
 
 def _or_loop(indices):

@@ -739,6 +739,42 @@ class TestGuessFlip:
         assert out.iterations == ell + 1
         assert peak < 500_000
 
+    @pytest.mark.parametrize(
+        "errors, want",
+        [
+            ((3, 6), (("flip", 4),) * 22 + ("baseline",)),  # at max_fix: accepted
+            ((0, 8, 15), (("flip", 4),) * 21 + (("flip", 3), "baseline")),  # past it
+        ],
+    )
+    def test_leaf_checks_viderman_radius_from_the_flipped_word(
+        self, monkeypatch, errors, want
+    ):
+        # at eps = 1/5 and alpha N = 4 a leaf accepts a candidate within
+        # max_fix = floor(2/3 * 4) = 2 of its flipped word, below the
+        # (1 - eps) alpha N radius of 3 from the input. No bit of either word
+        # reaches the top cut 4, so the first leaf's word is the input, and
+        # find-and-erase there returns the planted zero codeword: at 2 errors
+        # the leaf accepts it; at 3 it must reject it, and a later leaf, after
+        # a flip at cut 3, accepts it
+        g = gen_left_regular(16, 15, 4, 0)
+        params = ExpanderParams(Fraction(4, 16), Fraction(1, 5))
+        beta = Fraction(1, 20)
+        assert GuessSchedule.for_beta(beta).ell == 22
+        y = Word.from_support(16, errors)
+        assert _at_least(g, syndrome_bits(g, y.bits), [4]) == [0]
+        leaves = []
+
+        def recording(g, s, h, capacity):
+            out = _find_and_erase(g, s, h, capacity)
+            leaves.append(out[0])
+            return out
+
+        monkeypatch.setattr(decoders, "_find_and_erase", recording)
+        out = guess_flip_decode(g, y, params, beta)
+        assert leaves[0] == y.bits  # the first leaf: zero codeword, |errors| away
+        assert out.ok and out.word == Word.zero(16) and out.corrected == len(errors)
+        assert out.enumeration_index == want
+
 
 def _found_list_guess_flip(g, y, params, beta):
     """The former guess-flip search, the reference for guess_flip_decode:

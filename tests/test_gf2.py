@@ -56,3 +56,21 @@ def test_echelon_and_solve_match_brute_force(system):
     assert solutions == brute
     assert len(brute) == 1 << len(free)
 
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(systems(), st.integers(1, 10))
+@example((2, [0b001, 0b001, 0b110, 0b111]), 2)  # stops before the last row
+def test_echelon_with_a_limit_keeps_the_first_pivots(system, limit):
+    cols, rows = system
+    full = _echelon(rows)
+    it = iter(rows)
+    got = _echelon(it, limit)
+    # the first ``limit`` pivots of the full run, with the same rows
+    assert got == dict(list(full.items())[:limit])
+    read = len(rows) - len(list(it))
+    if len(full) >= limit:
+        # it stops at the row that made the limit-th pivot
+        assert len(_echelon(rows[: read - 1])) == limit - 1
+    else:
+        assert read == len(rows)

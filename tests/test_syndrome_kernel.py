@@ -124,6 +124,38 @@ def _word_find_and_erase(g, bits, cfg, capacity):
     return sub.word.bits, "ok", trace
 
 
+def _bitmask_suspects(g, s, h, key=None):
+    """Former _suspects: R as an M-bit mask, each joining vertex's new checks
+    stripped from ``left_masks[i] & ~R``. Returns (L in insertion order, R)."""
+    n = g.n_left
+    counts = [0] * n
+    if key is None:
+        ready = list(range(n)) if h <= 0 else []
+        push, pop = ready.append, ready.pop
+    else:
+        ready = [key[i] * n + i for i in range(n)] if h <= 0 else []
+        heapq.heapify(ready)
+        push = lambda u: heapq.heappush(ready, key[u] * n + u)
+        pop = lambda: heapq.heappop(ready) % n
+    r_mask = new_checks = s
+    added = []
+    while True:
+        while new_checks:
+            low = new_checks & -new_checks
+            for u in g.right_adj[low.bit_length() - 1]:
+                counts[u] += 1
+                if counts[u] == h:
+                    push(u)
+            new_checks ^= low
+        if not ready:
+            break
+        i = pop()
+        added.append(i)
+        new_checks = g.left_masks[i] & ~r_mask
+        r_mask |= g.left_masks[i]
+    return added, r_mask
+
+
 class _Cut:
     """A find configuration with a given integer cut, d + 1 included, which
     no FindConfig resolves to."""
@@ -209,8 +241,8 @@ class TestMatchesWordDomain:
 
     def test_stack_pick_finds_the_keyed_closure(self):
         # L and R are the closure of the find loop, so the keyless stack must
-        # reach the same set L, each vertex once, and the same R as the heap
-        # under any key
+        # reach the same set L, each vertex once, as the heap under any key
+        # (R is the checks of s and of L, so it follows)
         rng = random.Random(12)
         seen = set()
         for case, g in enumerate(_random_graphs(rng, 60)):
@@ -221,14 +253,43 @@ class TestMatchesWordDomain:
             planted = syndrome_bits(g, rng.getrandbits(rng.choice((2, 4, n))) & ((1 << n) - 1))
             for s in (0, planted, rng.getrandbits(m)):
                 for h in (0, 1, rng.randint(0, d), d, d + 1, d + 3):
-                    order, r_mask = _suspects(g, s, h)
+                    order = _suspects(g, s, h)
                     assert len(order) == len(set(order)), case
                     for key in keys:
-                        want_order, want_r = _suspects(g, s, h, key)
-                        assert (set(order), r_mask) == (set(want_order), want_r), (case, s, h)
+                        assert set(order) == set(_suspects(g, s, h, key)), (case, s, h)
                     seen.add((s == 0, h == 0, h > d, 0 < len(order) < n))
         for flag in range(4):
             assert any(k[flag] for k in seen) and not all(k[flag] for k in seen)
+
+    def test_find_loop_matches_the_bitmask_kernel(self):
+        # R as a byte per check walks the same checks in the same order as R
+        # as an M-bit mask: same L, same insertion order with or without a
+        # key, and R replayed from L is the former R
+        rng = random.Random(14)
+        graphs = _random_graphs(rng, 40)
+        graphs += [gen_left_regular(2000, 1500, 6, seed) for seed in (1, 2)]
+        seen = set()
+        for case, g in enumerate(graphs):
+            n, m, d = g.n_left, g.m_right, g.d_left
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            keys = (None, range(n), range(n - 1, -1, -1), shuffled)
+            words = [rng.getrandbits(n)] + [
+                indices_to_mask(rng.sample(range(n), min(n, k)), n) for k in (3, 10, 90)
+            ]
+            for word in words:
+                s = syndrome_bits(g, word)
+                for h in (-1, 0, 1, rng.randint(0, d), d - 2, d, d + 1):
+                    for key in keys if n < 2000 else (None, shuffled):
+                        order = _suspects(g, s, h, key)
+                        want, want_r = _bitmask_suspects(g, s, h, key)
+                        assert order == want, (case, h)
+                        assert s | _gamma(g, order) == want_r, (case, h)
+                    size = len(order)
+                    seen.add(("h<=0", h <= 0))
+                    seen.add(("small", 0 < size <= 12))
+                    seen.add(("runaway at 2000", n == 2000 and size == n and h > 0))
+        assert {("h<=0", True), ("small", True), ("runaway at 2000", True)} <= seen
 
     def test_flip_masks_match_dense_counts(self):
         rng = random.Random(3)
@@ -342,6 +403,53 @@ class TestInactivation:
             ("a column has no check", True),
         } <= seen
 
+    def test_solve_stops_at_full_rank(self, monkeypatch):
+        # the symbol elimination stops at k pivots; every class of symbol
+        # system must give the dense oracle's reason and path: full rank and
+        # consistent (ok), full rank with an inconsistent equation left unread
+        # after the k-th pivot (caught by the re-check) or read before it,
+        # rank-deficient and consistent (stalled), rank-deficient and
+        # inconsistent
+        runs = []
+        echelon = decoders._echelon
+
+        def recording(rows, limit=None):
+            rows = list(rows)
+            full = echelon(rows)
+            got = echelon(rows, limit)
+            assert got == dict(list(full.items())[:limit])
+            k = limit
+            full_rank = sum(col != k for col in full) == k
+            runs.append((full_rank, k not in full, k in got))
+            return got
+
+        monkeypatch.setattr(decoders, "_echelon", recording)
+        want = {
+            (True, True, False): None,
+            (True, False, False): "not-a-codeword",  # the row after the k-th pivot
+            (True, False, True): "not-a-codeword",
+            (False, True, False): "stalled",
+            (False, False, True): "not-a-codeword",
+        }
+        rng = random.Random(3)
+        seen = set()
+        for case in range(300):
+            n = rng.choice((20, 40, 80, 200))
+            g = gen_left_regular(n, 3 * n // 4, rng.choice((3, 4, 6)), case)
+            c = sample_codeword(g, case).bits
+            erased = indices_to_mask(rng.sample(range(n), rng.randint(n // 3, n)), n)
+            known = [i for i in range(n) if not erased >> i & 1]
+            bits = c ^ (1 << rng.choice(known) if case % 2 and known else 0)
+            w = Word(n, bits & ~erased, erased)
+            del runs[:]
+            got = decode_erasures(g, w)
+            assert got == _word_decode_erasures(g, w), case
+            if runs:
+                assert len(runs) == 1 and got.path == "peeling+gauss", case
+                assert got.reason == want[runs[0]], (case, runs[0])
+                seen.add(runs[0])
+        assert seen == set(want)
+
 
 class _CountingReads:
     """A read-only sequence that counts every entry read from it."""
@@ -405,7 +513,7 @@ def test_guess_runner_erases_each_suspect_set_once(monkeypatch):
     # one cut listed twice: its L, at most M, is erased once; that solve
     # fails, and the second guess only counts
     h = g.d_left
-    size = len(_suspects(g, syndrome_bits(g, y.bits), h)[0])
+    size = len(_suspects(g, syndrome_bits(g, y.bits), h))
     assert 0 < size <= g.m_right
     guesses = [((0,), None, h), ((1,), None, h)]
     out = decoders._run_expansion_branches(g, y, params, guesses, "guess-expansion")
