@@ -890,17 +890,25 @@ def _run_expansion_branches(
     only fail, and its reason is not read here. On ``gen_left_regular(N,
     3N/4, 6)`` every grid failure at N = 200 and every poly failure at
     N = 60 finds L = all N, where the solve inactivated 91 symbols (N = 200)
-    or 29 (N = 60) to fail. The accept radius is floored once, so each candidate compares an
-    integer weight."""
+    or 29 (N = 60) to fail. L only grows as the cut drops, so once a cut h
+    gives |L| > M, a later guess at a cut of h or below runs no find loop; it
+    still counts as an attempt. Each grid failure at N = 200 then finds twice,
+    not three times, and each poly failure at N = 60 once, not six times.
+    The accept radius is floored once, so each candidate compares an integer
+    weight."""
     n, m = g.n_left, g.m_right
     accept = (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
     max_dist = math.floor(accept)
     s = syndrome_bits(g, y.bits)
     tried: set[int] = set()
+    too_big = None  # the highest cut seen whose L exceeds M
     attempts = 0
     for attempts, (enum_index, guess, h) in enumerate(guesses, 1):
+        if too_big is not None and h <= too_big:
+            continue
         suspects = _suspects(g, s, h)
         if len(suspects) > m:
+            too_big = h
             continue
         l_mask = indices_to_mask(suspects, n)
         if l_mask in tried:

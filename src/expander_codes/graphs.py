@@ -101,6 +101,14 @@ class BipartiteGraph:
         return _reduced_basis(self)
 
     @cached_property
+    def _min_distance(self):
+        """The code's minimum distance and a witness; read it through
+        ``linear_code.min_distance_bruteforce``, which checks the budget."""
+        from .linear_code import _least_weight  # linear_code imports this module
+
+        return _least_weight(self)
+
+    @cached_property
     def right_degrees(self) -> tuple[int, ...]:
         return tuple(len(row) for row in self.right_adj)
 

@@ -175,6 +175,14 @@ class NullspaceBasis:
             raise InvalidParameters("rate undefined for N = 0")
         return Fraction(self.n - self.rank, self.n)
 
+    def _check_budget(self, budget: int) -> None:
+        """Refuse a walk over the code when its dimension exceeds ``budget``."""
+        if self.dimension > budget:
+            raise BudgetExceeded(
+                f"code dimension {self.dimension} exceeds budget {budget}",
+                required=self.dimension,
+            )
+
     def sums(self, start: int, fewest: int, most: int, budget: int) -> Iterator[int]:
         """``start`` XOR each sum of between ``fewest`` and ``most`` distinct
         basis words, each sum once; the empty sum, ``start`` itself, comes
@@ -187,11 +195,7 @@ class NullspaceBasis:
         in one ``map``: the per-codeword work runs in C, a large span is listed
         lazily, and a caller's sort of the output finds long ascending runs.
         """
-        if self.dimension > budget:
-            raise BudgetExceeded(
-                f"code dimension {self.dimension} exceeds budget {budget}",
-                required=self.dimension,
-            )
+        self._check_budget(budget)
         low, high = self.basis[:12], self.basis[12:]
         groups = [[start]]  # groups[c]: start XOR each sum of c words of low
         for vec in low:
@@ -252,18 +256,30 @@ def min_distance_bruteforce(g: BipartiteGraph, budget: int = 24) -> DistanceResu
     least weight found, every codeword of that weight has been listed, and
     only sum(C(k, <= w)) of the 2^k codewords are visited.
 
-    Refuses when the code dimension exceeds ``budget``. Ties among witnesses
-    break by smallest integer bit-encoding, so the result is deterministic.
+    Refuses when the code dimension exceeds ``budget``, on every call. Ties
+    among witnesses break by smallest integer bit-encoding, so the result is
+    deterministic. The walk runs once per graph, and its result is cached on
+    the graph like the basis: every later call returns the same immutable
+    ``DistanceResult``.
     """
     ns = nullspace(g)
     if ns.dimension == 0:
         raise InvalidParameters("code is trivial (only the zero word)")
+    ns._check_budget(budget)
+    return g._min_distance
+
+
+def _least_weight(g: BipartiteGraph) -> DistanceResult:
+    """The walk of ``min_distance_bruteforce`` on a nontrivial code, which
+    has checked the budget; read it through that function."""
+    ns = g._code_basis
     n = g.n_left
     best = (n + 1) << n  # weight << n | word: min() takes the lightest, then the smallest
     for w in range(1, ns.dimension + 1):
         if w > best >> n:
             break
-        best = min(best, min(word.bit_count() << n | word for word in ns.sums(0, w, w, budget)))
+        best = min(best, min(
+            word.bit_count() << n | word for word in ns.sums(0, w, w, ns.dimension)))
     return DistanceResult(best >> n, Word(n, best & ((1 << n) - 1)))
 
 

@@ -178,3 +178,92 @@ def test_special_fraction_text_never_exits_3(files):
 )
 def test_fraction_text_never_exits_3(files, option, text):
     _check(files, *option, text)
+
+
+# -- the parser main keeps for the process -----------------------------------
+
+
+def _corpus(root) -> list[list[str]]:
+    """argv for every subcommand: successes, a decode failure (exit 1), typed
+    refusals (exit 2), argparse errors (SystemExit 2) and help (SystemExit 0).
+    ``verify --sampled`` comes before a plain ``verify``, so that a default
+    the sampled run left behind would show."""
+    graph, word = root / "g.graph", root / "word.txt"
+    graph.write_text(store(gen_left_regular(12, 9, 3, 1)))
+    word.write_text("000000000001\n")
+    g, w = ["--graph", str(graph)], str(word)
+    decoding = [*g, "--alpha", "1/6", "--eps", "1/8"]
+    return [
+        ["gen", "-n", "12", "-m", "9", "-d", "3", "--seed", "1"],
+        ["gen", "-n", "12", "-m", "9", "-d", "3", "--kind", "biregular"],
+        ["verify", *g, "--alpha", "1/12", "--eps", "1/3", "--sampled", "--trials", "5",
+         "--seed", "3"],
+        ["verify", *g, "--alpha", "1/12", "--eps", "1/3"],
+        ["verify", *g],  # no --alpha and --eps: exit 2
+        ["profile", *g, "--smax", "3"],
+        ["profile", *g, "--smax", "3", "--sampled", "--trials", "4"],
+        ["profile", *g, "--smax", "3"],
+        ["distance", *g],
+        ["distance", *g, "--budget", "2"],  # dimension 4 > budget: exit 2
+        ["distance", *g, "--alpha", "1/6", "--eps", "1/8"],
+        ["decode", *decoding, "--algo", "viderman", w],
+        ["decode", *decoding, "--algo", "ss-flip", "--threshold", "3/4", w],
+        ["decode", *decoding, "--algo", "guess-flip", "--beta", "1/12", w],
+        ["decode", *decoding, "--algo", "viderman", str(root / "missing.txt")],
+        ["decode", *decoding, "--algo", "nope", w],
+        ["sweep", *decoding, "--algo", "viderman", "--radius-from", "0", "--radius-to",
+         "2", "--trials", "2", "--seed", "5"],
+        ["sweep", *decoding, "--algo", "erasure", "--radius-from", "1", "--radius-to",
+         "1", "--trials", "3", "--model", "erasure"],
+        ["sweep", *decoding, "--algo", "viderman", "--radius-from", "0"],
+        ["list-radius", "--delta", "1/20", "--dmax", "9"],
+        ["list-radius", "--alpha", "1/100", "--eps", "1/10", "--dr", "30", "--dmax", "33"],
+        ["list-radius", "--dmax", "9"],  # no delta: exit 2
+        ["report-radii", "--alpha", "1/100", "--eps", "1/8"],
+        ["report-radii", "--alpha", "1/0", "--eps", "1/8"],
+        ["gen", "-n", "x", "-m", "9", "-d", "3"],
+        ["nonsense"],
+        [],
+        ["--help"],
+        ["verify", "--help"],
+        ["sweep", "--help"],
+    ]
+
+
+def _outcome(argv) -> tuple:
+    """(exit code, stdout, stderr) of one main call; argparse exits raise."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _namespace(parser, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return ("SystemExit", exc.code, err.getvalue())
+
+
+def test_cached_parser_reads_every_argv_as_a_fresh_one(tmp_path):
+    corpus = _corpus(tmp_path)
+    codes = {_outcome(a)[0] for a in corpus}
+    assert {0, 1, 2, ("SystemExit", 0), ("SystemExit", 2)} <= codes
+    for argv in corpus + corpus[::-1]:
+        assert _namespace(cli._parser(), argv) == _namespace(build_parser(), argv), argv
+    assert cli._parser() is cli._parser()
+
+
+def test_cached_parser_runs_like_a_fresh_one(tmp_path, monkeypatch):
+    corpus = _corpus(tmp_path)
+    # the cached parser, twice over in interleaved orders
+    cached = [_outcome(a) for a in corpus + corpus[::-1] + corpus]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", build_parser)
+        fresh = [_outcome(a) for a in corpus]
+    assert cached == fresh + fresh[::-1] + fresh

@@ -28,6 +28,7 @@ from expander_codes import (
     syndrome,
     union_graph,
 )
+from expander_codes import linear_code
 from expander_codes._util import _echelon, _solve
 from conftest import cyc_graph, gray_walk
 
@@ -205,6 +206,38 @@ class TestMinDistance:
         g = union_graph(tri3, tri3)
         with pytest.raises(BudgetExceeded):
             min_distance_bruteforce(g, budget=1)
+
+    def test_distance_is_walked_once_per_graph(self, monkeypatch):
+        walks = []
+        walk = linear_code._least_weight
+        monkeypatch.setattr(linear_code, "_least_weight", lambda g: walks.append(g) or walk(g))
+
+        def refusal(g, budget):
+            with pytest.raises(BudgetExceeded) as info:
+                min_distance_bruteforce(g, budget=budget)
+            return str(info.value), info.value.required
+
+        g = gen_left_regular(26, 12, 6, 3)
+        k = nullspace(g).dimension
+        before = refusal(g, k - 1)
+        assert before == (f"code dimension {k} exceeds budget {k - 1} (required budget {k})", k)
+        assert walks == []
+        res = min_distance_bruteforce(g, budget=k + 5)
+        assert min_distance_bruteforce(g, budget=k) is res and walks == [g]
+        # a cached distance is still refused below the dimension, in the same words
+        assert refusal(g, k - 1) == before
+        assert refusal(g, 0) == (f"code dimension {k} exceeds budget 0 (required budget {k})", k)
+        # the cached result is the walk of a freshly built equal graph
+        fresh = gen_left_regular(26, 12, 6, 3)
+        assert fresh == g and fresh is not g
+        assert min_distance_bruteforce(fresh, budget=k) == res and walks == [g, fresh]
+        # a trivial code is refused before the budget, and is never walked
+        trivial = gen_left_regular(8, 8, 3, 6)
+        assert nullspace(trivial).dimension == 0
+        for budget in (-1, 0, 24):
+            with pytest.raises(InvalidParameters):
+                min_distance_bruteforce(trivial, budget=budget)
+        assert walks == [g, fresh]
 
 
 def test_walk_callers_match_gray_walk():

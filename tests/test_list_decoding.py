@@ -16,6 +16,7 @@ from expander_codes import (
     min_distance_bruteforce,
     nullspace,
     parse_word,
+    sample_codeword,
     tau_profile,
     threshold_claim_check,
     union_graph,
@@ -163,6 +164,22 @@ class TestTauProfile:
         lst = enumerate_list(tri3, y, 2)
         with pytest.raises(InvalidInput):
             tau_profile(tri3, y, lst, d_min=50)
+
+    def test_distance_read_from_the_graph_matches_an_explicit_one(self):
+        # tau_profile reads d_min from the graph's cached distance; it equals
+        # the profile given that distance, also on a freshly built graph
+        rng = random.Random(4)
+        g = gen_left_regular(28, 12, 6, 1)
+        c = sample_codeword(g, 2)
+        d_min = min_distance_bruteforce(gen_left_regular(28, 12, 6, 1)).distance
+        for k in (1, 2, 3):
+            y = Word(28, c.bits ^ sum(1 << i for i in rng.sample(range(28), k)))
+            lst = enumerate_list(g, y, 4)
+            assert len(lst) >= 2
+            prof = tau_profile(g, y, lst)
+            assert prof == tau_profile(g, y, lst, d_min=d_min)
+            assert prof == tau_profile(gen_left_regular(28, 12, 6, 1), y, lst)
+            assert prof.d_min == d_min
 
     def test_sum_tau_bounded_by_radius(self):
         g = cyc_graph(6)

@@ -3,6 +3,7 @@ and the work it does."""
 
 import heapq
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,6 +21,7 @@ from expander_codes import (
     decode_erasures,
     find_suspects,
     gen_left_regular,
+    guess_expansion_decode_grid,
     guess_expansion_decode_poly,
     nullspace,
     plant_errors,
@@ -531,6 +533,126 @@ def test_guess_runner_erases_a_suspect_set_of_exactly_m():
         g, y, ExpanderParams(Fraction(1), Fraction(1, 8)), [((0,), None, 0)], "guess-expansion"
     )
     assert out.ok and out.word == Word.zero(8) and out.corrected == 3
+
+
+def _runner_finding_every_cut(g, y, params, guesses, algorithm):
+    """Former _run_expansion_branches: the find loop runs for every guess,
+    also below a cut whose L already exceeded M."""
+    n, m = g.n_left, g.m_right
+    accept = (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
+    max_dist = math.floor(accept)
+    s = syndrome_bits(g, y.bits)
+    tried = set()
+    attempts = 0
+    for attempts, (enum_index, guess, h) in enumerate(guesses, 1):
+        suspects = decoders._suspects(g, s, h)
+        if len(suspects) > m:
+            continue
+        l_mask = indices_to_mask(suspects, n)
+        if l_mask in tried:
+            continue
+        tried.add(l_mask)
+        e = decoders._erase(g, s, l_mask)[0]
+        if e is not None and e.bit_count() <= max_dist:
+            return DecodeOutcome(
+                algorithm, "success", word=Word(n, y.bits ^ e), radius=accept,
+                corrected=e.bit_count(), iterations=attempts,
+                enumeration_index=enum_index, guess=guess,
+            )
+    return DecodeOutcome(
+        algorithm, "failure", reason="no-candidate", radius=accept, iterations=attempts
+    )
+
+
+def _with_former_runner(monkeypatch, call):
+    with monkeypatch.context() as patch:
+        patch.setattr(decoders, "_run_expansion_branches", _runner_finding_every_cut)
+        return call()
+
+
+def _count_finds(monkeypatch, call) -> int:
+    cuts = []
+    find = decoders._suspects
+
+    def counted(g, s, h, key=None):
+        cuts.append(h)
+        return find(g, s, h, key)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decoders, "_suspects", counted)
+        call()
+    return len(cuts)
+
+
+def test_guess_runner_skip_keeps_every_outcome(monkeypatch):
+    # L only grows as the cut drops, so a cut at or below one whose L exceeds
+    # M finds nothing erasable; skipping its find loop changes no outcome
+    rng = random.Random(21)
+    instances = []
+    for _ in range(40):
+        n = rng.randrange(8, 41)
+        m = rng.randrange(max(2, n // 2), n + 1)
+        d = rng.randrange(2, min(m, 6) + 1)
+        g = gen_left_regular(n, m, d, rng.randrange(1000))
+        instances.append((g, rng.randrange(n // 3 + 1)))
+    big = gen_left_regular(200, 150, 6, 1)
+    instances += [(big, k) for k in (1, 2, 6, 10, 14, 20)]
+    skipped = 0
+    for g, k in instances:
+        n = g.n_left
+        y = Word(n, indices_to_mask(rng.sample(range(n), k), n))
+        params = ExpanderParams(Fraction(rng.randrange(1, 6), 50),
+                                rng.choice((Fraction(1, 8), Fraction(1, 10), Fraction(1, 16))))
+        eta = rng.choice((Fraction(1, 2), Fraction(1, 4)))
+        for call in (
+            lambda: guess_expansion_decode_poly(g, y, params),
+            lambda: guess_expansion_decode_grid(g, y, params, eta),
+        ):
+            assert call() == _with_former_runner(monkeypatch, call), (n, k)
+        # arbitrary cut lists, with repeats and rising and falling cuts
+        cuts = [rng.randrange(-1, g.d_left + 2) for _ in range(rng.randrange(1, 9))]
+        guesses = [((i,), None, h) for i, h in enumerate(cuts)]
+        assert decoders._run_expansion_branches(g, y, params, guesses, "x") == (
+            _runner_finding_every_cut(g, y, params, guesses, "x")), (n, k, cuts)
+        skipped += _count_finds(
+            monkeypatch, lambda: _runner_finding_every_cut(g, y, params, guesses, "x")
+        ) - _count_finds(
+            monkeypatch, lambda: decoders._run_expansion_branches(g, y, params, guesses, "x"))
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("algo, n, weights, finds, former", [
+    ("grid", 200, (2, 6, 7, 8, 10, 12, 14, 16, 9, 11, 13, 15, 18, 20, 6, 8, 10), 2, 3),
+    ("poly", 60, (4, 5, 6), 1, 6),
+])
+def test_guess_runner_finds_no_cut_below_an_oversized_one(
+    monkeypatch, algo, n, weights, finds, former
+):
+    # the failures of the benchmark's guess workload, on its error sets: each
+    # grid failure at N = 200 lists cuts 3, 4, 2 and L at cut 3 is all N, so
+    # cut 2 is not found; each poly failure at N = 60 lists cuts 5 down to 0,
+    # and L at cut 5 is already all N
+    g = gen_left_regular(n, 3 * n // 4, 6, 1)
+    params = ExpanderParams(Fraction(1, 50), Fraction(1, 8))
+    if algo == "grid":
+        decode = lambda y: guess_expansion_decode_grid(g, y, params, Fraction(1, 2))
+    else:
+        decode = lambda y: guess_expansion_decode_poly(g, y, params)
+    failures = 0
+    for j, k in enumerate(weights):
+        rng = random.Random(f"guess:errors:{algo}:{n}:{j}")
+        y = Word(n, indices_to_mask(rng.sample(range(n), k), n))
+        out = decode(y)
+        if out.ok:
+            assert _count_finds(monkeypatch, lambda: decode(y)) == 1
+            continue
+        failures += 1
+        assert out.reason == "no-candidate"
+        assert _count_finds(monkeypatch, lambda: decode(y)) == finds
+        assert _count_finds(
+            monkeypatch, lambda: _with_former_runner(monkeypatch, lambda: decode(y))
+        ) == former
+    assert failures >= len(weights) - 1
 
 
 @pytest.mark.parametrize("n, m, d, seed", [(8, 5, 3, 0), (10, 6, 3, 1), (12, 9, 3, 2),
