@@ -6,9 +6,10 @@ a DecodeOutcome. A success always carries a zero-syndrome codeword whose
 distance to the input respects the decoder's validation radius; candidates
 are re-checked even where theory would guarantee it. Threshold comparisons
 are exact: every threshold is (1 - 2*delta)*D with delta = sqrt(q) + s for
-rationals q, s >= 0, and one integer closed form (``_cut``, built on
-``math.isqrt``) turns it once per call into the least integer count it admits;
-the per-vertex loops compare integer counts against that integer cut.
+rationals q, s >= 0, and one integer closed form (``_cuts_along``, built on
+``math.isqrt``) turns it into the least integer count it admits: once per call
+(``_cut``), or once per probe of a guess listing, with no Fraction. The
+per-vertex loops compare integer counts against that integer cut.
 
 Find-and-erase works in the syndrome domain. A decode computes s = H*y once;
 suspect counts start at the neighbors of the unsatisfied checks, peeling
@@ -32,8 +33,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
-from typing import Optional, Sequence
+from itertools import chain, repeat
+from typing import Callable, Optional, Sequence
 
 from ._util import _echelon, _solve, as_fraction, indices_to_mask, mask_to_indices, select
 from .errors import InvalidInput, InvalidParameters
@@ -64,18 +65,28 @@ __all__ = [
 # -- suspect finding ---------------------------------------------------------
 
 
-def _cut(d: int, q, s) -> int:
-    """The least integer c >= 0 with c >= (1 - 2*(sqrt(q) + s))*D, for
-    rationals (or ints) q, s >= 0.
+def _cuts_along(d: int, num: int, den: int, s):
+    """The cut of delta = sqrt(k*num/den) + s as an integer function of
+    k >= 0, for integers num >= 0, den > 0 and a rational (or int) s >= 0:
+    the least integer c >= 0 with c >= (1 - 2*delta)*D.
 
-    With s = a/b, A = D*(b - 2a) and X = 4*D^2*b^2*q, the condition is the
-    integer inequality A - c*b <= sqrt(X). An integer is at most sqrt(X) iff
-    it is at most isqrt(floor(X)), so the cut is ceil((A - isqrt(floor(X)))/b),
-    clipped at 0: exact, on integers, with no loop.
+    With s = a/b, A = D*(b - 2a) and X = 4*D^2*b^2*k*num/den, the condition
+    is the integer inequality A - c*b <= sqrt(X). An integer is at most
+    sqrt(X) iff it is at most isqrt(floor(X)), so the cut is
+    ceil((A - isqrt(floor(X)))/b), clipped at 0: exact, on integers, with no
+    loop. The constants are worked out once, so a probe at k is one integer
+    floor division and one ``math.isqrt``, with no Fraction.
     """
     b = s.denominator
-    v = math.isqrt(4 * d * d * b * b * q.numerator // q.denominator)
-    return max(0, -((v - d * (b - 2 * s.numerator)) // b))
+    x = 4 * d * d * b * b * num
+    a = d * (b - 2 * s.numerator)
+    return lambda k: max(0, -((math.isqrt(x * k // den) - a) // b))
+
+
+def _cut(d: int, q, s) -> int:
+    """The least integer c >= 0 with c >= (1 - 2*(sqrt(q) + s))*D, for
+    rationals (or ints) q, s >= 0: ``_cuts_along`` at k = 1."""
+    return _cuts_along(d, q.numerator, q.denominator, s)(1)
 
 
 @dataclass(frozen=True)
@@ -158,7 +169,13 @@ def _at_least(g: BipartiteGraph, synd: int, cuts: Sequence[int]) -> list[int]:
 
 
 def _suspects(
-    g: BipartiteGraph, s: int, h: int, key: Optional[Sequence[int]] = None
+    g: BipartiteGraph,
+    s: int,
+    h: int,
+    key: Optional[Sequence[int]] = None,
+    *,
+    limit: Optional[int] = None,
+    lower: Optional[Callable[[int, list[int]], Optional[int]]] = None,
 ) -> list[int]:
     """The find loop in the syndrome domain: R starts at the checks set in
     ``s``, and a vertex joins L once at least ``h`` of its checks are in R.
@@ -171,12 +188,25 @@ def _suspects(
     vertex walks its D checks, so no M-bit mask is built per vertex. Counts
     start at zero and only checks entering R raise them, so past the count
     and check arrays the work follows |s| and Gamma(L), not N.
+
+    With a ``limit``, the loop stops as soon as |L| exceeds it and returns
+    that L of limit + 1 vertices: the closure is at least that large. An L
+    of exactly ``limit`` vertices is a closure like any other.
+
+    With ``lower``, the loop can be lowered. At each closure it calls
+    ``lower(h, L)``; None stops it, and a cut h' < h resumes it at h'. At a
+    closure of cut h > 0, L is every vertex with at least h checks in R, so
+    lowering pushes the vertices whose count lies in [h', h) and goes on
+    with the counts, R and L it has: the closure at h' is the one a fresh
+    loop at h' reaches, and the work of every cut above it is reused. ``L``
+    is the list the loop returns, grown in place, so the L of each closure
+    is a prefix of the final one.
     """
     n = g.n_left
     adj, right_adj = g.adj, g.right_adj
     counts = [0] * n
     # counts only grow, so a vertex is pushed once: at the start if h = 0,
-    # else when its count reaches h
+    # else when its count reaches the cut, or when a lowering passes its count
     if key is None:
         ready = list(range(n)) if h <= 0 else []
         push, pop = ready.append, ready.pop
@@ -196,20 +226,35 @@ def _suspects(
     added: list[int] = []
     add = added.append
     while True:
-        for c in checks:
-            if not in_r[c]:
-                in_r[c] = 1
-                for u in right_adj[c]:
-                    k = counts[u] + 1
-                    counts[u] = k
-                    if k == h:
-                        push(u)
-        if not ready:
-            break
-        i = pop()
-        add(i)
-        checks = adj[i]
-    return added
+        # each pass folds the newest checks into R, then adds one vertex; a
+        # bounded pass count stops the loop once |L| > limit
+        for _ in repeat(None) if limit is None else repeat(None, limit + 1 - len(added)):
+            for c in checks:
+                if not in_r[c]:
+                    in_r[c] = 1
+                    for u in right_adj[c]:
+                        k = counts[u] + 1
+                        counts[u] = k
+                        if k == h:
+                            push(u)
+            if not ready:
+                break
+            i = pop()
+            add(i)
+            checks = adj[i]
+        else:
+            return added  # |L| > limit
+        if lower is None:
+            return added
+        cut = lower(h, added)
+        if cut is None:
+            return added
+        for t in range(max(cut, 0), min(h, g.d_left + 1)):  # a count is at most D
+            u = -1
+            for _ in range(counts.count(t)):
+                u = counts.index(t, u + 1)
+                push(u)
+        h, checks = cut, ()
 
 
 def find_suspects(
@@ -473,12 +518,13 @@ def decode_erasures(
 
 
 def _find_and_erase(
-    g: BipartiteGraph, s: int, h: int, capacity: Optional[int]
+    g: BipartiteGraph, s: int, h: int, capacity: Optional[int], limit: Optional[int] = None
 ) -> tuple[Optional[int], str, list[int]]:
     """Find suspects at cut ``h`` from the word's syndrome ``s`` and return the
     error pattern e on them with H e = s, the reason and the suspects L; the
-    candidate is the word XOR e."""
-    suspects = _suspects(g, s, h)
+    candidate is the word XOR e. ``limit`` goes to the find loop, so with
+    limit = capacity an L over capacity holds capacity + 1 vertices."""
+    suspects = _suspects(g, s, h, limit=limit)
     if capacity is not None and len(suspects) > capacity:
         return None, "list-exceeds-capacity", suspects
     e, why, _ = _erase(g, s, indices_to_mask(suspects, g.n_left))
@@ -733,7 +779,9 @@ def guess_flip_decode(
     scaled entry at eta = 1/100 (N = 200, 6 errors) expands 652 nodes and
     meets 7 distinct syndromes, and beta = 1/1000 (N = 60, 3 errors) meets
     2 in the 988 nodes before the recursion limit. The radii are floored
-    once, so a leaf compares integer weights.
+    once, so a leaf compares integer weights. A leaf or find step reads only
+    the candidate, and an L over the erasure capacity gives none, so its
+    find loop stops at capacity + 1 suspects rather than run away to N.
 
     A search deeper than the interpreter's recursion limit (beta below
     about 1/900) raises a short ``RecursionError`` naming ``ell``.
@@ -759,7 +807,7 @@ def guess_flip_decode(
 
     def fixed(z: int, s: int) -> Optional[int]:  # s is the syndrome of z
         if z not in fixed_cache:
-            e = _find_and_erase(g, s, find_h, capacity)[0]
+            e = _find_and_erase(g, s, find_h, capacity, limit=capacity)[0]
             fixed_cache[z] = None if e is None else z ^ e
         return fixed_cache[z]
 
@@ -876,56 +924,98 @@ def _run_expansion_branches(
     g: BipartiteGraph,
     y: Word,
     params: ExpanderParams,
-    guesses,  # iterable of (enum_index, ExpansionGuess, its integer cut)
+    guesses,  # iterable of (enum_index, the guess to report or None, its integer cut)
     algorithm: str,
+    top: Optional[int] = None,
+    name: Optional[Callable[..., ExpansionGuess]] = None,
 ) -> DecodeOutcome:
     """Find-and-erase once per guess, in order; accept the first candidate within
     (1-2 eps)/(4 eps) * alpha * N. Each guess is the first of a distinct cut.
 
-    The syndrome is computed once. The candidate depends only on the word and
-    the suspect set L, so a guess whose L was already erased is not erased
+    ``top`` is the highest cut any guess asks for; by default the highest in
+    ``guesses``, which are then listed at once. The listers pass it, so
+    their guesses stay lazy and a first-guess success lists nothing more.
+    With ``name``, the accepted guess is reported as ``name(*enum_index)``,
+    so a lister builds one ExpansionGuess, not one per guess.
+
+    The syndrome is computed once, and so is the find loop: L only grows as
+    the cut drops, so one ``_suspects`` starts at ``top`` and is lowered one
+    level at a time, only as far as the next guess asks. |L| at every level
+    it settles is kept, since L there is a prefix of the loop's list, and a
+    guess reads the L of its cut, whether that cut lies below the ones
+    before or above. The candidate depends only on the word and L, so a
+    guess whose L was already erased (one of the same size) is not erased
     again; it still counts as an attempt. Nor is an L larger than M erased
     (pigeonhole): H restricted to L then has more columns than rows, so a
-    nonzero kernel, and no e on L with H e = s is unique. The solve could
-    only fail, and its reason is not read here. On ``gen_left_regular(N,
-    3N/4, 6)`` every grid failure at N = 200 and every poly failure at
-    N = 60 finds L = all N, where the solve inactivated 91 symbols (N = 200)
-    or 29 (N = 60) to fail. L only grows as the cut drops, so once a cut h
-    gives |L| > M, a later guess at a cut of h or below runs no find loop; it
-    still counts as an attempt. Each grid failure at N = 200 then finds twice,
-    not three times, and each poly failure at N = 60 once, not six times.
-    The accept radius is floored once, so each candidate compares an integer
-    weight."""
+    nonzero kernel, and no e on L with H e = s is unique. The find loop
+    therefore runs with limit M: once |L| > M it stops, and that cut and
+    every cut below it run no solve; their guesses still count as attempts.
+    On ``gen_left_regular(N, 3N/4, 6)`` every grid failure at N = 200 and
+    every poly failure at N = 60 finds |L| > M at its top cut, so each runs
+    one find loop, cut short at M + 1 suspects, and no solve. The accept
+    radius is floored once, so each candidate compares an integer weight."""
     n, m = g.n_left, g.m_right
-    accept = (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
-    max_dist = math.floor(accept)
+    eps, alpha = params.eps, params.alpha
+    # (1 - 2 eps)/(4 eps) * alpha * N as one fraction num/den, and its floor
+    num = (eps.denominator - 2 * eps.numerator) * alpha.numerator * n
+    den = 4 * eps.numerator * alpha.denominator
+    accept = Fraction(num, den)
+    max_dist = num // den
     s = syndrome_bits(g, y.bits)
-    tried: set[int] = set()
-    too_big = None  # the highest cut seen whose L exceeds M
+    if top is None:
+        guesses = list(guesses)
+        top = max((h for _, _, h in guesses), default=0)
+    guesses = iter(guesses)
+    waiting = next(guesses, None)  # the next guess to attempt
+    # L at a settled cut is a prefix of the loop's list, so two cuts have the
+    # same L exactly when they have the same |L|; no cut where |L| > M settles
+    sizes: dict[int, int] = {}
+    suspects: list[int] = []
+    tried: set[int] = set()  # the sizes of the L already erased
     attempts = 0
-    for attempts, (enum_index, guess, h) in enumerate(guesses, 1):
-        if too_big is not None and h <= too_big:
-            continue
-        suspects = _suspects(g, s, h)
-        if len(suspects) > m:
-            too_big = h
-            continue
-        l_mask = indices_to_mask(suspects, n)
-        if l_mask in tried:
-            continue
-        tried.add(l_mask)
-        e = _erase(g, s, l_mask)[0]
-        if e is not None and e.bit_count() <= max_dist:
-            return DecodeOutcome(
-                algorithm,
-                "success",
-                word=Word(n, y.bits ^ e),
-                radius=accept,
-                corrected=e.bit_count(),
-                iterations=attempts,
-                enumeration_index=enum_index,
-                guess=guess,
-            )
+    hit = None
+
+    def attempt(low) -> bool:
+        """Attempt the waiting guesses in order while their cut is at least
+        ``low``; True when one waits for a lower cut."""
+        nonlocal waiting, attempts, hit
+        while waiting is not None:
+            enum_index, guess, h = waiting
+            if h < low:
+                return True
+            attempts += 1
+            size = sizes.get(h)
+            if size is not None and size not in tried:
+                tried.add(size)
+                e = _erase(g, s, indices_to_mask(suspects[:size], n))[0]
+                if e is not None and e.bit_count() <= max_dist:
+                    hit = enum_index, guess, e
+                    return False
+            waiting = next(guesses, None)
+        return False
+
+    def settle(h: int, found: list[int]) -> Optional[int]:
+        nonlocal suspects
+        suspects = found
+        sizes[h] = len(found)
+        return h - 1 if attempt(h) else None
+
+    if len(_suspects(g, s, top, limit=m, lower=settle)) > m:
+        attempt(-math.inf)  # no cut below the last settled one is erasable
+    if hit is not None:
+        enum_index, guess, e = hit
+        if name is not None:
+            guess = name(*enum_index)
+        return DecodeOutcome(
+            algorithm,
+            "success",
+            word=Word(n, y.bits ^ e),
+            radius=accept,
+            corrected=e.bit_count(),
+            iterations=attempts,
+            enumeration_index=enum_index,
+            guess=guess,
+        )
     return DecodeOutcome(
         algorithm, "failure", reason="no-candidate",
         radius=accept, iterations=attempts,
@@ -943,7 +1033,9 @@ def guess_expansion_decode_poly(
     Only k = D*i - j enters the threshold (gamma*x = k/(D*alpha*N)), and the
     cut never increases with k. So after the plain guess (1, D) the decoder
     lists each other distinct sqrt-branch cut up to the first 0, at its first
-    k, named by its first (i, j) in the order i ascending, j descending.
+    k, named by its first (i, j) in the order i ascending, j descending. The
+    cuts are probed on integers (``_cuts_along``), and the ExpansionGuess is
+    built for the accepted guess alone.
     """
     _check_plain(g, y)
     eps = params.eps
@@ -953,29 +1045,35 @@ def guess_expansion_decode_poly(
     if slack < 0:
         raise InvalidParameters("slack must be nonnegative")
     n, m, d = g.n_left, g.m_right, g.d_left
-    alpha_n = params.alpha * n
-    i0 = max(1, math.ceil(alpha_n))
+    # gamma = 0 at (1, D), which puts it on the plain branch (D <= M)
+    affine = eps + slack
+    plain = _cut(d, 0, affine)
+    # with eps = a/b and alpha = c/e: gamma*x*eps = k*step, step = a*e/(b*D*c*N)
+    a, b, c, e = eps.numerator, eps.denominator, params.alpha.numerator, params.alpha.denominator
+    i0 = max(1, -(-c * n // e))  # ceil(alpha*N)
+    # the sqrt branch needs gamma*x >= eps, that is k >= eps*D*alpha*N, and j <= M
+    lo, hi = max(d * i0 - m, -(-a * d * c * n // (b * e))), d * n
+    cut = _cuts_along(d, a * e, b * d * c * n, slack)
 
     def guesses():
-        if n == 0:  # there is no guess (i, j) to make
+        if not n:  # there is no guess (i, j) to make
             return
-        # gamma = 0 at (1, D), which puts it on the plain branch (D <= M)
-        plain = _cut(d, 0, eps + slack)
-        yield (1, d), ExpansionGuess(
-            1 / alpha_n, Fraction(0), None, "plain", Fraction(0), eps + slack
-        ), plain
-        step = eps / (d * alpha_n)  # gamma * x * eps = k * step
-        a, b = step.numerator, step.denominator
-        q = lambda k: Fraction(k * a, b)
-        cut = lambda k: _cut(d, q(k), slack)
-        for k, t in _cut_steps(cut, max(d * i0 - m, math.ceil(eps * d * alpha_n)), d * n):
+        yield (1, d), None, plain
+        for k, t in _cut_steps(cut, lo, hi):
             if t != plain:
                 i = max(i0, k // d + 1)
-                yield (i, d * i - k), ExpansionGuess(
-                    i / alpha_n, Fraction(k, d * i), None, "sqrt", q(k), slack
-                ), t
+                yield (i, d * i - k), None, t
 
-    return _run_expansion_branches(g, y, params, guesses(), "guess-expansion")
+    def name(i: int, j: int) -> ExpansionGuess:
+        alpha_n = params.alpha * n
+        k = d * i - j  # 0 only at the plain guess (1, D): a sqrt k is at least eps*D*alpha*N
+        if k == 0:
+            return ExpansionGuess(1 / alpha_n, Fraction(0), None, "plain", Fraction(0), affine)
+        q = Fraction(k * a * e, b * d * c * n)
+        return ExpansionGuess(i / alpha_n, Fraction(k, d * i), None, "sqrt", q, slack)
+
+    top = max(plain, cut(lo)) if lo < hi else plain
+    return _run_expansion_branches(g, y, params, guesses(), "guess-expansion", top, name)
 
 
 def guess_expansion_decode_grid(
@@ -987,7 +1085,9 @@ def guess_expansion_decode_grid(
     sqrt(value*eps) + eta on the large branch (value >= eps), eps + 2*eta on
     the small branch, whose one cut is tried at value 0; then ``_cut_steps``
     lists, without building the grid, each other distinct large-branch cut up
-    to the first 0, at its first value.
+    to the first 0, at its first value. The cuts are probed on integers
+    (``_cuts_along``), and the ExpansionGuess is built for the accepted guess
+    alone.
     """
     _check_plain(g, y)
     eps = params.eps
@@ -997,20 +1097,23 @@ def guess_expansion_decode_grid(
     if eta <= 0:
         raise InvalidParameters("eta_prime must be positive")
     d = g.d_left
+    affine = eps + 2 * eta
+    plain = _cut(d, 0, affine)
+    # with eps = a/b and eta = p/q: value*eps = idx*step, step = p*a/(q*b)
+    a, b, p, q = eps.numerator, eps.denominator, eta.numerator, eta.denominator
+    cut = _cuts_along(d, p * a, q * b, eta)
+    lo, hi = -(-a * q // (b * p)), -(-q // p) + 1  # ceil(eps/eta), ceil(1/eta) + 1
 
     def guesses():
-        plain = _cut(d, 0, eps + 2 * eta)
-        yield (0,), ExpansionGuess(
-            None, None, Fraction(0), "plain", Fraction(0), eps + 2 * eta
-        ), plain
-        step = eta * eps  # value * eps = idx * step
-        a, b = step.numerator, step.denominator
-        q = lambda idx: Fraction(idx * a, b)
-        cut = lambda idx: _cut(d, q(idx), eta)
-        for idx, t in _cut_steps(cut, math.ceil(eps / eta), math.ceil(1 / eta) + 1):
+        yield (0,), None, plain
+        for idx, t in _cut_steps(cut, lo, hi):
             if t != plain:
-                yield (idx,), ExpansionGuess(
-                    None, None, idx * eta, "sqrt", q(idx), eta
-                ), t
+                yield (idx,), None, t
 
-    return _run_expansion_branches(g, y, params, guesses(), "guess-expansion-grid")
+    def name(idx: int) -> ExpansionGuess:
+        if idx == 0:  # a sqrt value is at least eps > 0
+            return ExpansionGuess(None, None, Fraction(0), "plain", Fraction(0), affine)
+        return ExpansionGuess(None, None, idx * eta, "sqrt", Fraction(idx * p * a, q * b), eta)
+
+    top = max(plain, cut(lo)) if lo < hi else plain
+    return _run_expansion_branches(g, y, params, guesses(), "guess-expansion-grid", top, name)

@@ -764,8 +764,8 @@ class TestGuessFlip:
         assert _at_least(g, syndrome_bits(g, y.bits), [4]) == [0]
         leaves = []
 
-        def recording(g, s, h, capacity):
-            out = _find_and_erase(g, s, h, capacity)
+        def recording(*args, **kw):
+            out = _find_and_erase(*args, **kw)
             leaves.append(out[0])
             return out
 
@@ -1048,17 +1048,24 @@ class TestGuessExpansion:
     def test_guess_decoders_resolve_few_thresholds(self, monkeypatch):
         # the cut listings probe O(D log(D N)) thresholds; walking every k or
         # grid value would resolve thousands, or 10^8 at eta' = 1/100000
+        # every resolution, through _cut or a lister's integer probe, is one
+        # call of a function _cuts_along returns
         calls = 0
-        resolve = decoders._cut
+        along = decoders._cuts_along
 
-        def counted(d, q, s):
-            nonlocal calls
-            calls += 1
-            if calls > 200:
-                raise AssertionError("more than 200 threshold resolutions")
-            return resolve(d, q, s)
+        def counted(*constants):
+            resolve = along(*constants)
 
-        monkeypatch.setattr(decoders, "_cut", counted)
+            def probe(k):
+                nonlocal calls
+                calls += 1
+                if calls > 200:
+                    raise AssertionError("more than 200 threshold resolutions")
+                return resolve(k)
+
+            return probe
+
+        monkeypatch.setattr(decoders, "_cuts_along", counted)
         g = gen_left_regular(400, 300, 6, 1)
         y = plant_errors(sample_codeword(g, 1), random.Random(0).sample(range(400), 30))
         params = ExpanderParams(Fraction(1, 50), Fraction(1, 128))

@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expander_codes import (
     BipartiteGraph,
@@ -305,6 +306,100 @@ class TestMatchesWordDomain:
             ]
 
 
+def _lowered(g, s, cuts, key=None, limit=None):
+    """One find loop started at cuts[0] and lowered through the rest: the
+    (cut, L as a set) of each closure it reached, and the list it returned."""
+    settled = []
+    rest = iter(cuts[1:])
+
+    def lower(h, suspects):
+        settled.append((h, frozenset(suspects)))
+        return next(rest, None)
+
+    return settled, _suspects(g, s, cuts[0], key, limit=limit, lower=lower)
+
+
+def _check_lowered(g, s, cuts, key, limit):
+    """Against fresh one-cut loops: the lowered loop settles every cut of the
+    descending ``cuts`` whose closure has at most ``limit`` vertices, with
+    that closure, and then stops with limit + 1 of the next closure's
+    vertices. Returns the fresh closures."""
+    fresh = [frozenset(_suspects(g, s, h)) for h in cuts]
+    small = sum(1 for l_set in fresh if limit is None or len(l_set) <= limit)
+    assert all(len(l_set) > limit for l_set in fresh[small:])  # closures grow
+    settled, final = _lowered(g, s, cuts, key, limit)
+    assert settled == list(zip(cuts[:small], fresh[:small]))
+    assert len(final) == len(set(final))
+    if small < len(cuts):
+        assert len(final) == limit + 1 and set(final) <= fresh[small]
+    else:
+        assert set(final) == fresh[-1]
+    return fresh
+
+
+class TestLoweredFindLoop:
+    """One find loop lowered through descending cuts reaches, at every cut,
+    the closure a fresh loop at that cut reaches; a limit stops it once |L|
+    exceeds the limit."""
+
+    def test_every_lowered_closure_is_the_fresh_one(self):
+        rng = random.Random(31)
+        graphs = _random_graphs(rng, 40) + [gen_left_regular(200, 150, 6, 1)]
+        seen = set()
+        for g in graphs:
+            n, d = g.n_left, g.d_left
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            for weight in (1, 3, rng.randint(0, n)):
+                s = syndrome_bits(g, indices_to_mask(rng.sample(range(n), min(n, weight)), n))
+                for _ in range(3):
+                    levels = range(-2, d + 3)
+                    cuts = sorted(rng.sample(levels, rng.randint(1, len(levels))), reverse=True)
+                    for key in (None, shuffled):
+                        fresh = _check_lowered(g, s, cuts, key, None)
+                    seen.add(("cut <= 0", cuts[-1] <= 0))
+                    seen.add(("cut > D", cuts[0] > d))
+                    seen.add(("several cuts", len(cuts) > 2))
+                    seen.add(("grows", len(fresh[0]) < len(fresh[-1])))
+                    seen.add(("runaway", any(len(l) == n and h > 0 for h, l in zip(cuts, fresh))))
+        assert all((flag, True) in seen for flag, _ in seen), seen
+
+    def test_limit_keeps_a_closure_of_its_size_and_stops_one_past(self):
+        rng = random.Random(32)
+        graphs = _random_graphs(rng, 30) + [gen_left_regular(200, 150, 6, 1)]
+        seen = set()
+        for g in graphs:
+            n, d = g.n_left, g.d_left
+            s = syndrome_bits(g, indices_to_mask(rng.sample(range(n), min(n, 3)), n))
+            sizes = sorted({len(_suspects(g, s, h)) for h in range(-1, d + 2)})
+            for cuts in (list(range(d + 1, -2, -1)), [1, 0], [0]):
+                for size in sizes:
+                    for limit in {size, size - 1, 0} - {-1}:
+                        for key in (None, range(n - 1, -1, -1)):
+                            fresh = _check_lowered(g, s, cuts, key, limit)
+                        seen.add(("L = limit", limit in map(len, fresh)))
+                        seen.add(("stopped", len(fresh[-1]) > limit))
+                        seen.add(("stopped at the first cut", len(fresh[0]) > limit))
+        assert all((flag, True) in seen for flag, _ in seen), seen
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, 6),
+    st.integers(0, 40),
+    st.integers(0, 10**6),
+    st.integers(0, 2**30 - 1),
+    st.lists(st.integers(-2, 8), min_size=1, max_size=8, unique=True),
+    st.one_of(st.none(), st.integers(0, 31)),
+    st.booleans(),
+)
+def test_lowering_matches_fresh_loops(n, d, extra, seed, bits, cuts, limit, keyed):
+    g = gen_left_regular(n, d + extra, d, seed)
+    s = syndrome_bits(g, bits & ((1 << n) - 1))
+    _check_lowered(g, s, sorted(cuts, reverse=True), range(n, 0, -1) if keyed else None, limit)
+
+
 @pytest.fixture
 def symbols(monkeypatch) -> list:
     """Grows by the number of symbols of each erasure solve that has one
@@ -535,9 +630,10 @@ def test_guess_runner_erases_a_suspect_set_of_exactly_m():
     assert out.ok and out.word == Word.zero(8) and out.corrected == 3
 
 
-def _runner_finding_every_cut(g, y, params, guesses, algorithm):
-    """Former _run_expansion_branches: the find loop runs for every guess,
-    also below a cut whose L already exceeded M."""
+def _runner_finding_every_cut(g, y, params, guesses, algorithm, top=None, name=None):
+    """Former _run_expansion_branches: a fresh find loop runs for every guess,
+    to its full closure, also below a cut whose L already exceeded M; the
+    listers' ``top`` goes unread, and ``name`` names the accepted guess."""
     n, m = g.n_left, g.m_right
     accept = (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
     max_dist = math.floor(accept)
@@ -556,8 +652,8 @@ def _runner_finding_every_cut(g, y, params, guesses, algorithm):
         if e is not None and e.bit_count() <= max_dist:
             return DecodeOutcome(
                 algorithm, "success", word=Word(n, y.bits ^ e), radius=accept,
-                corrected=e.bit_count(), iterations=attempts,
-                enumeration_index=enum_index, guess=guess,
+                corrected=e.bit_count(), iterations=attempts, enumeration_index=enum_index,
+                guess=guess if name is None else name(*enum_index),
             )
     return DecodeOutcome(
         algorithm, "failure", reason="no-candidate", radius=accept, iterations=attempts
@@ -574,9 +670,9 @@ def _count_finds(monkeypatch, call) -> int:
     cuts = []
     find = decoders._suspects
 
-    def counted(g, s, h, key=None):
+    def counted(g, s, h, key=None, **kw):
         cuts.append(h)
-        return find(g, s, h, key)
+        return find(g, s, h, key, **kw)
 
     with monkeypatch.context() as patch:
         patch.setattr(decoders, "_suspects", counted)
@@ -584,9 +680,26 @@ def _count_finds(monkeypatch, call) -> int:
     return len(cuts)
 
 
+def _settled_cuts(monkeypatch, call) -> list:
+    """The cuts at which the lowered find loops of ``call`` reached a closure."""
+    cuts = []
+    find = decoders._suspects
+
+    def recording(g, s, h, key=None, *, lower=None, **kw):
+        if lower is not None:
+            inner = lower
+            lower = lambda h, suspects: cuts.append(h) or inner(h, suspects)
+        return find(g, s, h, key, lower=lower, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decoders, "_suspects", recording)
+        call()
+    return cuts
+
+
 def test_guess_runner_skip_keeps_every_outcome(monkeypatch):
-    # L only grows as the cut drops, so a cut at or below one whose L exceeds
-    # M finds nothing erasable; skipping its find loop changes no outcome
+    # L only grows as the cut drops, so one find loop lowered through the
+    # cuts, cut short once |L| > M, changes no outcome
     rng = random.Random(21)
     instances = []
     for _ in range(40):
@@ -621,17 +734,35 @@ def test_guess_runner_skip_keeps_every_outcome(monkeypatch):
     assert skipped > 0
 
 
+def test_grid_accepts_a_cut_above_the_lowered_one(monkeypatch):
+    # one error on gen_left_regular(24, 18, 6, 1): the loop settles the top
+    # cut 4 (L is the error), is lowered to the plain cut 3 that the grid
+    # tries first, and stops there with |L| > M; the next guess, index (2,)
+    # at cut 4, reads the L settled before the lowering and succeeds
+    g = gen_left_regular(24, 18, 6, 1)
+    y = Word(24, 1)
+    params = ExpanderParams(Fraction(1, 12), Fraction(1, 8))
+    decode = lambda: guess_expansion_decode_grid(g, y, params, Fraction(1, 2))
+    out = decode()
+    assert out.ok and out.word == Word.zero(24) and out.corrected == 1
+    assert (out.enumeration_index, out.iterations, out.guess.branch) == ((2,), 2, "sqrt")
+    assert _settled_cuts(monkeypatch, decode) == [4]
+    assert _count_finds(monkeypatch, decode) == 1
+    assert out == _with_former_runner(monkeypatch, decode)
+
+
 @pytest.mark.parametrize("algo, n, weights, finds, former", [
-    ("grid", 200, (2, 6, 7, 8, 10, 12, 14, 16, 9, 11, 13, 15, 18, 20, 6, 8, 10), 2, 3),
+    ("grid", 200, (2, 6, 7, 8, 10, 12, 14, 16, 9, 11, 13, 15, 18, 20, 6, 8, 10), 1, 3),
     ("poly", 60, (4, 5, 6), 1, 6),
 ])
 def test_guess_runner_finds_no_cut_below_an_oversized_one(
     monkeypatch, algo, n, weights, finds, former
 ):
     # the failures of the benchmark's guess workload, on its error sets: each
-    # grid failure at N = 200 lists cuts 3, 4, 2 and L at cut 3 is all N, so
-    # cut 2 is not found; each poly failure at N = 60 lists cuts 5 down to 0,
-    # and L at cut 5 is already all N
+    # grid failure at N = 200 lists cuts 3, 4, 2, and each poly failure at
+    # N = 60 lists cuts 5 down to 0. The one find loop of a decode starts at
+    # the top cut (4 and 5), where |L| > M already, so it is never lowered;
+    # the former runner found each listed cut afresh
     g = gen_left_regular(n, 3 * n // 4, 6, 1)
     params = ExpanderParams(Fraction(1, 50), Fraction(1, 8))
     if algo == "grid":
@@ -649,6 +780,7 @@ def test_guess_runner_finds_no_cut_below_an_oversized_one(
         failures += 1
         assert out.reason == "no-candidate"
         assert _count_finds(monkeypatch, lambda: decode(y)) == finds
+        assert _settled_cuts(monkeypatch, lambda: decode(y)) == []
         assert _count_finds(
             monkeypatch, lambda: _with_former_runner(monkeypatch, lambda: decode(y))
         ) == former
