@@ -95,7 +95,6 @@ from .experiments import (
     ExperimentConfig,
     RadiiReport,
     TrialResult,
-    inject_errors,
     iter_error_patterns,
     report_radii,
     format_radii_table,

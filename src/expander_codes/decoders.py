@@ -9,7 +9,9 @@ are exact: every threshold is (1 - 2*delta)*D with delta = sqrt(q) + s for
 rationals q, s >= 0, and one integer closed form (``_cuts_along``, built on
 ``math.isqrt``) turns it into the least integer count it admits: once per call
 (``_cut``), or once per probe of a guess listing, with no Fraction. The
-per-vertex loops compare integer counts against that integer cut.
+guess-flip cuts max(0, ceil((1 - 3 i eta) D)) are listed on integers too, one
+floor division per probe (``_flip_cuts``). The per-vertex loops compare
+integer counts against that integer cut.
 
 Find-and-erase works in the syndrome domain. A decode computes s = H*y once;
 suspect counts start at the neighbors of the unsatisfied checks, peeling
@@ -115,10 +117,6 @@ class FindConfig:
             raise InvalidParameters(f"delta must be in [0, 1/2), got {delta}")
         return cls(Fraction(0), delta)
 
-    def admits(self, count: int, d: int) -> bool:
-        """count >= (1 - 2*delta)*D, exactly."""
-        return count >= self.effective_threshold(d)
-
     def effective_threshold(self, d: int) -> int:
         """Smallest admitted count, in [0, d]: count D always passes."""
         return _cut(d, self.q, self.s)
@@ -131,15 +129,10 @@ class FindTrace:
     order: tuple[int, ...]
     l_mask: int
     r_mask: int
-    growth: tuple[int, ...]  # |R| after each addition
 
     @property
     def l_set(self) -> frozenset[int]:
         return frozenset(self.order)
-
-    @property
-    def r_set(self) -> frozenset[int]:
-        return frozenset(mask_to_indices(self.r_mask))
 
     @property
     def size(self) -> int:
@@ -275,7 +268,8 @@ def find_suspects(
     index, or a permutation of the indices seeded by ``seed`` ("random",
     which needs a seed). Preferring the error positions realizes the
     errors-first insertion order. Only L and R are independent of the pick
-    rule; the trace's insertion order and growth follow it.
+    rule; the trace's insertion order follows it. Every position in
+    ``prefer`` must lie in [0, N).
     """
     _check_plain(g, y)
     n = g.n_left
@@ -290,15 +284,13 @@ def find_suspects(
         random.Random(seed).shuffle(rank)
     else:
         raise InvalidParameters(f"unknown order {order!r}")
-    pref = frozenset(prefer) if prefer is not None else frozenset()
-    key = [rank[i] - n if i in pref else rank[i] for i in range(n)] if pref else rank
+    pref = indices_to_mask(prefer, n) if prefer is not None else 0
+    key = [rank[i] - n if pref >> i & 1 else rank[i] for i in range(n)] if pref else rank
     r = syndrome_bits(g, y.bits)
     order = _suspects(g, r, cfg.effective_threshold(g.d_left), key)
-    growth = []  # R replayed along the insertion order
-    for i in order:
+    for i in order:  # R is s and the checks of L
         r |= g.left_masks[i]
-        growth.append(r.bit_count())
-    return FindTrace(tuple(order), indices_to_mask(order, n), r, tuple(growth))
+    return FindTrace(tuple(order), indices_to_mask(order, n), r)
 
 
 # -- outcomes ----------------------------------------------------------------
@@ -743,10 +735,13 @@ def _cut_steps(cut, lo: int, hi: int):
 
 def _flip_cuts(eta: Fraction, cutoff: Fraction, d: int) -> tuple[list[int], bool]:
     """The distinct cuts max(0, ceil((1 - 3 i eta) D)) of the guesses i eta
-    below ``cutoff``, descending, and whether a guess reaches ``cutoff``."""
+    below ``cutoff``, descending, and whether a guess reaches ``cutoff``.
+    With eta = p/q a cut is D - floor(3 i p D / q), so a probe is one
+    integer floor division."""
     last = math.ceil(1 / eta)
     below = min(last + 1, math.ceil(cutoff / eta))  # first i with i eta >= cutoff
-    steps = _cut_steps(lambda i: _cut(d, 0, 3 * i * eta / 2), 1, below)
+    step, q = 3 * eta.numerator * d, eta.denominator
+    steps = _cut_steps(lambda i: max(0, d - i * step // q), 1, below)
     return [t for _, t in steps], last * eta >= cutoff
 
 
@@ -924,22 +919,28 @@ def _run_expansion_branches(
     g: BipartiteGraph,
     y: Word,
     params: ExpanderParams,
-    guesses,  # iterable of (enum_index, the guess to report or None, its integer cut)
     algorithm: str,
-    top: Optional[int] = None,
-    name: Optional[Callable[..., ExpansionGuess]] = None,
+    plain: int,
+    cut: Callable[[int], int],
+    lo: int,
+    hi: int,
+    name: Callable[[Optional[int]], tuple[tuple, ExpansionGuess]],
 ) -> DecodeOutcome:
-    """Find-and-erase once per guess, in order; accept the first candidate within
-    (1-2 eps)/(4 eps) * alpha * N. Each guess is the first of a distinct cut.
+    """The guess walk of both guess-expansion listers: find-and-erase once per
+    guess, in order; accept the first candidate within (1-2 eps)/(4 eps) *
+    alpha * N.
 
-    ``top`` is the highest cut any guess asks for; by default the highest in
-    ``guesses``, which are then listed at once. The listers pass it, so
-    their guesses stay lazy and a first-guess success lists nothing more.
-    With ``name``, the accepted guess is reported as ``name(*enum_index)``,
-    so a lister builds one ExpansionGuess, not one per guess.
+    The plain guess, at cut ``plain``, comes first. Then ``_cut_steps(cut,
+    lo, hi)`` lists each distinct cut of the nonincreasing ``cut`` up to the
+    first 0, at its first index k, and each one other than ``plain`` is a
+    guess. The guesses are listed lazily, so a first-guess success probes
+    nothing more. ``name(k)``, with k None for the plain guess, gives the
+    accepted guess's (enumeration index, ExpansionGuess), so a lister builds
+    one ExpansionGuess, not one per guess.
 
     The syndrome is computed once, and so is the find loop: L only grows as
-    the cut drops, so one ``_suspects`` starts at ``top`` and is lowered one
+    the cut drops, so one ``_suspects`` starts at the highest cut a guess
+    asks for, the larger of ``plain`` and ``cut(lo)``, and is lowered one
     level at a time, only as far as the next guess asks. |L| at every level
     it settles is kept, since L there is a prefix of the loop's list, and a
     guess reads the L of its cut, whether that cut lies below the ones
@@ -962,11 +963,8 @@ def _run_expansion_branches(
     accept = Fraction(num, den)
     max_dist = num // den
     s = syndrome_bits(g, y.bits)
-    if top is None:
-        guesses = list(guesses)
-        top = max((h for _, _, h in guesses), default=0)
-    guesses = iter(guesses)
-    waiting = next(guesses, None)  # the next guess to attempt
+    guesses = chain([(None, plain)], ((k, t) for k, t in _cut_steps(cut, lo, hi) if t != plain))
+    waiting = next(guesses)  # the next guess to attempt: (k, its cut)
     # L at a settled cut is a prefix of the loop's list, so two cuts have the
     # same L exactly when they have the same |L|; no cut where |L| > M settles
     sizes: dict[int, int] = {}
@@ -980,7 +978,7 @@ def _run_expansion_branches(
         ``low``; True when one waits for a lower cut."""
         nonlocal waiting, attempts, hit
         while waiting is not None:
-            enum_index, guess, h = waiting
+            k, h = waiting
             if h < low:
                 return True
             attempts += 1
@@ -989,7 +987,7 @@ def _run_expansion_branches(
                 tried.add(size)
                 e = _erase(g, s, indices_to_mask(suspects[:size], n))[0]
                 if e is not None and e.bit_count() <= max_dist:
-                    hit = enum_index, guess, e
+                    hit = k, e
                     return False
             waiting = next(guesses, None)
         return False
@@ -1000,25 +998,19 @@ def _run_expansion_branches(
         sizes[h] = len(found)
         return h - 1 if attempt(h) else None
 
+    top = max(plain, cut(lo)) if lo < hi else plain
     if len(_suspects(g, s, top, limit=m, lower=settle)) > m:
         attempt(-math.inf)  # no cut below the last settled one is erasable
-    if hit is not None:
-        enum_index, guess, e = hit
-        if name is not None:
-            guess = name(*enum_index)
+    if hit is None:
         return DecodeOutcome(
-            algorithm,
-            "success",
-            word=Word(n, y.bits ^ e),
-            radius=accept,
-            corrected=e.bit_count(),
-            iterations=attempts,
-            enumeration_index=enum_index,
-            guess=guess,
+            algorithm, "failure", reason="no-candidate",
+            radius=accept, iterations=attempts,
         )
+    k, e = hit
+    enum_index, guess = name(k)
     return DecodeOutcome(
-        algorithm, "failure", reason="no-candidate",
-        radius=accept, iterations=attempts,
+        algorithm, "success", word=Word(n, y.bits ^ e), radius=accept, corrected=e.bit_count(),
+        iterations=attempts, enumeration_index=enum_index, guess=guess,
     )
 
 
@@ -1045,6 +1037,10 @@ def guess_expansion_decode_poly(
     if slack < 0:
         raise InvalidParameters("slack must be nonnegative")
     n, m, d = g.n_left, g.m_right, g.d_left
+    if not n:  # no guess (i, j) to make, and an accept radius of 0
+        return DecodeOutcome(
+            "guess-expansion", "failure", reason="no-candidate", radius=Fraction(0)
+        )
     # gamma = 0 at (1, D), which puts it on the plain branch (D <= M)
     affine = eps + slack
     plain = _cut(d, 0, affine)
@@ -1055,25 +1051,15 @@ def guess_expansion_decode_poly(
     lo, hi = max(d * i0 - m, -(-a * d * c * n // (b * e))), d * n
     cut = _cuts_along(d, a * e, b * d * c * n, slack)
 
-    def guesses():
-        if not n:  # there is no guess (i, j) to make
-            return
-        yield (1, d), None, plain
-        for k, t in _cut_steps(cut, lo, hi):
-            if t != plain:
-                i = max(i0, k // d + 1)
-                yield (i, d * i - k), None, t
-
-    def name(i: int, j: int) -> ExpansionGuess:
-        alpha_n = params.alpha * n
-        k = d * i - j  # 0 only at the plain guess (1, D): a sqrt k is at least eps*D*alpha*N
-        if k == 0:
-            return ExpansionGuess(1 / alpha_n, Fraction(0), None, "plain", Fraction(0), affine)
+    def name(k: Optional[int]) -> tuple[tuple, ExpansionGuess]:
+        x = 1 / (params.alpha * n)  # x = i/(alpha*N) at i = 1
+        if k is None:
+            return (1, d), ExpansionGuess(x, Fraction(0), None, "plain", Fraction(0), affine)
+        i = max(i0, k // d + 1)  # k's first guess (i, j)
         q = Fraction(k * a * e, b * d * c * n)
-        return ExpansionGuess(i / alpha_n, Fraction(k, d * i), None, "sqrt", q, slack)
+        return (i, d * i - k), ExpansionGuess(i * x, Fraction(k, d * i), None, "sqrt", q, slack)
 
-    top = max(plain, cut(lo)) if lo < hi else plain
-    return _run_expansion_branches(g, y, params, guesses(), "guess-expansion", top, name)
+    return _run_expansion_branches(g, y, params, "guess-expansion", plain, cut, lo, hi, name)
 
 
 def guess_expansion_decode_grid(
@@ -1104,16 +1090,11 @@ def guess_expansion_decode_grid(
     cut = _cuts_along(d, p * a, q * b, eta)
     lo, hi = -(-a * q // (b * p)), -(-q // p) + 1  # ceil(eps/eta), ceil(1/eta) + 1
 
-    def guesses():
-        yield (0,), None, plain
-        for idx, t in _cut_steps(cut, lo, hi):
-            if t != plain:
-                yield (idx,), None, t
+    def name(idx: Optional[int]) -> tuple[tuple, ExpansionGuess]:
+        if idx is None:  # the plain cut, tried at value 0
+            return (0,), ExpansionGuess(None, None, Fraction(0), "plain", Fraction(0), affine)
+        return (idx,), ExpansionGuess(
+            None, None, idx * eta, "sqrt", Fraction(idx * p * a, q * b), eta
+        )
 
-    def name(idx: int) -> ExpansionGuess:
-        if idx == 0:  # a sqrt value is at least eps > 0
-            return ExpansionGuess(None, None, Fraction(0), "plain", Fraction(0), affine)
-        return ExpansionGuess(None, None, idx * eta, "sqrt", Fraction(idx * p * a, q * b), eta)
-
-    top = max(plain, cut(lo)) if lo < hi else plain
-    return _run_expansion_branches(g, y, params, guesses(), "guess-expansion-grid", top, name)
+    return _run_expansion_branches(g, y, params, "guess-expansion-grid", plain, cut, lo, hi, name)

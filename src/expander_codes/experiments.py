@@ -26,14 +26,13 @@ from .decoders import (
     scaled_guess_flip_decode,
     viderman_decode,
 )
-from .errors import BudgetExceeded, InvalidInput, InvalidParameters
+from .errors import BudgetExceeded, InvalidParameters
 from .graphs import BipartiteGraph, ExpanderParams
 from .linear_code import Word
 
 __all__ = [
     "ERROR_MODELS",
     "DECODER_NAMES",
-    "inject_errors",
     "iter_error_patterns",
     "ExperimentConfig",
     "TrialResult",
@@ -109,26 +108,6 @@ def _error_set(g: BipartiteGraph, model: str, radius: int, seed: int) -> tuple[i
         return _greedy_low_expansion_set(g, radius)
     raise InvalidParameters(
         f"unknown model {model!r} (exhaustive patterns come from iter_error_patterns)"
-    )
-
-
-def inject_errors(
-    g: BipartiteGraph, codeword: Word, radius: int, model: str, seed: int
-) -> tuple[Word, frozenset[int]]:
-    """Corrupt a codeword with a size-``radius`` error set from the model.
-
-    uniform-random-set samples the set from the seed; low-expansion-greedy
-    deterministically grows a set with few fresh neighbors (the stress case
-    for collision-heavy error patterns).
-    """
-    if not 0 <= radius <= g.n_left:
-        raise InvalidParameters(f"radius must be in [0, {g.n_left}]")
-    if codeword.n != g.n_left or codeword.has_erasures:
-        raise InvalidInput("codeword must be a fully known length-N word")
-    errs = _error_set(g, model, radius, seed)
-    return (
-        Word(g.n_left, codeword.bits ^ indices_to_mask(errs, g.n_left)),
-        frozenset(errs),
     )
 
 

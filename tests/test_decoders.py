@@ -17,6 +17,7 @@ from expander_codes import (
     FindConfig,
     FindTrace,
     GuessSchedule,
+    InvalidInput,
     InvalidParameters,
     Word,
     collisions,
@@ -53,14 +54,14 @@ from conftest import cyc_graph
 
 class TestFindConfig:
     def test_plain_threshold_exactness(self):
-        cfg = FindConfig.from_delta(Fraction(1, 4))  # h = (1/2) * d
-        assert cfg.admits(2, 4) and not cfg.admits(1, 4)
+        h = FindConfig.from_delta(Fraction(1, 4)).effective_threshold(4)  # (1/2) * d
+        assert 2 >= h and not 1 >= h
 
     def test_sqrt_threshold_exactness(self):
         # delta = sqrt(1/16) = 1/4 exactly: same admissions as plain 1/4
-        cfg = FindConfig(Fraction(1, 16), 0)
+        h = FindConfig(Fraction(1, 16), 0).effective_threshold(4)
         for c in range(5):
-            assert cfg.admits(c, 4) == FindConfig.from_delta(Fraction(1, 4)).admits(c, 4)
+            assert (c >= h) == (c >= FindConfig.from_delta(Fraction(1, 4)).effective_threshold(4))
 
     def test_effective_threshold(self):
         assert FindConfig.from_delta(0).effective_threshold(4) == 4
@@ -72,6 +73,8 @@ class TestFindConfig:
             FindConfig.from_delta(Fraction(1, 2))
 
     def test_admits_is_the_effective_threshold_cut(self):
+        # a count c passes c >= (1 - 2*(sqrt(q) + s))*D, that is
+        # (D - c)/(2D) - s <= sqrt(q), exactly when c >= effective_threshold
         qs = (0, Fraction(1, 100), Fraction(1, 16), Fraction(1, 9),
               Fraction(3, 50), Fraction(1, 5), Fraction(1, 4))
         ss = (0, Fraction(1, 10), Fraction(1, 8), Fraction(1, 4),
@@ -82,12 +85,12 @@ class TestFindConfig:
                 for d in (1, 2, 3, 4, 5, 6, 7, 8, 50):
                     h = cfg.effective_threshold(d)
                     for c in range(d + 1):
-                        assert cfg.admits(c, d) == (c >= h), (q, s, d, c)
+                        gap = Fraction(d - c, 2 * d) - s
+                        assert (gap <= 0 or gap * gap <= q) == (c >= h), (q, s, d, c)
 
     def test_degree_zero_admits_every_count(self):
         # (1 - 2 delta) * 0 = 0: count 0 passes, with no division by D
         assert FindConfig().effective_threshold(0) == 0
-        assert FindConfig().admits(0, 0)
         assert FindConfig(Fraction(1, 9), Fraction(1, 3)).effective_threshold(0) == 0
 
 
@@ -188,7 +191,7 @@ def _three_branch_find(g, y, cfg, order="ascending", seed=None, prefer=None):
     counts = [(m & r_mask).bit_count() for m in g.left_masks]
     in_l = [False] * g.n_left
     pending = {i for i in range(g.n_left) if counts[i] >= h}
-    added, growth = [], []
+    added = []
     while pending:
         pick_from = pending & pref or pending
         if rng is not None and len(pick_from) > 1:
@@ -202,14 +205,13 @@ def _three_branch_find(g, y, cfg, order="ascending", seed=None, prefer=None):
         added.append(i)
         new_checks = g.left_masks[i] & ~r_mask
         r_mask |= g.left_masks[i]
-        growth.append(r_mask.bit_count())
         for c in range(g.m_right):
             if (new_checks >> c) & 1:
                 for u in g.right_adj[c]:
                     counts[u] += 1
                     if not in_l[u] and counts[u] >= h:
                         pending.add(u)
-    return FindTrace(tuple(added), sum(1 << i for i in added), r_mask, tuple(growth))
+    return FindTrace(tuple(added), sum(1 << i for i in added), r_mask)
 
 
 class TestFindSuspects:
@@ -220,17 +222,36 @@ class TestFindSuspects:
     def test_tri3_delta_zero(self, tri3):
         trace = find_suspects(tri3, parse_word("100"), FindConfig.from_delta(0))
         assert trace.l_set == {0}
-        assert trace.r_set == {0, 2}
-        assert trace.growth == (2,)  # |R| after each addition
+        assert trace.r_mask == 0b101  # R = checks 0 and 2
 
     def test_growth_monotone(self, decode_instances):
+        # R is the unsatisfied checks and the checks of L, and it closes L:
+        # every vertex outside L has fewer than h checks in R
         g = decode_instances[0].graph
-        trace = find_suspects(
-            g, Word.from_support(g.n_left, [0, 3]), FindConfig.from_delta(Fraction(1, 3))
-        )
-        assert list(trace.growth) == sorted(trace.growth)
-        if trace.growth:
-            assert trace.growth[-1] == len(trace.r_set)
+        y = Word.from_support(g.n_left, [0, 3])
+        cfg = FindConfig.from_delta(Fraction(1, 3))
+        trace = find_suspects(g, y, cfg)
+        r_mask = syndrome_bits(g, y.bits)
+        for i in trace.order:
+            r_mask |= g.left_masks[i]
+        assert trace.r_mask == r_mask and trace.size > 0
+        h = cfg.effective_threshold(g.d_left)
+        for i in range(g.n_left):
+            assert ((g.left_masks[i] & r_mask).bit_count() >= h) == (i in trace.l_set), i
+
+    def test_prefer_positions_are_range_checked(self):
+        g = gen_left_regular(10, 6, 3, 0)
+        y = Word.from_support(10, [2])
+        cfg = FindConfig.from_delta(Fraction(1, 4))
+        for prefer in ([100, -3], [9, 10], [-1]):
+            with pytest.raises(InvalidInput):
+                find_suspects(g, y, cfg, prefer=prefer)
+        # a non-integer position fails as it does in every other position list
+        for call in (lambda: find_suspects(g, y, cfg, prefer=["a"]),
+                     lambda: Word.from_support(10, ["a"])):
+            with pytest.raises(TypeError):
+                call()
+        assert find_suspects(g, y, cfg, prefer=[9, 0]).l_set == find_suspects(g, y, cfg).l_set
 
     def test_tri3_delta_quarter(self, tri3):
         trace = find_suspects(
@@ -275,11 +296,7 @@ class TestFindSuspects:
             else:
                 cfg = FindConfig(Fraction(rng.randrange(0, 9), 64), Fraction(rng.randrange(0, 13), 24))
             h = cfg.effective_threshold(d)
-            prefer = rng.choice([
-                None,
-                errors,
-                rng.sample(range(-3, n + 3), rng.randint(0, n + 6)),
-            ])
+            prefer = rng.choice([None, errors, rng.sample(range(n), rng.randint(0, n))])
             seen.add((h == 0, h == d, syndrome_bits(g, y.bits) == 0, prefer is None))
             for order in ("ascending", "descending", "random"):
                 got = find_suspects(g, y, cfg, order=order, seed=case, prefer=prefer)
@@ -547,6 +564,12 @@ class TestGuessSchedule:
             eta = Fraction(rng.randint(1, 400), rng.randint(1, 4000))
             eps = Fraction(rng.randint(0, 600), 1000)
             cases.append((beta, eta, eps, rng.randint(0, 12)))
+        # the listing probes D - floor(3 i p D / q) on integers at eta = p/q:
+        # the schedule's own eta at random (D, eps, beta), D up to 64
+        for _ in range(1500):
+            beta = Fraction(rng.randint(25, 249), 1000)
+            eps = Fraction(rng.randint(0, 250), 1000)
+            cases.append((beta, None, eps, rng.randint(0, 64)))
         finds = set()
         for beta, eta, eps, d in cases:
             eta = GuessSchedule.for_beta(beta).eta if eta is None else eta
@@ -996,6 +1019,10 @@ class TestGuessExpansion:
         g = gen_left_regular(22, 20, 4, 963)
         y = plant_errors(sample_codeword(g, 963), [5, 13])
         cases.append((g, y, ExpanderParams(Fraction(5, 2) / 22, Fraction(1, 32)), slacks[0]))
+        # a sqrt success past ceil(alpha*N) = 1, at (2, 3): its k names its own i
+        g = gen_left_regular(24, 23, 5, 903)
+        y = plant_errors(sample_codeword(g, 903), [5, 22])
+        cases.append((g, y, ExpanderParams(Fraction(1, 24), Fraction(1, 128)), slacks[0]))
 
         kinds, sides = set(), set()
         for g, y, params, slack in cases:
@@ -1086,7 +1113,20 @@ class TestGuessExpansion:
     def test_poly_on_empty_graph_makes_no_guess(self):
         g = BipartiteGraph(0, 3, 2, ())
         out = guess_expansion_decode_poly(g, Word.zero(0), ExpanderParams(1, Fraction(1, 8)))
-        assert not out.ok and out.iterations == 0
+        assert out == DecodeOutcome(
+            "guess-expansion", "failure", reason="no-candidate", radius=Fraction(0), iterations=0
+        )
+
+    def test_grid_on_empty_graph_accepts_the_plain_guess(self):
+        # the plain guess finds the empty L, whose erasure gives the empty word
+        g = BipartiteGraph(0, 3, 2, ())
+        params = ExpanderParams(1, Fraction(1, 8))
+        out = guess_expansion_decode_grid(g, Word.zero(0), params, Fraction(1, 2))
+        plain = ExpansionGuess(None, None, Fraction(0), "plain", Fraction(0), Fraction(1, 4))
+        assert out == DecodeOutcome(
+            "guess-expansion-grid", "success", word=Word.zero(0), radius=Fraction(0),
+            corrected=0, iterations=1, enumeration_index=(0,), guess=plain,
+        )
 
     def test_grid_tries_sqrt_cuts_after_a_plain_zero_cut(self):
         # eta' = 2 at eps = 1/8: the plain delta eps + 2*eta = 5/8 admits

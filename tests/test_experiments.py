@@ -8,19 +8,16 @@ import pytest
 from expander_codes import (
     ExperimentConfig,
     InvalidParameters,
-    Word,
     format_radii_table,
     gen_left_regular,
-    inject_errors,
     iter_error_patterns,
     neighbors,
     report_radii,
     results_to_csv,
-    sample_codeword,
     sweep,
     trial_seed,
 )
-from expander_codes.experiments import _greedy_low_expansion_set
+from expander_codes.experiments import _error_set, _greedy_low_expansion_set
 
 
 def _greedy_by_rescan(g, size):
@@ -46,18 +43,19 @@ def _greedy_by_rescan(g, size):
 
 class TestInjectErrors:
     def test_radius_zero(self, tri3):
-        c = sample_codeword(tri3, 3)
-        word, errs = inject_errors(tri3, c, 0, "uniform-random-set", 1)
-        assert word == c and errs == frozenset()
+        for model in ("uniform-random-set", "low-expansion-greedy"):
+            assert _error_set(tri3, model, 0, 1) == ()
+        with pytest.raises(InvalidParameters):
+            _error_set(tri3, "exhaustive", 0, 1)
 
     def test_greedy_on_tri3_shares_a_check(self, tri3):
-        word, errs = inject_errors(tri3, Word.zero(3), 2, "low-expansion-greedy", 0)
+        errs = _error_set(tri3, "low-expansion-greedy", 2, 0)
         assert len(errs) == 2
         assert len(neighbors(tri3, errs)) == 3  # every pair shares exactly one
 
     def test_greedy_prefers_collisions(self):
         g = gen_left_regular(14, 9, 3, 7)
-        _, errs = inject_errors(g, Word.zero(14), 4, "low-expansion-greedy", 0)
+        errs = _error_set(g, "low-expansion-greedy", 4, 0)
         # the greedy set's neighborhood is no larger than a typical one
         import random
 
@@ -77,9 +75,9 @@ class TestInjectErrors:
                 assert _greedy_low_expansion_set(g, size) == _greedy_by_rescan(g, size), (seed, size)
 
     def test_deterministic(self, tri3):
-        a = inject_errors(tri3, Word.zero(3), 2, "uniform-random-set", 9)
-        b = inject_errors(tri3, Word.zero(3), 2, "uniform-random-set", 9)
-        assert a == b
+        a = _error_set(tri3, "uniform-random-set", 2, 9)
+        assert a == _error_set(tri3, "uniform-random-set", 2, 9)
+        assert len(a) == 2 and list(a) == sorted(set(a))
 
     def test_exhaustive_iterator(self):
         pats = list(iter_error_patterns(4, 2))

@@ -56,13 +56,12 @@ def _word_find_suspects(g, y, cfg, *, order="ascending", seed=None, prefer=None)
     counts = [(m & r_mask).bit_count() for m in g.left_masks]
     heap = [(i not in pref, rank[i], i) for i in range(n) if counts[i] >= h]
     heapq.heapify(heap)
-    added, growth = [], []
+    added = []
     while heap:
         i = heapq.heappop(heap)[2]
         added.append(i)
         new_checks = g.left_masks[i] & ~r_mask
         r_mask |= g.left_masks[i]
-        growth.append(r_mask.bit_count())
         while new_checks:
             low = new_checks & -new_checks
             for u in g.right_adj[low.bit_length() - 1]:
@@ -70,7 +69,7 @@ def _word_find_suspects(g, y, cfg, *, order="ascending", seed=None, prefer=None)
                 if counts[u] == h:
                     heapq.heappush(heap, (u not in pref, rank[u], u))
             new_checks ^= low
-    return FindTrace(tuple(added), sum(1 << i for i in added), r_mask, tuple(growth))
+    return FindTrace(tuple(added), sum(1 << i for i in added), r_mask)
 
 
 def _word_decode_erasures(g, y):
@@ -209,7 +208,7 @@ class TestMatchesWordDomain:
             seen.add(("s=0", s == 0))
 
             for order in ("ascending", "descending", "random"):
-                for prefer in (None, errors, rng.sample(range(-3, n + 3), rng.randint(0, n + 6))):
+                for prefer in (None, errors, rng.sample(range(n), rng.randint(0, n))):
                     kw = dict(order=order, seed=case, prefer=prefer)
                     assert find_suspects(g, y, cfg, **kw) == _word_find_suspects(g, y, cfg, **kw)
 
@@ -607,13 +606,17 @@ def test_guess_runner_erases_each_suspect_set_once(monkeypatch):
     out = guess_expansion_decode_poly(g, y, params)
     assert not out.ok and out.iterations > 1
     assert solves == []
-    # one cut listed twice: its L, at most M, is erased once; that solve
-    # fails, and the second guess only counts
-    h = g.d_left
-    size = len(_suspects(g, syndrome_bits(g, y.bits), h))
-    assert 0 < size <= g.m_right
-    guesses = [((0,), None, h), ((1,), None, h)]
-    out = decoders._run_expansion_branches(g, y, params, guesses, "guess-expansion")
+    # two distinct cuts, D and D - 1, settle the same L of one error, at
+    # most M: it is erased once; at alpha*N = 3/5 the accept radius is 0, so
+    # that solve's candidate is refused, and the second guess only counts
+    y = plant_errors(sample_codeword(g, 1), [54])
+    params = ExpanderParams(Fraction(1, 100), Fraction(1, 8))
+    s, h = syndrome_bits(g, y.bits), g.d_left
+    size = len(_suspects(g, s, h))
+    assert 0 < size == len(_suspects(g, s, h - 1)) <= g.m_right
+    out = decoders._run_expansion_branches(
+        g, y, params, "guess-expansion", h, lambda k: h - 1, 0, 1, _index_name
+    )
     assert not out.ok and out.iterations == 2
     assert solves == [size]
 
@@ -625,22 +628,39 @@ def test_guess_runner_erases_a_suspect_set_of_exactly_m():
     assert nullspace(g).dimension == 0
     y = Word(8, 0b1011)
     out = decoders._run_expansion_branches(
-        g, y, ExpanderParams(Fraction(1), Fraction(1, 8)), [((0,), None, 0)], "guess-expansion"
+        g, y, ExpanderParams(Fraction(1), Fraction(1, 8)), "guess-expansion",
+        0, lambda k: 0, 0, 0, _index_name,
     )
     assert out.ok and out.word == Word.zero(8) and out.corrected == 3
+    assert out.enumeration_index == (None,)
 
 
-def _runner_finding_every_cut(g, y, params, guesses, algorithm, top=None, name=None):
-    """Former _run_expansion_branches: a fresh find loop runs for every guess,
-    to its full closure, also below a cut whose L already exceeded M; the
-    listers' ``top`` goes unread, and ``name`` names the accepted guess."""
+def _index_name(k):
+    """A guess name for runner calls that list no ExpansionGuess."""
+    return (k,), None
+
+
+def _runner_finding_every_cut(g, y, params, algorithm, plain, cut, lo, hi, name):
+    """Former _run_expansion_branches, its guesses listed by a scan of every
+    index: the plain cut, then each k in [lo, hi) whose cut differs from the
+    cut at k - 1 and from ``plain``, up to the first cut of 0. A fresh find
+    loop runs for every guess, to its full closure, also below a cut whose L
+    already exceeded M, and ``name`` names the accepted guess."""
+    guesses, last = [(None, plain)], None
+    for k in range(lo, hi):
+        t = cut(k)
+        if t != last and t != plain:
+            guesses.append((k, t))
+        if t == 0:
+            break
+        last = t
     n, m = g.n_left, g.m_right
     accept = (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
     max_dist = math.floor(accept)
     s = syndrome_bits(g, y.bits)
     tried = set()
     attempts = 0
-    for attempts, (enum_index, guess, h) in enumerate(guesses, 1):
+    for attempts, (k, h) in enumerate(guesses, 1):
         suspects = decoders._suspects(g, s, h)
         if len(suspects) > m:
             continue
@@ -650,10 +670,11 @@ def _runner_finding_every_cut(g, y, params, guesses, algorithm, top=None, name=N
         tried.add(l_mask)
         e = decoders._erase(g, s, l_mask)[0]
         if e is not None and e.bit_count() <= max_dist:
+            enum_index, guess = name(k)
             return DecodeOutcome(
                 algorithm, "success", word=Word(n, y.bits ^ e), radius=accept,
                 corrected=e.bit_count(), iterations=attempts, enumeration_index=enum_index,
-                guess=guess if name is None else name(*enum_index),
+                guess=guess,
             )
     return DecodeOutcome(
         algorithm, "failure", reason="no-candidate", radius=accept, iterations=attempts
@@ -710,7 +731,7 @@ def test_guess_runner_skip_keeps_every_outcome(monkeypatch):
         instances.append((g, rng.randrange(n // 3 + 1)))
     big = gen_left_regular(200, 150, 6, 1)
     instances += [(big, k) for k in (1, 2, 6, 10, 14, 20)]
-    skipped = 0
+    skipped, sides = 0, set()
     for g, k in instances:
         n = g.n_left
         y = Word(n, indices_to_mask(rng.sample(range(n), k), n))
@@ -722,16 +743,20 @@ def test_guess_runner_skip_keeps_every_outcome(monkeypatch):
             lambda: guess_expansion_decode_grid(g, y, params, eta),
         ):
             assert call() == _with_former_runner(monkeypatch, call), (n, k)
-        # arbitrary cut lists, with repeats and rising and falling cuts
-        cuts = [rng.randrange(-1, g.d_left + 2) for _ in range(rng.randrange(1, 9))]
-        guesses = [((i,), None, h) for i, h in enumerate(cuts)]
-        assert decoders._run_expansion_branches(g, y, params, guesses, "x") == (
-            _runner_finding_every_cut(g, y, params, guesses, "x")), (n, k, cuts)
+        # random nonincreasing cut lists, with repeats, and the plain cut
+        # above, below or among them, so that the walk also meets rising cuts
+        cuts = sorted((rng.randrange(g.d_left + 2) for _ in range(rng.randrange(1, 9))),
+                      reverse=True)
+        plain = rng.randrange(-1, g.d_left + 3)
+        sides.add((plain > cuts[0]) - (plain < cuts[-1]))
+        args = (g, y, params, "x", plain, cuts.__getitem__, 0, len(cuts), _index_name)
+        assert decoders._run_expansion_branches(*args) == (
+            _runner_finding_every_cut(*args)), (n, k, plain, cuts)
         skipped += _count_finds(
-            monkeypatch, lambda: _runner_finding_every_cut(g, y, params, guesses, "x")
-        ) - _count_finds(
-            monkeypatch, lambda: decoders._run_expansion_branches(g, y, params, guesses, "x"))
+            monkeypatch, lambda: _runner_finding_every_cut(*args)
+        ) - _count_finds(monkeypatch, lambda: decoders._run_expansion_branches(*args))
     assert skipped > 0
+    assert sides == {-1, 0, 1}
 
 
 def test_grid_accepts_a_cut_above_the_lowered_one(monkeypatch):
