@@ -84,7 +84,9 @@ def indices_to_mask(indices, n: int) -> int:
     all lie in [0, n); a repeated position sets its bit once.
 
     Reads ``indices`` once, and raises InvalidInput naming the first position
-    out of range before it builds anything. ORing in ``1 << i`` costs up to
+    out of range before it builds anything, or the first one that is not an
+    integer (caught from the TypeError it raises, so a valid list pays
+    nothing for the check). ORing in ``1 << i`` costs up to
     O(n/64) word operations per position, O(k*n/64) for k positions; writing
     k digits into an n-byte buffer read by one base-2 ``int()`` costs O(n + k).
     Timed on CPython 3.11, the loop wins up to about 12 positions of 60, 20 of
@@ -95,17 +97,23 @@ def indices_to_mask(indices, n: int) -> int:
         indices = tuple(indices)
     if not indices:
         return 0
-    if min(indices) < 0 or max(indices) >= n:
-        bad = next(i for i in indices if not 0 <= i < n)
-        raise InvalidInput(f"position {bad} out of range [0, {n})")
-    if len(indices) ** 2 < 3 * n:
-        mask = 0
+    try:
+        if min(indices) < 0 or max(indices) >= n:
+            bad = next(i for i in indices if not 0 <= i < n)
+            raise InvalidInput(f"position {bad} out of range [0, {n})")
+        if len(indices) ** 2 < 3 * n:
+            mask = 0
+            for i in indices:
+                mask |= 1 << i
+            return mask
+        digits = bytearray(b"0") * n
         for i in indices:
-            mask |= 1 << i
-        return mask
-    digits = bytearray(b"0") * n
-    for i in indices:
-        digits[i] = 49  # ord("1")
+            digits[i] = 49  # ord("1")
+    except TypeError:
+        bad = [i for i in indices if not isinstance(i, int)]
+        if not bad:
+            raise
+        raise InvalidInput(f"position {bad[0]!r} is not an integer") from None
     digits.reverse()  # int() reads the most significant digit first
     return int(digits, 2)
 

@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 from ._util import _echelon, _solve, as_fraction, indices_to_mask, mask_to_indices, select
 from .errors import InvalidInput, InvalidParameters
@@ -168,11 +168,11 @@ def _suspects(
     key: Optional[Sequence[int]] = None,
     *,
     limit: Optional[int] = None,
-    lower: Optional[Callable[[int, list[int]], Optional[int]]] = None,
-) -> list[int]:
+) -> Generator[list[int], int, None]:
     """The find loop in the syndrome domain: R starts at the checks set in
     ``s``, and a vertex joins L once at least ``h`` of its checks are in R.
-    Returns L in insertion order.
+    A generator: it yields L, in insertion order, at each closure, so one
+    caller takes ``next`` of it.
 
     L and R are the closure, the same for any pick order: counts only grow,
     so a vertex once eligible stays eligible. With no ``key`` the eligible
@@ -182,24 +182,23 @@ def _suspects(
     start at zero and only checks entering R raise them, so past the count
     and check arrays the work follows |s| and Gamma(L), not N.
 
-    With a ``limit``, the loop stops as soon as |L| exceeds it and returns
-    that L of limit + 1 vertices: the closure is at least that large. An L
-    of exactly ``limit`` vertices is a closure like any other.
+    With a ``limit``, the loop stops as soon as |L| exceeds it: it yields
+    that L of limit + 1 vertices and ends, since the closure is at least that
+    large. An L of exactly ``limit`` vertices is a closure like any other.
 
-    With ``lower``, the loop can be lowered. At each closure it calls
-    ``lower(h, L)``; None stops it, and a cut h' < h resumes it at h'. At a
-    closure of cut h > 0, L is every vertex with at least h checks in R, so
-    lowering pushes the vertices whose count lies in [h', h) and goes on
-    with the counts, R and L it has: the closure at h' is the one a fresh
-    loop at h' reaches, and the work of every cut above it is reused. ``L``
-    is the list the loop returns, grown in place, so the L of each closure
-    is a prefix of the final one.
+    The guess runner sends it lower cuts: at a closure it may send a cut
+    h' < h. At a closure of cut h > 0, L is every vertex with at least h
+    checks in R, so the loop pushes the vertices whose count lies in
+    [h', h) and resumes with the counts, R and L it has: the closure at h'
+    is the one a fresh loop at h' reaches, and the work of every cut above
+    it is reused. The yielded L is one list, grown in place, so the L of
+    each closure is a prefix of every later one.
     """
     n = g.n_left
     adj, right_adj = g.adj, g.right_adj
     counts = [0] * n
     # counts only grow, so a vertex is pushed once: at the start if h = 0,
-    # else when its count reaches the cut, or when a lowering passes its count
+    # else when its count reaches the cut, or when a lower cut passes its count
     if key is None:
         ready = list(range(n)) if h <= 0 else []
         push, pop = ready.append, ready.pop
@@ -236,12 +235,9 @@ def _suspects(
             add(i)
             checks = adj[i]
         else:
-            return added  # |L| > limit
-        if lower is None:
-            return added
-        cut = lower(h, added)
-        if cut is None:
-            return added
+            yield added  # |L| > limit
+            return
+        cut = yield added
         for t in range(max(cut, 0), min(h, g.d_left + 1)):  # a count is at most D
             u = -1
             for _ in range(counts.count(t)):
@@ -287,7 +283,7 @@ def find_suspects(
     pref = indices_to_mask(prefer, n) if prefer is not None else 0
     key = [rank[i] - n if pref >> i & 1 else rank[i] for i in range(n)] if pref else rank
     r = syndrome_bits(g, y.bits)
-    order = _suspects(g, r, cfg.effective_threshold(g.d_left), key)
+    order = next(_suspects(g, r, cfg.effective_threshold(g.d_left), key))
     for i in order:  # R is s and the checks of L
         r |= g.left_masks[i]
     return FindTrace(tuple(order), indices_to_mask(order, n), r)
@@ -516,7 +512,7 @@ def _find_and_erase(
     error pattern e on them with H e = s, the reason and the suspects L; the
     candidate is the word XOR e. ``limit`` goes to the find loop, so with
     limit = capacity an L over capacity holds capacity + 1 vertices."""
-    suspects = _suspects(g, s, h, limit=limit)
+    suspects = next(_suspects(g, s, h, limit=limit))
     if capacity is not None and len(suspects) > capacity:
         return None, "list-exceeds-capacity", suspects
     e, why, _ = _erase(g, s, indices_to_mask(suspects, g.n_left))
@@ -940,18 +936,19 @@ def _run_expansion_branches(
 
     The syndrome is computed once, and so is the find loop: L only grows as
     the cut drops, so one ``_suspects`` starts at the highest cut a guess
-    asks for, the larger of ``plain`` and ``cut(lo)``, and is lowered one
-    level at a time, only as far as the next guess asks. |L| at every level
-    it settles is kept, since L there is a prefix of the loop's list, and a
-    guess reads the L of its cut, whether that cut lies below the ones
-    before or above. The candidate depends only on the word and L, so a
-    guess whose L was already erased (one of the same size) is not erased
-    again; it still counts as an attempt. Nor is an L larger than M erased
-    (pigeonhole): H restricted to L then has more columns than rows, so a
-    nonzero kernel, and no e on L with H e = s is unique. The find loop
-    therefore runs with limit M: once |L| > M it stops, and that cut and
-    every cut below it run no solve; their guesses still count as attempts.
-    On ``gen_left_regular(N, 3N/4, 6)`` every grid failure at N = 200 and
+    asks for, the larger of ``plain`` and ``cut(lo)``, and before each guess
+    the runner sends it the cuts one level at a time, only down to the
+    guess's cut. |L| at every level it settles is kept, since L there is a
+    prefix of the loop's list, and a guess reads the L of its cut, whether
+    that cut lies below the ones before or above. The candidate depends only
+    on the word and L, so a guess whose L was already erased (one of the
+    same size) is not erased again; it still counts as an attempt. Nor is an
+    L larger than M erased (pigeonhole): H restricted to L then has more
+    columns than rows, so a nonzero kernel, and no e on L with H e = s is
+    unique. The find loop therefore runs with limit M: once |L| > M it
+    stops, and that cut and every cut below it never settle, so their
+    guesses run no solve; they still count as attempts. On
+    ``gen_left_regular(N, 3N/4, 6)`` every grid failure at N = 200 and
     every poly failure at N = 60 finds |L| > M at its top cut, so each runs
     one find loop, cut short at M + 1 suspects, and no solve. The accept
     radius is floored once, so each candidate compares an integer weight."""
@@ -963,54 +960,36 @@ def _run_expansion_branches(
     accept = Fraction(num, den)
     max_dist = num // den
     s = syndrome_bits(g, y.bits)
-    guesses = chain([(None, plain)], ((k, t) for k, t in _cut_steps(cut, lo, hi) if t != plain))
-    waiting = next(guesses)  # the next guess to attempt: (k, its cut)
-    # L at a settled cut is a prefix of the loop's list, so two cuts have the
-    # same L exactly when they have the same |L|; no cut where |L| > M settles
+    level = max(plain, cut(lo)) if lo < hi else plain
+    loop = _suspects(g, s, level, limit=m)
+    suspects = next(loop)
+    # L at a settled level is a prefix of the loop's list, so two levels have
+    # the same L exactly when they have the same |L|; no level where |L| > M
+    # settles
     sizes: dict[int, int] = {}
-    suspects: list[int] = []
     tried: set[int] = set()  # the sizes of the L already erased
-    attempts = 0
-    hit = None
-
-    def attempt(low) -> bool:
-        """Attempt the waiting guesses in order while their cut is at least
-        ``low``; True when one waits for a lower cut."""
-        nonlocal waiting, attempts, hit
-        while waiting is not None:
-            k, h = waiting
-            if h < low:
-                return True
-            attempts += 1
-            size = sizes.get(h)
-            if size is not None and size not in tried:
-                tried.add(size)
-                e = _erase(g, s, indices_to_mask(suspects[:size], n))[0]
-                if e is not None and e.bit_count() <= max_dist:
-                    hit = k, e
-                    return False
-            waiting = next(guesses, None)
-        return False
-
-    def settle(h: int, found: list[int]) -> Optional[int]:
-        nonlocal suspects
-        suspects = found
-        sizes[h] = len(found)
-        return h - 1 if attempt(h) else None
-
-    top = max(plain, cut(lo)) if lo < hi else plain
-    if len(_suspects(g, s, top, limit=m, lower=settle)) > m:
-        attempt(-math.inf)  # no cut below the last settled one is erasable
-    if hit is None:
-        return DecodeOutcome(
-            algorithm, "failure", reason="no-candidate",
-            radius=accept, iterations=attempts,
-        )
-    k, e = hit
-    enum_index, guess = name(k)
+    guesses = chain([(None, plain)], ((k, t) for k, t in _cut_steps(cut, lo, hi) if t != plain))
+    for attempts, (k, h) in enumerate(guesses, 1):
+        while len(suspects) <= m:
+            sizes[level] = len(suspects)
+            if level <= h:
+                break
+            level -= 1
+            suspects = loop.send(level)
+        size = sizes.get(h)
+        if size is None or size in tried:
+            continue
+        tried.add(size)
+        e = _erase(g, s, indices_to_mask(suspects[:size], n))[0]
+        if e is not None and e.bit_count() <= max_dist:
+            enum_index, guess = name(k)
+            return DecodeOutcome(
+                algorithm, "success", word=Word(n, y.bits ^ e), radius=accept,
+                corrected=e.bit_count(), iterations=attempts, enumeration_index=enum_index,
+                guess=guess,
+            )
     return DecodeOutcome(
-        algorithm, "success", word=Word(n, y.bits ^ e), radius=accept, corrected=e.bit_count(),
-        iterations=attempts, enumeration_index=enum_index, guess=guess,
+        algorithm, "failure", reason="no-candidate", radius=accept, iterations=attempts
     )
 
 

@@ -90,9 +90,6 @@ class Word:
             raise InvalidInput("Hamming distance undefined with erasures")
         return (self.bits ^ other.bits).bit_count()
 
-    def to_string(self) -> str:
-        return format_word(self)
-
     def __str__(self) -> str:
         return format_word(self)
 

@@ -82,10 +82,6 @@ class ListRadiusBreakdown:
     residual: float
     claim_conditions: Optional[dict[str, bool]] = None
 
-    @property
-    def beats_johnson(self) -> bool:
-        return self.rho_star > self.johnson_r
-
 
 def _fixed_point_terms(rho: float, delta: float, theta: float) -> tuple[float, float, float, float]:
     s_h = HEAVY_MASS * rho * (1.0 - 0.9)  # D_max * theta = 0.9 exactly

@@ -5,17 +5,25 @@ the syndrome kernel built on them, against per-check parity."""
 
 import math
 import random
+import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from expander_codes import (
     ExperimentConfig,
+    FindConfig,
     InvalidInput,
     Word,
+    collisions,
+    find_suspects,
     gen_left_regular,
+    neighbors,
+    odd_neighbors,
     plant_errors,
     sample_codeword,
+    unique_neighbors,
 )
 from expander_codes._util import indices_to_mask, mask_to_indices, select
 from expander_codes.experiments import run_trial
@@ -195,6 +203,34 @@ def test_out_of_range_position_raises_on_both_paths(n, many):
         indices_to_mask([n, -1] + good, n)
     with pytest.raises(InvalidInput, match="position 0 out of range"):
         indices_to_mask([0] * (n if many else 1), 0)
+
+
+_G24 = gen_left_regular(24, 18, 6, 1)
+_POSITION_ENTRIES = {
+    "from_support": lambda p: Word.from_support(24, p),
+    "plant_errors": lambda p: plant_errors(Word.zero(24), p),
+    "neighbors": lambda p: neighbors(_G24, p),
+    "unique_neighbors": lambda p: unique_neighbors(_G24, p),
+    "odd_neighbors": lambda p: odd_neighbors(_G24, p),
+    "collisions": lambda p: collisions(_G24, p),
+    "find_suspects": lambda p: find_suspects(
+        _G24, Word.zero(24), FindConfig.from_delta(Fraction(1, 4)), prefer=p
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_POSITION_ENTRIES))
+@pytest.mark.parametrize(
+    "positions, bad",
+    # 21 positions of 24 are past the k*k < 3n crossover: the digit buffer
+    # meets the float, where the other lists fail in the range check or the
+    # OR loop
+    [(["a"], "a"), ([1.5], 1.5), ([None], None), ([*range(20), 2.5], 2.5)],
+    ids=["str", "float", "none", "float-in-buffer"],
+)
+def test_non_integer_position_raises_invalid_input(entry, positions, bad):
+    with pytest.raises(InvalidInput, match=re.escape(f"position {bad!r} is not an integer")):
+        _POSITION_ENTRIES[entry](positions)
 
 
 @pytest.mark.parametrize(

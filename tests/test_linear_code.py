@@ -37,7 +37,7 @@ class TestWord:
     def test_string_round_trip(self):
         w = parse_word("10?1")
         assert (w.n, w.bits, w.erasures) == (4, 0b1001, 0b0100)
-        assert w.to_string() == "10?1"
+        assert str(w) == "10?1"
 
     def test_bad_symbol(self):
         with pytest.raises(InvalidInput):
@@ -402,7 +402,7 @@ class TestSampling:
 
     def test_plant_errors(self):
         c = parse_word("000")
-        assert plant_errors(c, [1]).to_string() == "010"
+        assert str(plant_errors(c, [1])) == "010"
         w = parse_word("1011")
         assert plant_errors(plant_errors(w, [0, 3]), [0, 3]) == w
 

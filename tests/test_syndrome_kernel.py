@@ -31,9 +31,15 @@ from expander_codes import (
 )
 from expander_codes import decoders
 from expander_codes._util import _echelon, _solve, indices_to_mask, mask_to_indices
-from expander_codes.decoders import _at_least, _find_and_erase, _suspects
+from expander_codes.decoders import _at_least, _find_and_erase
 from expander_codes.linear_code import syndrome_bits
 from conftest import gray_walk
+
+
+def _suspects(g, s, h, key=None, **kw):
+    """The first L the find loop yields: its closure at cut ``h``, or
+    limit + 1 vertices of it."""
+    return next(decoders._suspects(g, s, h, key, **kw))
 
 
 # -- the word-domain find-and-erase the kernel replaced ----------------------
@@ -306,16 +312,21 @@ class TestMatchesWordDomain:
 
 
 def _lowered(g, s, cuts, key=None, limit=None):
-    """One find loop started at cuts[0] and lowered through the rest: the
-    (cut, L as a set) of each closure it reached, and the list it returned."""
+    """One find loop started at cuts[0] and sent the rest: the (cut, L as a
+    set) of each closure it reached, and the last list it yielded. Past the
+    limit the loop yields once more, limit + 1 vertices, and ends."""
     settled = []
-    rest = iter(cuts[1:])
-
-    def lower(h, suspects):
+    loop = decoders._suspects(g, s, cuts[0], key, limit=limit)
+    suspects = next(loop)
+    for h, lower in zip(cuts, cuts[1:] + [None]):
+        if limit is not None and len(suspects) > limit:
+            assert next(loop, None) is None
+            break
         settled.append((h, frozenset(suspects)))
-        return next(rest, None)
-
-    return settled, _suspects(g, s, cuts[0], key, limit=limit, lower=lower)
+        if lower is None:
+            break
+        suspects = loop.send(lower)
+    return settled, suspects
 
 
 def _check_lowered(g, s, cuts, key, limit):
@@ -640,12 +651,10 @@ def _index_name(k):
     return (k,), None
 
 
-def _runner_finding_every_cut(g, y, params, algorithm, plain, cut, lo, hi, name):
-    """Former _run_expansion_branches, its guesses listed by a scan of every
-    index: the plain cut, then each k in [lo, hi) whose cut differs from the
-    cut at k - 1 and from ``plain``, up to the first cut of 0. A fresh find
-    loop runs for every guess, to its full closure, also below a cut whose L
-    already exceeded M, and ``name`` names the accepted guess."""
+def _scanned_guesses(plain, cut, lo, hi):
+    """The (index, cut) guesses of the runner, by a scan of every index: the
+    plain cut, then each k in [lo, hi) whose cut differs from the cut at
+    k - 1 and from ``plain``, up to the first cut of 0."""
     guesses, last = [(None, plain)], None
     for k in range(lo, hi):
         t = cut(k)
@@ -654,6 +663,15 @@ def _runner_finding_every_cut(g, y, params, algorithm, plain, cut, lo, hi, name)
         if t == 0:
             break
         last = t
+    return guesses
+
+
+def _runner_finding_every_cut(g, y, params, algorithm, plain, cut, lo, hi, name):
+    """Former _run_expansion_branches, its guesses listed by
+    ``_scanned_guesses``. A fresh find loop runs for every guess, to its full
+    closure, also below a cut whose L already exceeded M, and ``name`` names
+    the accepted guess."""
+    guesses = _scanned_guesses(plain, cut, lo, hi)
     n, m = g.n_left, g.m_right
     accept = (1 - 2 * params.eps) / (4 * params.eps) * params.alpha * n
     max_dist = math.floor(accept)
@@ -661,7 +679,7 @@ def _runner_finding_every_cut(g, y, params, algorithm, plain, cut, lo, hi, name)
     tried = set()
     attempts = 0
     for attempts, (k, h) in enumerate(guesses, 1):
-        suspects = decoders._suspects(g, s, h)
+        suspects = next(decoders._suspects(g, s, h))
         if len(suspects) > m:
             continue
         l_mask = indices_to_mask(suspects, n)
@@ -702,15 +720,19 @@ def _count_finds(monkeypatch, call) -> int:
 
 
 def _settled_cuts(monkeypatch, call) -> list:
-    """The cuts at which the lowered find loops of ``call`` reached a closure."""
+    """The cuts at which the find loops of ``call`` reached a closure: every
+    L they yield within their limit."""
     cuts = []
     find = decoders._suspects
 
-    def recording(g, s, h, key=None, *, lower=None, **kw):
-        if lower is not None:
-            inner = lower
-            lower = lambda h, suspects: cuts.append(h) or inner(h, suspects)
-        return find(g, s, h, key, lower=lower, **kw)
+    def recording(g, s, h, key=None, *, limit=None):
+        loop = find(g, s, h, key, limit=limit)
+        suspects = next(loop)
+        while limit is None or len(suspects) <= limit:
+            cuts.append(h)
+            h = yield suspects
+            suspects = loop.send(h)
+        yield suspects
 
     with monkeypatch.context() as patch:
         patch.setattr(decoders, "_suspects", recording)
@@ -757,6 +779,39 @@ def test_guess_runner_skip_keeps_every_outcome(monkeypatch):
         ) - _count_finds(monkeypatch, lambda: decoders._run_expansion_branches(*args))
     assert skipped > 0
     assert sides == {-1, 0, 1}
+
+
+def test_guess_runner_settles_each_level_down_to_the_lowest_guess(monkeypatch):
+    # the one find loop settles every level from the top cut down to the
+    # lowest cut of a guess the runner reached, and no level below it; it
+    # settles no level from the first one whose L exceeds M
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(80):
+        n = rng.randrange(8, 41)
+        m = rng.randrange(max(2, n // 2), n + 1)
+        d = rng.randrange(2, min(m, 6) + 1)
+        g = gen_left_regular(n, m, d, rng.randrange(1000))
+        y = Word(n, indices_to_mask(rng.sample(range(n), rng.randrange(n // 3 + 1)), n))
+        params = ExpanderParams(Fraction(rng.randrange(1, 6), 20), Fraction(1, 8))
+        cuts = sorted((rng.randrange(d + 2) for _ in range(rng.randrange(1, 9))), reverse=True)
+        plain = rng.randrange(-1, d + 3)
+        args = (g, y, params, "x", plain, cuts.__getitem__, 0, len(cuts), _index_name)
+        out = decoders._run_expansion_branches(*args)
+        reached = [h for _, h in _scanned_guesses(*args[4:8])][:out.iterations]
+        s = syndrome_bits(g, y.bits)
+        want = []
+        for level in range(max(plain, cuts[0]), min(reached) - 1, -1):
+            if len(_suspects(g, s, level)) > m:
+                break
+            want.append(level)
+        assert _settled_cuts(monkeypatch, lambda: decoders._run_expansion_branches(*args)) == (
+            want), (n, plain, cuts)
+        seen.add(("success", out.ok))
+        seen.add(("down to the lowest guess", bool(want) and want[-1] == min(reached)))
+        seen.add(("stopped above it", not want or want[-1] > min(reached)))
+        seen.add(("several levels", len(want) > 2))
+    assert all((flag, True) in seen for flag, _ in seen), seen
 
 
 def test_grid_accepts_a_cut_above_the_lowered_one(monkeypatch):
