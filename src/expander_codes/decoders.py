@@ -41,7 +41,7 @@ from typing import Callable, Generator, Optional, Sequence
 from ._util import _echelon, _solve, as_fraction, indices_to_mask, mask_to_indices, select
 from .errors import InvalidInput, InvalidParameters
 from .graphs import BipartiteGraph, ExpanderParams
-from .linear_code import Word, syndrome_bits
+from .linear_code import Word, check_word, syndrome_bits
 
 __all__ = [
     "FindConfig",
@@ -142,10 +142,7 @@ class FindTrace:
 def _check_plain(g: BipartiteGraph, y: Word) -> None:
     if g.d_left < 1:
         raise InvalidInput("graph has no edges")
-    if y.n != g.n_left:
-        raise InvalidInput(f"word length {y.n} != N = {g.n_left}")
-    if y.has_erasures:
-        raise InvalidInput("word must not contain erasures")
+    check_word(g, y)
 
 
 def _at_least(g: BipartiteGraph, synd: int, cuts: Sequence[int]) -> list[int]:
@@ -185,6 +182,9 @@ def _suspects(
     With a ``limit``, the loop stops as soon as |L| exceeds it: it yields
     that L of limit + 1 vertices and ends, since the closure is at least that
     large. An L of exactly ``limit`` vertices is a closure like any other.
+    The pass count is clamped at N, since |L| <= N: a limit of N or more,
+    such as the erasure capacity at a tiny eps, never stops the loop, and a
+    huge one cannot overflow the bound on ``repeat``.
 
     The guess runner sends it lower cuts: at a closure it may send a cut
     h' < h. At a closure of cut h > 0, L is every vertex with at least h
@@ -220,7 +220,7 @@ def _suspects(
     while True:
         # each pass folds the newest checks into R, then adds one vertex; a
         # bounded pass count stops the loop once |L| > limit
-        for _ in repeat(None) if limit is None else repeat(None, limit + 1 - len(added)):
+        for _ in repeat(None) if limit is None else repeat(None, min(limit, n) + 1 - len(added)):
             for c in checks:
                 if not in_r[c]:
                     in_r[c] = 1

@@ -334,6 +334,18 @@ class FactCheck:
     margin: Optional[Fraction]
     note: str = ""
 
+    @classmethod
+    def at_least(cls, name: str, lhs: Fraction, rhs: Fraction, *,
+                 applicable: bool = True, note: str = "") -> "FactCheck":
+        """The check lhs >= rhs, with margin lhs - rhs."""
+        return cls(name, applicable, lhs >= rhs, lhs, rhs, lhs - rhs, note)
+
+    @classmethod
+    def at_most(cls, name: str, lhs: Fraction, rhs: Fraction, *,
+                applicable: bool = True, note: str = "") -> "FactCheck":
+        """The check lhs <= rhs, with margin rhs - lhs."""
+        return cls(name, applicable, lhs <= rhs, lhs, rhs, rhs - lhs, note)
+
 
 @dataclass(frozen=True)
 class ParameterFacts:
@@ -367,26 +379,14 @@ def parameter_facts(alpha, eps, d: int, d_r, m: int, n: int) -> ParameterFacts:
         raise InvalidParameters("need alpha, eps, d, d_r, m and n all positive")
 
     inv_d = Fraction(1, d)
-    eps_min = FactCheck(
-        name="eps >= 1/D",
-        applicable=True,
-        holds=eps >= inv_d,
-        lhs=eps,
-        rhs=inv_d,
-        margin=eps - inv_d,
+    eps_min = FactCheck.at_least(
+        "eps >= 1/D", eps, inv_d,
         note="short-cycle argument; indicative only when the cycle fits in the alpha*N budget",
     )
 
     lhs = alpha / (4 * eps)
     rhs = 1 / d_r
-    alpha_ratio = FactCheck(
-        name="alpha/(4 eps) <= 1/D_R",
-        applicable=True,
-        holds=lhs <= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-    )
+    alpha_ratio = FactCheck.at_most("alpha/(4 eps) <= 1/D_R", lhs, rhs)
 
     # sharp finite-N form, from the exact first tradeoff bound applied to a
     # set of (rational) size 2M/D: 1/D_R >= alpha/(4 eps) - correction
@@ -395,13 +395,8 @@ def parameter_facts(alpha, eps, d: int, d_r, m: int, n: int) -> ParameterFacts:
     if k > 1 and alpha_n > 1 and 2 * Fraction(m, d) <= n:
         correction = alpha * (k - 1) / (2 * (alpha_n - 1))
         sharp_rhs = lhs - correction
-        sharp = FactCheck(
-            name="1/D_R >= alpha/(4 eps) - correction",
-            applicable=True,
-            holds=rhs >= sharp_rhs,
-            lhs=rhs,
-            rhs=sharp_rhs,
-            margin=rhs - sharp_rhs,
+        sharp = FactCheck.at_least(
+            "1/D_R >= alpha/(4 eps) - correction", rhs, sharp_rhs,
             note=f"correction = {correction}",
         )
     else:

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Optional
 
 from ._util import as_fraction, indices_to_mask
 from .errors import GenerationFailed, GraphFormatError, InvalidParameters
@@ -31,11 +32,26 @@ __all__ = [
 ]
 
 
+def _row_problem(row: tuple[int, ...], d: int, m: int) -> Optional[str]:
+    """Why ``row`` is no adjacency row of D increasing indices in [0, M), or
+    None when it is one."""
+    if len(row) != d:
+        return f"expected {d} indices, got {len(row)}"
+    prev = -1
+    for r in row:
+        if not 0 <= r < m:
+            return f"index {r} out of range [0, {m})"
+        if r <= prev:
+            return "indices must be strictly ascending"
+        prev = r
+    return None
+
+
 @dataclass(eq=True)
 class BipartiteGraph:
     """Bipartite graph with ``n_left`` left vertices of uniform degree ``d_left``.
 
-    ``adj[i]`` is the strictly ascending tuple of the ``d_left`` distinct right
+    ``adj[i]`` is the ascending tuple of the ``d_left`` distinct right
     neighbors of left vertex ``i`` (simple graph: no parallel edges from one
     left vertex). Instances are immutable by convention and safe to share;
     derived structure (bit masks, right adjacency, code basis) is cached on
@@ -56,21 +72,9 @@ class BipartiteGraph:
                 f"expected {self.n_left} adjacency rows, got {len(self.adj)}"
             )
         for i, row in enumerate(self.adj):
-            if len(row) != self.d_left:
-                raise InvalidParameters(
-                    f"left vertex {i}: expected {self.d_left} neighbors, got {len(row)}"
-                )
-            prev = -1
-            for r in row:
-                if not 0 <= r < self.m_right:
-                    raise InvalidParameters(
-                        f"left vertex {i}: neighbor {r} out of range [0, {self.m_right})"
-                    )
-                if r <= prev:
-                    raise InvalidParameters(
-                        f"left vertex {i}: neighbors must be strictly ascending"
-                    )
-                prev = r
+            problem = _row_problem(row, self.d_left, self.m_right)
+            if problem:
+                raise InvalidParameters(f"left vertex {i}: {problem}")
 
     # -- derived structure -------------------------------------------------
 
@@ -192,15 +196,19 @@ class ExpanderParams:
 # -- generators ------------------------------------------------------------
 
 
+def _check_sizes(n: int, m: int, d: int) -> None:
+    if n < 1 or m < 1:
+        raise InvalidParameters("n and m must be at least 1")
+    if not 1 <= d <= m:
+        raise InvalidParameters(f"degree {d} must satisfy 1 <= d <= m = {m}")
+
+
 def gen_left_regular(n: int, m: int, d: int, seed: int) -> BipartiteGraph:
     """Each left vertex draws d distinct uniform right neighbors.
 
     Deterministic for a fixed seed.
     """
-    if n < 1 or m < 1:
-        raise InvalidParameters("n and m must be at least 1")
-    if not 1 <= d <= m:
-        raise InvalidParameters(f"degree {d} must satisfy 1 <= d <= m = {m}")
+    _check_sizes(n, m, d)
     rng = random.Random(seed)
     adj = tuple(tuple(sorted(rng.sample(range(m), d))) for _ in range(n))
     return BipartiteGraph(n, m, d, adj)
@@ -217,10 +225,7 @@ def gen_biregular(
     cannot be fixed (e.g. only one right vertex's stubs remain) restarts the
     whole matching, up to ``restarts`` times.
     """
-    if n < 1 or m < 1:
-        raise InvalidParameters("n and m must be at least 1")
-    if not 1 <= d <= m:
-        raise InvalidParameters(f"degree {d} must satisfy 1 <= d <= m = {m}")
+    _check_sizes(n, m, d)
     if (n * d) % m != 0:
         raise InvalidParameters(f"n*d = {n * d} is not divisible by m = {m}")
     d_r = n * d // m
@@ -290,9 +295,9 @@ def union_graph(g0: BipartiteGraph, g1: BipartiteGraph) -> BipartiteGraph:
 
 # -- text format -----------------------------------------------------------
 #
-# Optional '#' comment lines, then a header "N M D", then N lines of D
-# space-separated strictly ascending zero-based right indices (blank when
-# D = 0). LF newlines.
+# Optional '#' comment lines, then a header "N M D", then N adjacency rows
+# of D space-separated zero-based right indices (blank when D = 0). LF
+# newlines.
 
 
 def store(g: BipartiteGraph) -> str:
@@ -327,15 +332,9 @@ def load(text: str) -> BipartiteGraph:
             row = tuple(int(p) for p in parts)
         except ValueError:
             raise GraphFormatError("indices must be integers", lineno)
-        if len(row) != d:
-            raise GraphFormatError(f"expected {d} indices, got {len(row)}", lineno)
-        prev = -1
-        for r in row:
-            if not 0 <= r < m:
-                raise GraphFormatError(f"index {r} out of range [0, {m})", lineno)
-            if r <= prev:
-                raise GraphFormatError("indices must be strictly ascending", lineno)
-            prev = r
+        problem = _row_problem(row, d, m)
+        if problem:
+            raise GraphFormatError(problem, lineno)
         rows.append(row)
     if header is None:
         raise GraphFormatError("missing header", 1)
@@ -369,8 +368,9 @@ def random_regular_graph(
 ) -> RegularGraph:
     """Random d-regular simple graph by repeated stub pairing.
 
-    Rejects and reshuffles whole pairings containing loops or duplicate
-    edges, so small instances are exact up to the attempt budget.
+    Rejects and reshuffles whole pairings that ``RegularGraph`` refuses, for
+    a loop or a repeated edge, so small instances are exact up to the
+    attempt budget.
     """
     if n * d % 2 != 0:
         raise InvalidParameters("n*d must be even")
@@ -378,24 +378,12 @@ def random_regular_graph(
         raise InvalidParameters("need 0 < d < n")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    for attempt in range(1, max_attempts + 1):
+    for _ in range(max_attempts):
         rng.shuffle(stubs)
-        edges = []
-        seen = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                ok = False
-                break
-            seen.add(key)
-            edges.append(key)
-        if ok:
-            return RegularGraph(n, d, tuple(edges))
+        try:
+            return RegularGraph(n, d, tuple(zip(stubs[::2], stubs[1::2])))
+        except InvalidParameters:
+            pass
     raise GenerationFailed(
         f"no simple {d}-regular pairing on {n} vertices after {max_attempts} attempts",
         attempts=max_attempts,

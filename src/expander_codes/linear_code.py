@@ -22,6 +22,7 @@ from .graphs import BipartiteGraph, ExpanderParams
 
 __all__ = [
     "Word",
+    "check_word",
     "Syndrome",
     "NullspaceBasis",
     "DistanceResult",
@@ -80,9 +81,6 @@ class Word:
     def support(self) -> tuple[int, ...]:
         return mask_to_indices(self.bits)
 
-    def erased_positions(self) -> tuple[int, ...]:
-        return mask_to_indices(self.erasures)
-
     def distance(self, other: "Word") -> int:
         if self.n != other.n:
             raise InvalidInput("words have different lengths")
@@ -92,6 +90,14 @@ class Word:
 
     def __str__(self) -> str:
         return format_word(self)
+
+
+def check_word(g: BipartiteGraph, w: Word) -> None:
+    """Refuse ``w`` unless it is N known bits: length N and no erasures."""
+    if w.n != g.n_left:
+        raise InvalidInput(f"word length {w.n} != N = {g.n_left}")
+    if w.has_erasures:
+        raise InvalidInput("word must not contain erasures")
 
 
 def parse_word(text: str) -> Word:
@@ -144,10 +150,7 @@ def syndrome_bits(g: BipartiteGraph, bits: int) -> int:
 
 
 def syndrome(g: BipartiteGraph, w: Word) -> Syndrome:
-    if w.n != g.n_left:
-        raise InvalidInput(f"word length {w.n} != N = {g.n_left}")
-    if w.has_erasures:
-        raise InvalidInput("syndrome undefined with erasures; use decode_erasures")
+    check_word(g, w)
     return Syndrome(g.m_right, syndrome_bits(g, w.bits))
 
 

@@ -19,7 +19,7 @@ from ._util import as_fraction, mask_to_indices
 from .errors import ConvergenceFailed, InvalidInput, InvalidParameters
 from .expansion import FactCheck
 from .graphs import BipartiteGraph
-from .linear_code import Word, min_distance_bruteforce, nullspace, syndrome_bits
+from .linear_code import Word, check_word, min_distance_bruteforce, nullspace, syndrome_bits
 
 __all__ = [
     "johnson_radius",
@@ -167,15 +167,12 @@ def _claim_gates(alpha, eps, d_max: int, d_r=None) -> tuple[FactCheck, ...]:
         raise InvalidParameters("alpha, eps, d_max and d_r must be positive")
     ratio = alpha / eps
     gates = [
-        FactCheck("eps <= 1/4", True, eps <= Fraction(1, 4), eps, Fraction(1, 4),
-                  Fraction(1, 4) - eps),
-        FactCheck("alpha/eps <= 0.1", True, ratio <= Fraction(1, 10), ratio,
-                  Fraction(1, 10), Fraction(1, 10) - ratio),
+        FactCheck.at_most("eps <= 1/4", eps, Fraction(1, 4)),
+        FactCheck.at_most("alpha/eps <= 0.1", ratio, Fraction(1, 10)),
     ]
     if d_r is not None:
-        cap = Fraction(11, 10) * d_r
-        gates.append(FactCheck("d_max <= 1.1*d_r", True, d_max <= cap,
-                               Fraction(d_max), cap, cap - d_max))
+        gates.append(FactCheck.at_most("d_max <= 1.1*d_r", Fraction(d_max),
+                                       Fraction(11, 10) * d_r))
     return tuple(gates)
 
 
@@ -185,10 +182,6 @@ class ThresholdClaimReport:
     johnson_below: FactCheck  # r < 0.53 * delta
     theta_above: FactCheck  # theta >= 0.544 * delta
     delta: Fraction
-
-    @property
-    def all_conditions_hold(self) -> bool:
-        return all(c.holds for c in self.conditions)
 
 
 def threshold_claim_check(alpha, eps, d_max: int, d_r) -> ThresholdClaimReport:
@@ -205,10 +198,8 @@ def threshold_claim_check(alpha, eps, d_max: int, d_r) -> ThresholdClaimReport:
     delta = alpha / (2 * eps)
     ratio = alpha / eps
     conditions += (
-        FactCheck("1/d_r >= 0.3325*alpha/eps", True,
-                  1 / d_r >= Fraction(3325, 10000) * ratio, 1 / d_r,
-                  Fraction(3325, 10000) * ratio,
-                  1 / d_r - Fraction(3325, 10000) * ratio),
+        FactCheck.at_least("1/d_r >= 0.3325*alpha/eps", 1 / d_r,
+                           Fraction(3325, 10000) * ratio),
     )
     gates_r = conditions[0].holds and conditions[1].holds
     r = johnson_radius(delta)
@@ -227,9 +218,9 @@ def threshold_claim_check(alpha, eps, d_max: int, d_r) -> ThresholdClaimReport:
     gates_theta = conditions[2].holds and conditions[3].holds
     theta = HEAVY_NUMERATOR / d_max
     t_limit = Fraction(544, 1000) * delta
-    theta_above = FactCheck(
-        "theta >= 0.544*delta", gates_theta, theta >= t_limit, theta, t_limit,
-        theta - t_limit, note="gated by d_max and d_r conditions",
+    theta_above = FactCheck.at_least(
+        "theta >= 0.544*delta", theta, t_limit, applicable=gates_theta,
+        note="gated by d_max and d_r conditions",
     )
     return ThresholdClaimReport(conditions, johnson_below, theta_above, delta)
 
@@ -246,10 +237,7 @@ def enumerate_list(
     the sums of at most floor(radius) words are listed, sum(C(k, <= r)) of
     the 2^k codewords. Refuses when the code dimension exceeds ``budget``.
     """
-    if y.n != g.n_left:
-        raise InvalidInput(f"word length {y.n} != N = {g.n_left}")
-    if y.has_erasures:
-        raise InvalidInput("list enumeration needs a fully known center")
+    check_word(g, y)
     if not radius >= 0:  # also refuses nan
         raise InvalidParameters("radius must be nonnegative")
     ns = nullspace(g)
@@ -293,15 +281,13 @@ def tau_profile(
     Verifies that every list entry is a codeword and that the odd-neighbor
     set of (y xor C) agrees across the whole list.
     """
-    if y.n != g.n_left or y.has_erasures:
-        raise InvalidInput("center must be a fully known length-N word")
+    check_word(g, y)
     if not codewords:
         raise InvalidInput("list must be nonempty")
     if g.d_max < 1:
         raise InvalidInput("graph has no edges")
     for w in codewords:
-        if w.n != g.n_left or w.has_erasures:
-            raise InvalidInput("list entries must be fully known length-N words")
+        check_word(g, w)
         if syndrome_bits(g, w.bits) != 0:
             raise InvalidInput(f"list entry {w} is not a codeword")
 

@@ -448,6 +448,20 @@ class TestFlipDecode:
         assert out.path == "no-flippable-bit"
         assert (out.iterations, out.flips) == (1, 1)
 
+    def test_max_rounds_counts_rounds(self, tri3):
+        # one round decodes 100, and max_rounds = 0 allows none
+        out = flip_decode_ss(tri3, parse_word("100"), 1, max_rounds=0)
+        assert not out.ok and out.path == "max-rounds" and out.iterations == 0
+        assert flip_decode_ss(tri3, parse_word("100"), 1, max_rounds=1).ok
+
+    def test_equal_unsatisfied_count_stalls(self):
+        # two bits on the same two checks: a round flips both, which moves
+        # the error to the other bit and leaves both checks unsatisfied
+        g = BipartiteGraph(2, 2, 2, [(0, 1), (0, 1)])
+        out = flip_decode_ss(g, parse_word("10"), 1)
+        assert not out.ok and out.path == "unsat-not-decreasing"
+        assert (out.iterations, out.flips) == (1, 2)
+
 
 class TestFlipRound:
     def test_degenerate_threshold_flips_all(self, tri3):
@@ -515,6 +529,19 @@ class TestViderman:
         params = ExpanderParams(Fraction(1, 3), Fraction(2, 5))
         with pytest.raises(InvalidParameters):
             viderman_decode(tri3, parse_word("100"), params)
+
+    def test_eps_at_third_needs_explicit_radius(self, tri3):
+        # the baseline radius (1-3 eps)/(1-2 eps)*floor(alpha*N) is 0 here
+        params = ExpanderParams(Fraction(1, 3), Fraction(1, 3))
+        with pytest.raises(InvalidParameters, match="baseline radius needs eps < 1/3"):
+            viderman_decode(tri3, parse_word("100"), params)
+
+    def test_zero_radius_accepted(self, tri3):
+        params = ExpanderParams(Fraction(1, 3), Fraction(1, 10))
+        out = viderman_decode(tri3, parse_word("111"), params, radius=0)
+        assert out.ok and out.radius == 0 and out.corrected == 0
+        out = viderman_decode(tri3, parse_word("100"), params, radius=0)
+        assert out.reason == "radius-exceeded"
 
     def test_negative_radius_refused(self, tri3):
         params = ExpanderParams(Fraction(1, 3), Fraction(1, 10))
@@ -734,6 +761,17 @@ class TestGuessFlip:
                         kinds.add(got.enumeration_index[-1] if got.ok else got.reason)
             assert kinds == kinds_seen, sizes
 
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**19), Fraction(1, 10**400)])
+    def test_capacity_past_the_machine_word_decodes(self, eps):
+        # the erasure capacity floor((1-xi)/(2 eps)*alpha*N) passes 2^63, and
+        # it bounds the find loop on both entries
+        g = gen_left_regular(24, 18, 6, 1)
+        params = ExpanderParams(Fraction(1, 3), eps)
+        y = Word.from_support(24, [3])
+        for out in (guess_flip_decode(g, y, params, Fraction(1, 20)),
+                    scaled_guess_flip_decode(g, y, params, Fraction(1, 100))):
+            assert out.ok and out.word == Word.zero(24)
+
     def test_recursion_overrun_raises_a_short_traceback(self, tri3):
         # beta = 1/1000 makes the search 1099 levels deep, past the recursion
         # limit: a known defect, raised afresh so it carries no per-level frames
@@ -905,6 +943,18 @@ class TestScaledGuessFlip:
         assert out.ok
         # the fallback radius is the unscaled (1-eps)*alpha*N
         assert out.radius == (1 - inst.eps) * inst.params.alpha * inst.graph.n_left
+
+    def test_fallback_at_k_one(self, tri3):
+        # eps = eta = 1/8 gives k = (1/4 - eta)/eps = 1 exactly
+        params = ExpanderParams(Fraction(1, 3), Fraction(1, 8))
+        out = scaled_guess_flip_decode(tri3, parse_word("111"), params, Fraction(1, 8))
+        assert out.ok and out.path == "unscaled-fallback"
+
+    def test_eps_from_quarter_refused(self, tri3):
+        # below eps = 1/4 the fallback's beta = 1/4 - eps is positive
+        params = ExpanderParams(Fraction(1, 3), Fraction(1, 4))
+        with pytest.raises(InvalidParameters, match="need eps < 1/4"):
+            scaled_guess_flip_decode(tri3, parse_word("100"), params, Fraction(1, 100))
 
     @pytest.mark.parametrize("eta", [Fraction(1, 4) + Fraction(1, 1000), Fraction(7)])
     def test_eta_above_quarter_refused(self, decode_instances, eta):

@@ -28,6 +28,7 @@ from expander_codes import (
     vertex_edge_graph,
     verify_expander,
 )
+from expander_codes.expansion import FactCheck
 from conftest import cyc_graph
 
 
@@ -329,6 +330,22 @@ class TestParameterFacts:
         assert facts.alpha_ratio_sharp.holds
         # sharp form implies the plain form here
         assert facts.alpha_ratio.holds
+
+
+class TestFactCheck:
+    def test_comparisons_match_hand_built_checks(self):
+        rng = random.Random(0)
+        ties = 0
+        for _ in range(400):
+            lhs = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            rhs = lhs if rng.random() < 0.2 else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            ties += lhs == rhs
+            applicable, note = rng.random() < 0.5, rng.choice(["", "a note"])
+            assert FactCheck.at_least("c", lhs, rhs, applicable=applicable, note=note) == (
+                FactCheck("c", applicable, lhs >= rhs, lhs, rhs, lhs - rhs, note))
+            assert FactCheck.at_most("c", lhs, rhs, applicable=applicable, note=note) == (
+                FactCheck("c", applicable, lhs <= rhs, lhs, rhs, rhs - lhs, note))
+        assert ties > 50
 
 
 class TestCollisions:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,12 @@ from expander_codes import (
     GenerationFailed,
     GraphFormatError,
     InvalidParameters,
+    RegularGraph,
     complete_graph,
     gen_biregular,
     gen_left_regular,
     load,
+    random_regular_graph,
     store,
     union_graph,
     vertex_edge_graph,
@@ -100,6 +103,45 @@ class TestVertexEdge:
             g = vertex_edge_graph(h)
             assert set(g.right_degrees) == {2}
             assert g.d_max == 2
+
+
+def _pairing_loop(n, d, seed, max_attempts):
+    """The stub pairing that tested each pair for a loop or a repeated edge
+    itself, before ``random_regular_graph`` left that to ``RegularGraph``:
+    its graph, or None where it gave up."""
+    rng = random.Random(seed)
+    stubs = [v for v in range(n) for _ in range(d)]
+    for _ in range(max_attempts):
+        rng.shuffle(stubs)
+        edges, seen = [], set()
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            key = (min(u, v), max(u, v))
+            if u == v or key in seen:
+                break
+            seen.add(key)
+            edges.append(key)
+        else:
+            return RegularGraph(n, d, tuple(edges))
+    return None
+
+
+class TestRandomRegular:
+    def test_matches_the_pairing_loop(self):
+        # a budget of 20 pairings keeps the many failures cheap
+        outcomes = set()
+        for n in range(3, 16):
+            for d in range(1 + n % 2, n, 1 + n % 2):  # n*d even
+                for seed in range(6):
+                    want = _pairing_loop(n, d, seed, 20)
+                    try:
+                        got = random_regular_graph(n, d, seed, max_attempts=20)
+                    except GenerationFailed as exc:
+                        assert want is None and exc.attempts == 20, (n, d, seed)
+                    else:
+                        assert got == want, (n, d, seed)
+                    outcomes.add(want is None)
+        assert outcomes == {False, True}
 
 
 class TestUnion:

@@ -93,7 +93,7 @@ class TestThresholdClaim:
     def test_claim_point(self):
         rep = threshold_claim_check(Fraction(1, 100), Fraction(1, 10), 33, 30)
         assert rep.delta == Fraction(1, 20)
-        assert rep.all_conditions_hold
+        assert all(c.holds for c in rep.conditions)
         assert rep.johnson_below.applicable and rep.johnson_below.holds
         # Taylor: r is at most 1.06 * delta/2 = 0.0265
         assert float(rep.johnson_below.lhs) <= 1.06 * float(rep.delta) / 2
@@ -116,7 +116,7 @@ class TestThresholdClaim:
 
     def test_gate_failure_makes_no_assertion(self):
         rep = threshold_claim_check(Fraction(2, 100), Fraction(1, 10), 33, 30)
-        assert not rep.all_conditions_hold
+        assert not all(c.holds for c in rep.conditions)
         assert not rep.johnson_below.applicable
 
 

@@ -232,7 +232,7 @@ class TestMatchesWordDomain:
                 w = Word(n, y.bits & ~erased, erased)
                 got = decode_erasures(g, w)
                 assert got == _word_decode_erasures(g, w), case
-                outside = (syndrome_bits(g, w.bits) & ~_gamma(g, w.erased_positions())) != 0
+                outside = (syndrome_bits(g, w.bits) & ~_gamma(g, mask_to_indices(w.erasures))) != 0
                 seen.add((got.path, got.reason, outside))
 
         assert {("h=0", True), ("h=d+1", True), ("s=0", True)} <= seen
