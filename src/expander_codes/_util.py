@@ -141,20 +141,11 @@ def _echelon(rows, limit: Optional[int] = None) -> dict[int, int]:
     return pivots
 
 
-def _solve(pivots: dict[int, int], *fixed: int) -> tuple[int, ...]:
-    """The solutions of the echelon system ``pivots`` (every row has even
-    parity) whose non-pivot columns are each of ``fixed``, in order.
-
-    Back-substitutes from the highest pivot down, setting pivot bit ``col``
-    when its row's other columns, all already decided, have odd parity. The
-    descending pivot order is built once and shared by every solution. No
-    word of ``fixed`` may set a pivot column.
-    """
-    order = [(1 << col, pivots[col]) for col in sorted(pivots, reverse=True)]
-    out = []
-    for sol in fixed:
-        for bit, row in order:
-            if (row & sol).bit_count() & 1:
-                sol |= bit
-        out.append(sol)
-    return tuple(out)
+def _solve(pivots: dict[int, int], fixed: int) -> int:
+    """The solution of the echelon system ``pivots`` (every row has even
+    parity) whose non-pivot columns are ``fixed``, back-substituted from the
+    highest pivot down. ``fixed`` may set no pivot column."""
+    for col in sorted(pivots, reverse=True):
+        if (pivots[col] & fixed).bit_count() & 1:
+            fixed |= 1 << col
+    return fixed

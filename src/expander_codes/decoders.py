@@ -453,7 +453,7 @@ def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, 
             return None, "not-a-codeword", path
         if len(pivots) < k:
             return None, "stalled", path
-        x = _solve(pivots, one)[0]
+        x = _solve(pivots, one)
         for b, sym in carried:
             if (sym & x).bit_count() & 1:
                 e ^= 1 << b

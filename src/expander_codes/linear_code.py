@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Iterator
 
-from ._util import _echelon, _solve, indices_to_mask, mask_to_indices, select
+from ._util import indices_to_mask, mask_to_indices, select
 from .errors import BudgetExceeded, InvalidInput, InvalidParameters
 from .expansion import tradeoff_bound_first
 from .graphs import BipartiteGraph, ExpanderParams
@@ -223,22 +223,33 @@ class NullspaceBasis:
 
 
 def nullspace(g: BipartiteGraph) -> NullspaceBasis:
-    """Gaussian elimination over GF(2) on the check matrix.
+    """The code as the nullspace of the check matrix over GF(2).
 
-    The basis is the reduced one: one word per free column, ascending, with
-    that column set and every other free column clear. A word's highest set
-    bit is its free column, as back-substitution sets no pivot column above
-    the free one it starts from. The basis is computed once per graph and
-    cached on it, so every later call returns the same immutable
-    ``NullspaceBasis``.
+    The basis is the reduced one: for each free column f, ascending, the one
+    codeword with f set and every other free column clear. One pass over the
+    columns, the left vertices' check masks, reduces each by its highest
+    check against the pivot columns before it, while a combo sums the same
+    columns. A column that reduces to 0 is free, a sum of earlier columns,
+    and its combo, which sets only pivots below f, is its word: no
+    back-substitution runs (README, "Notes on performance"). The basis is
+    computed once per graph and cached on it, so every later call returns
+    the same immutable ``NullspaceBasis``.
     """
     return g._code_basis
 
 
 def _reduced_basis(g: BipartiteGraph) -> NullspaceBasis:
-    pivots = _echelon(g.right_masks)
-    free = (1 << f for f in range(g.n_left) if f not in pivots)
-    return NullspaceBasis(g.n_left, len(pivots), _solve(pivots, *free))
+    pivots: dict[int, tuple[int, int]] = {}  # highest check + 1 -> (column, combo)
+    basis = []
+    for i, col in enumerate(g.left_masks):
+        combo = 1 << i
+        while col and (hit := pivots.get(col.bit_length())):
+            col, combo = col ^ hit[0], combo ^ hit[1]
+        if col:
+            pivots[col.bit_length()] = col, combo
+        else:
+            basis.append(combo)
+    return NullspaceBasis(g.n_left, len(pivots), tuple(basis))
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,13 @@ from expander_codes import (
 def eliminations(monkeypatch) -> list:
     """Grows by one entry per GF(2) elimination ``nullspace`` runs."""
     calls = []
-    echelon = linear_code._echelon
+    reduced_basis = linear_code._reduced_basis
 
-    def counting(rows):
+    def counting(g):
         calls.append(1)
-        return echelon(rows)
+        return reduced_basis(g)
 
-    monkeypatch.setattr(linear_code, "_echelon", counting)
+    monkeypatch.setattr(linear_code, "_reduced_basis", counting)
     return calls
 
 

@@ -181,7 +181,7 @@ class TestSweep:
 
     def test_large_sweep_runs_no_elimination_and_pinned_csv(self, eliminations):
         # successes, radius-exceeded and no-candidate failures at N = 2000,
-        # where a code basis costs an elimination over 1500 rows
+        # where a code basis costs an elimination over 2000 columns
         g = gen_left_regular(2000, 1500, 6, 1)
         csv = "".join(
             results_to_csv(sweep(self._cfg(

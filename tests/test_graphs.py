@@ -193,6 +193,20 @@ class TestStoreLoad:
         with pytest.raises(GraphFormatError):
             load("3 3 2\n0 2\n0 1\n")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("3 3 2\n0 1\n2 1\n", 3, "indices must be strictly ascending"),
+        ("3 3 2\n0 1\n0 5\n1 2\n0 2\n", 3, "index 5 out of range [0, 3)"),
+        ("3 3 2\n0\n0 1\nx\n", 2, "expected 2 indices, got 1"),
+        ("3 3 2\n0 1\n0 2\nx\n", 4, "indices must be integers"),
+        ("3 3 2\n0 1\n0 2\n", 1, "expected 3 adjacency lines, got 2"),
+    ])
+    def test_a_bad_row_comes_before_a_later_error(self, text, line, message):
+        # each row is checked once, yet the first bad line is still named
+        # before a wrong row count or a later unreadable line
+        with pytest.raises(GraphFormatError) as exc:
+            load(text)
+        assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
 
 class TestParams:
     def test_validation(self):

@@ -17,6 +17,7 @@ from expander_codes import (
     Word,
     distance_lower_bound,
     enumerate_list,
+    gen_biregular,
     gen_left_regular,
     is_codeword,
     min_distance_bruteforce,
@@ -29,8 +30,14 @@ from expander_codes import (
     union_graph,
 )
 from expander_codes import linear_code
-from expander_codes._util import _echelon, _solve
-from conftest import cyc_graph, gray_walk
+from expander_codes._util import _echelon
+from conftest import (
+    cyc_graph,
+    gen_four_cycle_free,
+    gray_walk,
+    symplectic_quadrangle_w2,
+    tri3_graph,
+)
 
 
 class TestWord:
@@ -50,6 +57,13 @@ class TestWord:
     def test_negative_length(self):
         with pytest.raises(InvalidInput):
             Word(-1, 0)
+
+    def test_bits_past_the_length(self):
+        # the top of the range is 2^n - 1: bit n belongs to no position
+        with pytest.raises(InvalidInput):
+            Word(3, 0b1000)
+        with pytest.raises(InvalidInput):
+            Word(3, 0, 0b1000)
 
     def test_negative_support_position(self):
         with pytest.raises(InvalidInput):
@@ -172,9 +186,7 @@ class TestNullspace:
         # the cached basis is the one a fresh elimination of an equal graph gives
         fresh = gen_left_regular(96, 72, 6, 1)
         assert fresh == g and fresh is not g
-        pivots = _echelon(fresh.right_masks)
-        free = (1 << f for f in range(fresh.n_left) if f not in pivots)
-        assert ns == NullspaceBasis(96, len(pivots), _solve(pivots, *free))
+        assert ns == _echelon_basis(fresh)
 
     def test_sampled_codewords_are_pinned(self):
         # the words a sweep plants come from the cached basis bit for bit
@@ -187,6 +199,94 @@ class TestNullspace:
             "830bce2d93f0090b1b0279343fdd9745302c02e06a4da1ccc010bd10fe28d7f4",
             "dee4bf8e14cbc905c848d0d72db67ccc7de933c8cf827589099e623011c562b1",
         ]
+
+
+def _echelon_basis(g: BipartiteGraph) -> NullspaceBasis:
+    """The reduced basis by the elimination the column pass replaced: a
+    lowest-bit row echelon of the check rows, then a back-substitution from
+    the highest pivot down for each free column."""
+    pivots: dict[int, int] = {}
+    for row in g.right_masks:
+        while row:
+            col = (row & -row).bit_length() - 1
+            if col not in pivots:
+                pivots[col] = row
+                break
+            row ^= pivots[col]
+    order = sorted(pivots, reverse=True)
+    basis = []
+    for f in range(g.n_left):
+        if f in pivots:
+            continue
+        word = 1 << f
+        for col in order:
+            if (pivots[col] & word).bit_count() & 1:
+                word |= 1 << col
+        basis.append(word)
+    return NullspaceBasis(g.n_left, len(pivots), tuple(basis))
+
+
+def _relabel_checks(g: BipartiteGraph, seed: int) -> BipartiteGraph:
+    """``g`` with its checks renamed by a seeded permutation."""
+    perm = list(range(g.m_right))
+    random.Random(seed).shuffle(perm)
+    adj = tuple(tuple(sorted(perm[r] for r in row)) for row in g.adj)
+    return BipartiteGraph(g.n_left, g.m_right, g.d_left, adj)
+
+
+class TestColumnPass:
+    """The column pass gives the basis of the row echelon and
+    back-substitution it replaced: same rank, same words, same order."""
+
+    def test_random_left_regular_graphs(self):
+        rng = random.Random(27)
+        for seed in range(200):
+            n = rng.randint(1, 60)
+            m = rng.randint(1, n + 10)
+            d = rng.randint(1, min(6, m))
+            g = gen_left_regular(n, m, d, seed)
+            assert nullspace(g) == _echelon_basis(g), (n, m, d, seed)
+
+    def test_structured_graphs(self):
+        graphs = [
+            gen_biregular(24, 18, 3, 0),
+            gen_biregular(40, 20, 4, 1),
+            gen_biregular(60, 45, 6, 2),
+            gen_four_cycle_free(16, 12, 3, 1),
+            gen_four_cycle_free(30, 24, 4, 4),
+            tri3_graph(),
+            symplectic_quadrangle_w2(),
+            cyc_graph(5),
+            cyc_graph(12),
+        ]
+        for g in graphs:
+            assert nullspace(g) == _echelon_basis(g)
+
+    def test_degenerate_graphs(self):
+        edgeless = BipartiteGraph(5, 3, 0, ((),) * 5)
+        assert nullspace(edgeless) == _echelon_basis(edgeless)
+        assert nullspace(edgeless) == NullspaceBasis(5, 0, (1, 2, 4, 8, 16))
+        for m, d in [(0, 0), (4, 2)]:
+            empty = BipartiteGraph(0, m, d, ())
+            assert nullspace(empty) == _echelon_basis(empty)
+            assert nullspace(empty) == NullspaceBasis(0, 0, ())
+
+    def test_permuted_check_labels(self):
+        # the pass reduces by the highest check, so renaming the checks
+        # changes the reduction order but not the basis
+        for seed in range(20):
+            g = gen_left_regular(40, 30, 1 + seed % 6, seed)
+            ns = nullspace(g)
+            for shuffle in range(3):
+                h = _relabel_checks(g, shuffle)
+                assert nullspace(h) == _echelon_basis(h) == ns
+
+    def test_golden_basis_digest_at_n_2000(self):
+        # pinned from the back-substitution basis
+        text = nullspace(gen_left_regular(2000, 1500, 6, 1)).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8ae4f48a5890ace1e233853c78546451447e5db84e43c12359cfcc8c1c594d7f"
+        )
 
 
 class TestMinDistance:
@@ -381,6 +481,11 @@ class TestDistanceLowerBound:
         bound = distance_lower_bound(p, 2, 3)
         assert bound.certified_floor == 2
         assert min_distance_bruteforce(tri3).distance >= bound.certified_floor
+
+    def test_certified_floor_stops_at_alpha_n_of_one(self):
+        # past alpha*N = 1 no tradeoff bound exists, so the floor is 1
+        p = ExpanderParams(Fraction(1, 10), Fraction(1, 8))
+        assert distance_lower_bound(p, 6, 10).certified_floor == 1
 
     def test_certified_floor_respected_on_verified_graphs(self, decode_instances):
         for inst in decode_instances:

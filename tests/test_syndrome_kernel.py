@@ -111,7 +111,7 @@ def _word_decode_erasures(g, y):
             return DecodeOutcome("erasure", "failure", reason="not-a-codeword", path=path)
         if len(pivots) < erased.bit_count():
             return DecodeOutcome("erasure", "failure", reason="stalled", path=path)
-        known |= _solve(pivots, one)[0] ^ one
+        known |= _solve(pivots, one) ^ one
         parity = syndrome_bits(g, known)
     if parity != 0:
         return DecodeOutcome("erasure", "failure", reason="not-a-codeword", path=path)
@@ -417,9 +417,9 @@ def symbols(monkeypatch) -> list:
     counts = []
     solve = decoders._solve
 
-    def recording(pivots, *fixed):
-        counts.append(fixed[0].bit_length() - 1)  # fixed[0] is the constant bit
-        return solve(pivots, *fixed)
+    def recording(pivots, fixed):
+        counts.append(fixed.bit_length() - 1)  # fixed is the constant bit
+        return solve(pivots, fixed)
 
     monkeypatch.setattr(decoders, "_solve", recording)
     return counts
