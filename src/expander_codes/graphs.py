@@ -32,19 +32,18 @@ __all__ = [
 ]
 
 
-def _bad_row(adj, d: int, m: int) -> Optional[tuple[int, str]]:
-    """The index of the first row of ``adj`` that is no adjacency row of D
-    increasing indices in [0, M), and why; None when every row is one."""
-    for i, row in enumerate(adj):
-        if len(row) != d:
-            return i, f"expected {d} indices, got {len(row)}"
-        prev = -1
-        for r in row:
-            if not 0 <= r < m:
-                return i, f"index {r} out of range [0, {m})"
-            if r <= prev:
-                return i, "indices must be strictly ascending"
-            prev = r
+def _row_problem(row: tuple[int, ...], d: int, m: int) -> Optional[str]:
+    """Why ``row`` is no adjacency row of D increasing indices in [0, M), or
+    None when it is one."""
+    if len(row) != d:
+        return f"expected {d} indices, got {len(row)}"
+    prev = -1
+    for r in row:
+        if not 0 <= r < m:
+            return f"index {r} out of range [0, {m})"
+        if r <= prev:
+            return "indices must be strictly ascending"
+        prev = r
     return None
 
 
@@ -72,9 +71,10 @@ class BipartiteGraph:
             raise InvalidParameters(
                 f"expected {self.n_left} adjacency rows, got {len(self.adj)}"
             )
-        bad = _bad_row(self.adj, self.d_left, self.m_right)
-        if bad:
-            raise InvalidParameters(f"left vertex {bad[0]}: {bad[1]}")
+        for i, row in enumerate(self.adj):
+            problem = _row_problem(row, self.d_left, self.m_right)
+            if problem:
+                raise InvalidParameters(f"left vertex {i}: {problem}")
 
     # -- derived structure -------------------------------------------------
 
@@ -308,17 +308,8 @@ def store(g: BipartiteGraph) -> str:
 
 def load(text: str) -> BipartiteGraph:
     header = None
-    rows: dict[int, tuple[int, ...]] = {}  # line number -> adjacency row
+    rows: list[tuple[int, ...]] = []
     n = m = d = 0
-
-    def error(message: str, lineno: int) -> GraphFormatError:
-        # a bad row read before lineno comes first; a file that parses has
-        # its rows checked once, by BipartiteGraph
-        bad = _bad_row(rows.values(), d, m)
-        if bad:
-            return GraphFormatError(bad[1], list(rows)[bad[0]])
-        return GraphFormatError(message, lineno)
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#") or not (line or (header is not None and d == 0 and len(rows) < n)):
@@ -336,19 +327,22 @@ def load(text: str) -> BipartiteGraph:
             header = lineno
             continue
         if len(rows) >= n:
-            raise error(f"more than {n} adjacency lines", lineno)
+            raise GraphFormatError(f"more than {n} adjacency lines", lineno)
         try:
-            rows[lineno] = tuple(int(p) for p in parts)
+            row = tuple(int(p) for p in parts)
         except ValueError:
-            raise error("indices must be integers", lineno)
+            raise GraphFormatError("indices must be integers", lineno)
+        problem = _row_problem(row, d, m)
+        if problem:
+            raise GraphFormatError(problem, lineno)
+        rows.append(row)
     if header is None:
         raise GraphFormatError("missing header", 1)
     if len(rows) != n:
-        raise error(f"expected {n} adjacency lines, got {len(rows)}", header)
-    try:
-        return BipartiteGraph(n, m, d, tuple(rows.values()))
-    except InvalidParameters as exc:
-        raise error(str(exc), header) from None
+        raise GraphFormatError(
+            f"expected {n} adjacency lines, got {len(rows)}", header
+        )
+    return BipartiteGraph(n, m, d, tuple(rows))
 
 
 # -- plain regular graphs --------------------------------------------------

@@ -226,14 +226,12 @@ def nullspace(g: BipartiteGraph) -> NullspaceBasis:
     """The code as the nullspace of the check matrix over GF(2).
 
     The basis is the reduced one: for each free column f, ascending, the one
-    codeword with f set and every other free column clear. One pass over the
-    columns, the left vertices' check masks, reduces each by its highest
-    check against the pivot columns before it, while a combo sums the same
-    columns. A column that reduces to 0 is free, a sum of earlier columns,
-    and its combo, which sets only pivots below f, is its word: no
-    back-substitution runs (README, "Notes on performance"). The basis is
-    computed once per graph and cached on it, so every later call returns
-    the same immutable ``NullspaceBasis``.
+    codeword with f set and every other free column clear. One pass reduces
+    each column (a left vertex's check mask) by its highest check against
+    the pivot columns before it, summing the same columns in a combo. A
+    column that reduces to 0 is free, and its combo, which sets only pivots
+    below f, is its word, so no back-substitution runs. The basis is cached
+    on the graph: every later call returns the same ``NullspaceBasis``.
     """
     return g._code_basis
 

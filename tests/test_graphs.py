@@ -201,8 +201,8 @@ class TestStoreLoad:
         ("3 3 2\n0 1\n0 2\n", 1, "expected 3 adjacency lines, got 2"),
     ])
     def test_a_bad_row_comes_before_a_later_error(self, text, line, message):
-        # each row is checked once, yet the first bad line is still named
-        # before a wrong row count or a later unreadable line
+        # the first bad line is named before a wrong row count or a later
+        # unreadable line
         with pytest.raises(GraphFormatError) as exc:
             load(text)
         assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")

@@ -30,7 +30,7 @@ from expander_codes import (
     union_graph,
 )
 from expander_codes import linear_code
-from expander_codes._util import _echelon
+from expander_codes._util import _echelon, _solve
 from conftest import (
     cyc_graph,
     gen_four_cycle_free,
@@ -161,14 +161,16 @@ class TestNullspace:
         assert len(walked) == 1 << dim
         assert set(walked) == span
 
-    @pytest.mark.parametrize("seed, digest", [
-        (1, "c70d055721261806e052e8da700d809412f705f6e2c4f678476e68718a1d3869"),
-        (2, "5bdd0384ee24fad77395074abd64f9f203b333ec5c1380a054ee1be6116d9855"),
+    @pytest.mark.parametrize("seed, digest, n", [
+        (1, "c70d055721261806e052e8da700d809412f705f6e2c4f678476e68718a1d3869", 512),
+        (2, "5bdd0384ee24fad77395074abd64f9f203b333ec5c1380a054ee1be6116d9855", 512),
+        (1, "8ae4f48a5890ace1e233853c78546451447e5db84e43c12359cfcc8c1c594d7f", 2000),
     ])
-    def test_golden_basis_digest(self, seed, digest):
+    def test_golden_basis_digest(self, seed, digest, n):
         # the reduced basis is unique, and sampled codewords and sweep CSV
-        # bytes depend on it bit for bit
-        text = nullspace(gen_left_regular(512, 384, 6, seed)).to_text()
+        # bytes depend on it bit for bit; pinned from the back-substitution
+        # basis
+        text = nullspace(gen_left_regular(n, 3 * n // 4, 6, seed)).to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -203,27 +205,10 @@ class TestNullspace:
 
 def _echelon_basis(g: BipartiteGraph) -> NullspaceBasis:
     """The reduced basis by the elimination the column pass replaced: a
-    lowest-bit row echelon of the check rows, then a back-substitution from
-    the highest pivot down for each free column."""
-    pivots: dict[int, int] = {}
-    for row in g.right_masks:
-        while row:
-            col = (row & -row).bit_length() - 1
-            if col not in pivots:
-                pivots[col] = row
-                break
-            row ^= pivots[col]
-    order = sorted(pivots, reverse=True)
-    basis = []
-    for f in range(g.n_left):
-        if f in pivots:
-            continue
-        word = 1 << f
-        for col in order:
-            if (pivots[col] & word).bit_count() & 1:
-                word |= 1 << col
-        basis.append(word)
-    return NullspaceBasis(g.n_left, len(pivots), tuple(basis))
+    row echelon of the check rows, then a back-substitution per free column."""
+    pivots = _echelon(g.right_masks)
+    free = (f for f in range(g.n_left) if f not in pivots)
+    return NullspaceBasis(g.n_left, len(pivots), tuple(_solve(pivots, 1 << f) for f in free))
 
 
 def _relabel_checks(g: BipartiteGraph, seed: int) -> BipartiteGraph:
@@ -280,13 +265,6 @@ class TestColumnPass:
             for shuffle in range(3):
                 h = _relabel_checks(g, shuffle)
                 assert nullspace(h) == _echelon_basis(h) == ns
-
-    def test_golden_basis_digest_at_n_2000(self):
-        # pinned from the back-substitution basis
-        text = nullspace(gen_left_regular(2000, 1500, 6, 1)).to_text()
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "8ae4f48a5890ace1e233853c78546451447e5db84e43c12359cfcc8c1c594d7f"
-        )
 
 
 class TestMinDistance:

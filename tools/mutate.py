@@ -1,8 +1,7 @@
 """One-line mutation check of a module against a set of test files.
 
     python3 tools/mutate.py src/expander_codes/linear_code.py \
-        tests/test_linear_code.py tests/test_gf2.py [--function NAME ...] \
-        [--timeout SECONDS]
+        tests/test_linear_code.py tests/test_gf2.py [--function NAME ...]
 
 Run from the root of a checkout. Each mutant changes one operator on one
 line: a comparison ``<`` and ``<=`` swap, as do ``>`` and ``>=``, and an
@@ -11,9 +10,9 @@ operators inside the named functions are mutated when ``--function`` is
 given (a method is named by its own name). Every mutant runs the tests
 with ``pytest -x`` in a copy of ``src/``, ``tests/``, ``demos/`` and
 ``pyproject.toml`` made in a temporary directory, so the checkout is never
-edited. A mutant is killed when a test fails or the run exceeds the
-timeout, and survives when every test passes; the survivors are printed at
-the end, and the exit status is 1 when any survived.
+edited. A mutant is killed when a test fails or the run exceeds
+``TIMEOUT`` seconds, and survives when every test passes; the survivors
+are printed at the end, and the exit status is 1 when any survived.
 
 Not collected by pytest and not run in CI: a run takes minutes.
 """
@@ -34,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
 SIGNS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+")}
+TIMEOUT = 150.0  # seconds before a mutant's test run counts as killed
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,12 @@ def mutants(source: str, functions: set[str]) -> list[Mutant]:
     return sorted(out, key=lambda m: (m.line, m.start))
 
 
-def run_tests(work: Path, tests: list[str], timeout: float) -> str:
+def run_tests(work: Path, tests: list[str]) -> str:
     """"passed", "failed" or "timeout" for one pytest run in ``work``."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(cmd, cwd=work, env=env, timeout=timeout,
+        done = subprocess.run(cmd, cwd=work, env=env, timeout=TIMEOUT,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -108,8 +108,6 @@ def main(argv=None) -> int:
     p.add_argument("tests", nargs="+", help="test files to run against each mutant")
     p.add_argument("--function", action="append", default=[],
                    help="mutate only inside functions of this name (repeatable)")
-    p.add_argument("--timeout", type=float, default=150.0,
-                   help="seconds before a mutant's test run counts as killed")
     args = p.parse_args(argv)
 
     module = Path(args.module)
@@ -124,14 +122,14 @@ def main(argv=None) -> int:
             shutil.copytree(ROOT / name, work / name, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
         target = work / module
-        if run_tests(work, args.tests, args.timeout) != "passed":
+        if run_tests(work, args.tests) != "passed":
             print("the unmutated tests do not pass; no mutant run", file=sys.stderr)
             return 2
         survivors = []
         for k, m in enumerate(todo, start=1):
             target.write_text("".join(m.apply(lines)))
             start = time.perf_counter()
-            verdict = run_tests(work, args.tests, args.timeout)
+            verdict = run_tests(work, args.tests)
             target.write_text(source)
             took = time.perf_counter() - start
             print(f"[{k}/{len(todo)}] {module}:{m.line} {m.old!r} -> {m.new!r}: "
