@@ -118,34 +118,10 @@ def indices_to_mask(indices, n: int) -> int:
     return int(digits, 2)
 
 
-def _echelon(rows, limit: Optional[int] = None) -> dict[int, int]:
-    """Row-reduce GF(2) rows (int bitsets) to echelon form.
-
-    Returns ``{col: row}``: each stored row's lowest set bit is its pivot
-    ``col``, so every other column of that row is strictly larger. Rows that
-    reduce to zero are dropped; the number of pivots is the rank. With a
-    positive ``limit``, the reduction stops once it holds that many pivots
-    and leaves the rows after unread; those pivots are the first ``limit``
-    of the full run, unchanged.
-    """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            col = (row & -row).bit_length() - 1
-            if col not in pivots:
-                pivots[col] = row
-                if len(pivots) == limit:
-                    return pivots
-                break
-            row ^= pivots[col]
-    return pivots
-
-
-def _solve(pivots: dict[int, int], fixed: int) -> int:
-    """The solution of the echelon system ``pivots`` (every row has even
-    parity) whose non-pivot columns are ``fixed``, back-substituted from the
-    highest pivot down. ``fixed`` may set no pivot column."""
-    for col in sorted(pivots, reverse=True):
-        if (pivots[col] & fixed).bit_count() & 1:
-            fixed |= 1 << col
-    return fixed
+def _reduce(pivots: dict[int, int], v: int) -> int:
+    """``v`` reduced by its highest set bit against ``pivots``, each keyed by
+    its ``bit_length()``: the package's one GF(2) elimination step. What is
+    left has no pivot at its highest bit, so it is a new pivot or zero."""
+    while hit := pivots.get(v.bit_length()):
+        v ^= hit
+    return v

@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Callable, Generator, Optional, Sequence
 
-from ._util import _echelon, _solve, as_fraction, indices_to_mask, mask_to_indices, select
+from ._util import _reduce, as_fraction, indices_to_mask, mask_to_indices, select
 from .errors import InvalidInput, InvalidParameters
 from .graphs import BipartiteGraph, ExpanderParams
 from .linear_code import Word, check_word, syndrome_bits
@@ -375,17 +375,19 @@ def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, 
     peeling goes on. A column peeled after that is a constant, folded into e
     at once, plus a sum of symbols, taken from its check's accumulator. Once
     no unknown is left, every check not used for peeling is one equation
-    over the k symbols, constant bit k highest. Peeling is a triangular
-    change of variables, so the symbol system is consistent, and of full
-    rank, exactly when the system over all erased columns is.
+    over the k symbols, its constant at bit 0 and symbol j at bit j + 1.
+    Peeling is a triangular change of variables, so the symbol system is
+    consistent, and of full rank, exactly when the system over all erased
+    columns is.
 
-    The elimination reads those equations in check order and stops at k
-    pivots. A pivot at the constant column is an equation 0 = 1:
-    not-a-codeword. k symbol pivots fix the one candidate, which is
-    substituted back; an equation left unread that it breaks shows in the
+    The elimination reduces the equations in check order by their highest
+    bit (``_reduce``). A row that reduces to the constant alone is 0 = 1:
+    not-a-codeword. Any other nonzero residue is a pivot, and reading stops
+    at k pivots. They fix the one candidate, substituted back from the
+    lowest pivot up; an equation left unread that it breaks shows in the
     final re-check, H e = s exactly, as not-a-codeword. With fewer than k
-    pivots every equation was read, and the solve is stalled unless one was
-    0 = 1. The path is "peeling+gauss" when a symbol was made. On
+    pivots every equation was read, and the solve is stalled. The path is
+    "peeling+gauss" when a symbol was made. On
     ``gen_left_regular(2000, 1500, 6)`` with 1000 erasures, peeling stalls
     with about 850 columns left and makes 22-40 symbols, settled by a few
     dozen of the ~500 nonzero equations: the solve takes 2.2-2.3 ms, where
@@ -426,8 +428,8 @@ def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, 
                 b = (right_masks[twos.pop()] & erased).bit_length() - 1
             else:
                 b = (erased & -erased).bit_length() - 1
-            sym = 1 << k
             k += 1
+            sym = 1 << k
         else:
             break
         erased ^= 1 << b
@@ -445,15 +447,22 @@ def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, 
         path = "peeling+gauss"
         # a peeled check's row is zero, and an odd check next to no symbol
         # is the row of the constant alone, which leaves no solution
-        one = 1 << k
         for c in mask_to_indices(parity):
-            acc[c] |= one
-        pivots = _echelon(acc, k)
-        if k in pivots:
-            return None, "not-a-codeword", path
-        if len(pivots) < k:
+            acc[c] |= 1
+        pivots: dict[int, int] = {}
+        for row in acc:
+            row = _reduce(pivots, row)
+            if row == 1:
+                return None, "not-a-codeword", path
+            if row:
+                pivots[row.bit_length()] = row
+                if len(pivots) == k:
+                    break
+        else:
             return None, "stalled", path
-        x = _solve(pivots, one)
+        x = 1  # the constant, then each symbol from the lowest pivot up
+        for key in sorted(pivots):
+            x |= ((pivots[key] & x).bit_count() & 1) << (key - 1)
         for b, sym in carried:
             if (sym & x).bit_count() & 1:
                 e ^= 1 << b

@@ -129,24 +129,24 @@ def measure_profile(
     refuses when the sum of C(N, s) over s <= ``s_max`` exceeds ``budget``,
     however many subsets the walk would visit. Sampled mode draws ``trials``
     uniform subsets per size and its minima are upper-bound estimates,
-    flagged via ``mode``.
+    flagged via ``mode``; it refuses when those ``trials * s_max`` subsets
+    exceed ``budget``.
     """
     n = g.n_left
     if not 1 <= s_max <= n:
         raise InvalidParameters(f"s_max must be in [1, {n}], got {s_max}")
-    if mode == "exhaustive":
-        cost = _enumeration_cost(n, s_max)
-        if cost > budget:
-            raise BudgetExceeded(
-                f"exhaustive profile needs {cost} subsets > budget {budget}",
-                required=cost,
-            )
-        return _profile_exhaustive(g, s_max)
+    if mode not in ("exhaustive", "sampled"):
+        raise InvalidParameters(f"unknown mode {mode!r}")
+    if mode == "sampled" and trials < 1:
+        raise InvalidParameters(f"trials must be >= 1, got {trials}")
+    cost = trials * s_max if mode == "sampled" else _enumeration_cost(n, s_max)
+    if cost > budget:
+        raise BudgetExceeded(
+            f"{mode} profile needs {cost} subsets > budget {budget}", required=cost
+        )
     if mode == "sampled":
-        if trials < 1:
-            raise InvalidParameters(f"trials must be >= 1, got {trials}")
         return _profile_sampled(g, s_max, trials, seed)
-    raise InvalidParameters(f"unknown mode {mode!r}")
+    return _profile_exhaustive(g, s_max)
 
 
 def _profile_exhaustive(g: BipartiteGraph, s_max: int) -> ExpansionProfile:

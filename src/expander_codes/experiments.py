@@ -248,10 +248,16 @@ def run_trial(
 
 
 def sweep(cfg: ExperimentConfig, g: BipartiteGraph) -> list[TrialResult]:
-    """Run the configured sweep; rows come back in (radius, trial) order."""
+    """Run the configured sweep; rows come back in (radius, trial) order.
+    ``cfg.budget`` bounds each radius's patterns, or a sampled model's trials."""
     if cfg.radius_to > g.n_left:
         raise InvalidParameters(
             f"radius_to {cfg.radius_to} exceeds N = {g.n_left}"
+        )
+    if cfg.model != "exhaustive" and cfg.trials > cfg.budget:
+        raise BudgetExceeded(
+            f"{cfg.model} model needs {cfg.trials} trials > budget {cfg.budget}",
+            required=cfg.trials,
         )
     results: list[TrialResult] = []
     for radius in range(cfg.radius_from, cfg.radius_to + 1, cfg.radius_step):

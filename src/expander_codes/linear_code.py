@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Iterator
 
-from ._util import indices_to_mask, mask_to_indices, select
+from ._util import _reduce, indices_to_mask, mask_to_indices, select
 from .errors import BudgetExceeded, InvalidInput, InvalidParameters
 from .expansion import tradeoff_bound_first
 from .graphs import BipartiteGraph, ExpanderParams
@@ -226,28 +226,28 @@ def nullspace(g: BipartiteGraph) -> NullspaceBasis:
     """The code as the nullspace of the check matrix over GF(2).
 
     The basis is the reduced one: for each free column f, ascending, the one
-    codeword with f set and every other free column clear. One pass reduces
-    each column (a left vertex's check mask) by its highest check against
-    the pivot columns before it, summing the same columns in a combo. A
-    column that reduces to 0 is free, and its combo, which sets only pivots
-    below f, is its word, so no back-substitution runs. The basis is cached
-    on the graph: every later call returns the same ``NullspaceBasis``.
+    codeword with f set and every other free column clear. One pass packs
+    column i as one int, its check mask above bit N and bit i below, and
+    reduces it by its highest set bit against the pivots before it. A
+    residue with a check left becomes a pivot. A residue below 2^N is a free
+    column's relation: it sets f and only pivot columns below f, so it is
+    the word and no back-substitution runs. The basis is cached on the
+    graph: every later call returns the same ``NullspaceBasis``.
     """
     return g._code_basis
 
 
 def _reduced_basis(g: BipartiteGraph) -> NullspaceBasis:
-    pivots: dict[int, tuple[int, int]] = {}  # highest check + 1 -> (column, combo)
+    n = g.n_left
+    pivots: dict[int, int] = {}  # every key is above n
     basis = []
     for i, col in enumerate(g.left_masks):
-        combo = 1 << i
-        while col and (hit := pivots.get(col.bit_length())):
-            col, combo = col ^ hit[0], combo ^ hit[1]
-        if col:
-            pivots[col.bit_length()] = col, combo
+        v = _reduce(pivots, col << n | 1 << i)
+        if v >> n:
+            pivots[v.bit_length()] = v
         else:
-            basis.append(combo)
-    return NullspaceBasis(g.n_left, len(pivots), tuple(basis))
+            basis.append(v)
+    return NullspaceBasis(n, len(pivots), tuple(basis))
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,32 @@ def gray_walk(basis):
         yield word
 
 
+def echelon(rows) -> dict[int, int]:
+    """The GF(2) row echelon the package used before its one highest-bit
+    reduction, kept as an independent oracle: ``{col: row}``, each stored
+    row's lowest set bit its pivot ``col``; rows that reduce to zero are
+    dropped, so the number of pivots is the rank."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            col = (row & -row).bit_length() - 1
+            if col not in pivots:
+                pivots[col] = row
+                break
+            row ^= pivots[col]
+    return pivots
+
+
+def back_substitute(pivots: dict[int, int], fixed: int) -> int:
+    """The solution of the echelon system ``pivots`` (every row has even
+    parity) whose non-pivot columns are ``fixed``, from the highest pivot
+    down. ``fixed`` may set no pivot column."""
+    for col in sorted(pivots, reverse=True):
+        if (pivots[col] & fixed).bit_count() & 1:
+            fixed |= 1 << col
+    return fixed
+
+
 def tri3_graph() -> BipartiteGraph:
     return vertex_edge_graph(cycle_graph(3))
 

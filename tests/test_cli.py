@@ -75,6 +75,20 @@ class TestVerify:
         assert len(err) == 1 and err[0].startswith("error: trials must be >= 1")
 
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--alpha", "2/3", "--eps", "1/10"],
+        ["profile", "--smax", "2"],
+    ])
+    def test_sampled_over_budget_exit_2(self, tri3_file, capsys, argv):
+        # 6 trials at each of 2 sizes draw 12 subsets, over a budget of 11
+        cmd, *rest = argv
+        assert main([cmd, "--graph", tri3_file, *rest,
+                     "--sampled", "--trials", "6", "--budget", "11"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: sampled profile needs 12 subsets > budget 11")
+
+
 class TestProfileDistance:
     def test_profile_csv(self, tri3_file, capsys):
         assert main(["profile", "--graph", tri3_file]) == 0
@@ -157,6 +171,17 @@ class TestSweepCli:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
         assert outs[0].splitlines()[0].startswith("algorithm,")
+
+    def test_sampled_over_budget_exit_2(self, tri3_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--graph", tri3_file, "--algo", "viderman",
+                     "--alpha", "1/3", "--eps", "1/8", "--radius-from", "0",
+                     "--radius-to", "2", "--trials", "11", "--budget", "10",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: uniform-random-set model needs 11 trials > budget 10")
+        assert not out.exists()
 
 
 class TestRadiiCli:

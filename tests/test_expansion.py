@@ -101,6 +101,19 @@ class TestProfile:
             measure_profile(g, 20, budget=100)
         assert exc.value.required == 2**20 - 1
 
+    def test_sampled_budget_refusal(self):
+        # the budget bounds the trials * s_max subsets a sampled run draws
+        g = gen_left_regular(20, 12, 3, 0)
+        with pytest.raises(BudgetExceeded) as exc:
+            measure_profile(g, 3, mode="sampled", trials=4, budget=11)
+        assert exc.value.required == 12
+        assert measure_profile(g, 3, mode="sampled", trials=4, budget=12).trials == 4
+        with pytest.raises(BudgetExceeded):
+            verify_expander(
+                g, ExpanderParams(Fraction(3, 20), Fraction(1, 4)), "sampled",
+                trials=4, budget=11,
+            )
+
     def test_sampled_upper_bounds_exhaustive(self):
         g = gen_left_regular(12, 8, 3, 3)
         exact = measure_profile(g, 4)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from expander_codes import (
+    BudgetExceeded,
     ExperimentConfig,
     InvalidParameters,
     format_radii_table,
@@ -205,6 +206,17 @@ class TestSweep:
         rows = sweep(cfg, inst.graph)
         assert len(rows) == inst.graph.n_left
         assert all(r.recovered for r in rows)
+
+    @pytest.mark.parametrize("model", ["uniform-random-set", "low-expansion-greedy"])
+    def test_sampled_budget_bounds_trials_per_radius(self, decode_instances, model):
+        inst = decode_instances[0]
+        cfg = self._cfg(alpha=inst.params.alpha, eps=inst.eps, model=model, budget=4)
+        with pytest.raises(BudgetExceeded) as exc:
+            sweep(cfg, inst.graph)
+        assert exc.value.required == 5
+        # a per-radius bound: 2 radii of 5 trials fit a budget of 5
+        assert len(sweep(self._cfg(alpha=inst.params.alpha, eps=inst.eps, model=model,
+                                   budget=5), inst.graph)) == 10
 
     def test_trial_seed_stability(self):
         assert trial_seed(42, 1, 0) == trial_seed(42, 1, 0)

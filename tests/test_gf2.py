@@ -1,12 +1,70 @@
-"""The erasure solve's GF(2) kernel (`_echelon`, `_solve`) against brute force.
+"""The package's one GF(2) elimination step (`_reduce`) against brute force,
+in both of its layouts.
 
-A system is a list of rows over ``cols`` unknowns; bit ``cols`` of a row is
-its right-hand side, the column the callers fix to 1.
+The code basis packs each check-matrix column above bit N, with its own
+index below: a residue that keeps a check is a pivot, and one below 2^N is a
+kernel word. The erasure solve holds an equation's right-hand side, the
+constant its callers fix to 1, at bit 0 and unknown j at bit j + 1: a
+residue of exactly 1 is the equation 0 = 1.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
-from expander_codes._util import _echelon, _solve
+from expander_codes._util import _reduce
+
+
+def _eliminate(rows, limit=None) -> dict[int, int]:
+    """Every nonzero residue of ``rows`` keyed as a pivot by its bit length,
+    read in order; with a ``limit``, reading stops once it holds that many."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        row = _reduce(pivots, row)
+        if row:
+            pivots[row.bit_length()] = row
+            if len(pivots) == limit:
+                break
+    return pivots
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 8))
+    return n, m, draw(st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(matrices())
+def test_packed_columns_give_the_kernel(matrix):
+    n, m, columns = matrix
+    kernel = set()
+    for x in range(1 << n):
+        s = 0
+        for i, col in enumerate(columns):
+            if x >> i & 1:
+                s ^= col
+        if not s:
+            kernel.add(x)
+    pivots: dict[int, int] = {}
+    basis = []
+    for i, col in enumerate(columns):
+        v = _reduce(pivots, col << n | 1 << i)
+        assert v.bit_length() not in pivots  # no pivot left at its top bit
+        if v >> n:
+            pivots[v.bit_length()] = v
+        else:
+            basis.append(v)
+    assert all(key > n for key in pivots)
+    # the free columns carry the identity: each word sets its own and no other
+    free = [v.bit_length() - 1 for v in basis]
+    free_mask = sum(1 << f for f in free)
+    assert [v & free_mask for v in basis] == [1 << f for f in free]
+    assert free == sorted(free)
+    span = {0}
+    for v in basis:
+        span |= {word ^ v for word in span}
+    assert span == kernel
+    assert len(kernel) == 1 << (n - len(pivots))
 
 
 @st.composite
@@ -16,57 +74,52 @@ def systems(draw):
     return cols, rows
 
 
-def _satisfies(rows, cols, x) -> bool:
-    return all((row & (x | 1 << cols)).bit_count() % 2 == 0 for row in rows)
+def _satisfies(rows, x) -> bool:
+    """Whether the unknowns ``x`` (at bits 1 and up) satisfy every row."""
+    return all((row & (x | 1)).bit_count() % 2 == 0 for row in rows)
 
 
 @settings(max_examples=500, derandomize=True, database=None)
 @given(systems())
-@example((1, [0b10]))  # inconsistent: 0 = 1
-@example((2, [0b001, 0b110, 0b111]))  # unique: x0 = 0, x1 = 1
-@example((3, [0b0011, 0b1110]))  # underdetermined: x2 free
-def test_echelon_and_solve_match_brute_force(system):
+@example((1, [0b01]))  # inconsistent: 0 = 1
+@example((2, [0b010, 0b101, 0b111]))  # unique: x0 = 0, x1 = 1
+@example((3, [0b0110, 0b1101]))  # underdetermined: x2 free
+def test_equation_rows_match_brute_force(system):
     cols, rows = system
-    one = 1 << cols
-    brute = {x for x in range(1 << cols) if _satisfies(rows, cols, x)}
-    pivots = _echelon(rows)
-    for col, row in pivots.items():
-        assert (row & -row).bit_length() - 1 == col
-    if cols in pivots:  # inconsistent
+    brute = {x for x in range(0, 2 << cols, 2) if _satisfies(rows, x)}
+    pivots = _eliminate(rows)
+    if 1 in pivots:  # a row reduced to the constant alone: 0 = 1
         assert brute == set()
         return
-    free = [c for c in range(cols) if c not in pivots]
-    fixeds = [
-        sum(1 << c for k, c in enumerate(free) if assignment >> k & 1)
-        for assignment in range(1 << len(free))
-    ]
+    # the rank of a consistent system sets the size of its solution set
+    assert len(brute) == 1 << (cols - len(pivots))
+    free = [j for j in range(1, cols + 1) if j + 1 not in pivots]
     solutions = set()
-    for fixed in fixeds:
-        x = _solve(pivots, one | fixed) ^ one
-        assert x & ~((1 << cols) - 1) == 0
-        assert x & sum(1 << c for c in free) == fixed
-        assert _satisfies(rows, cols, x)
-        solutions.add(x)
-    # unique (no free column) and underdetermined systems alike: the free
-    # columns parametrize exactly the brute-force solution set
+    for assignment in range(1 << len(free)):
+        x = 1 | sum(1 << j for i, j in enumerate(free) if assignment >> i & 1)
+        for key in sorted(pivots):  # back-substituted from the lowest pivot up
+            if (pivots[key] & x).bit_count() & 1:
+                x |= 1 << (key - 1)
+        assert _satisfies(rows, x)
+        solutions.add(x ^ 1)
+    # unique (no free unknown) and underdetermined systems alike: the free
+    # unknowns parametrize exactly the brute-force solution set
     assert solutions == brute
-    assert len(brute) == 1 << len(free)
-
 
 
 @settings(max_examples=300, derandomize=True, database=None)
 @given(systems(), st.integers(1, 10))
-@example((2, [0b001, 0b001, 0b110, 0b111]), 2)  # stops before the last row
-def test_echelon_with_a_limit_keeps_the_first_pivots(system, limit):
+@example((2, [0b010, 0b010, 0b101, 0b111]), 2)  # stops before the last row
+def test_stopping_at_k_pivots_reads_the_prefix_of_a_full_run(system, limit):
     cols, rows = system
-    full = _echelon(rows)
+    full = _eliminate(rows)
     it = iter(rows)
-    got = _echelon(it, limit)
+    got = _eliminate(it, limit)
     # the first ``limit`` pivots of the full run, with the same rows
-    assert got == dict(list(full.items())[:limit])
+    assert list(got.items()) == list(full.items())[:limit]
     read = len(rows) - len(list(it))
     if len(full) >= limit:
         # it stops at the row that made the limit-th pivot
-        assert len(_echelon(rows[: read - 1])) == limit - 1
+        assert len(_eliminate(rows[: read - 1])) == limit - 1
     else:
         assert read == len(rows)

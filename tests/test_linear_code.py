@@ -30,8 +30,9 @@ from expander_codes import (
     union_graph,
 )
 from expander_codes import linear_code
-from expander_codes._util import _echelon, _solve
 from conftest import (
+    back_substitute,
+    echelon,
     cyc_graph,
     gen_four_cycle_free,
     gray_walk,
@@ -131,7 +132,7 @@ class TestNullspace:
             g = gen_left_regular(20, 12, 6, seed)
             basis = nullspace(g).basis
             free = [vec.bit_length() - 1 for vec in basis]
-            pivots = _echelon(g.right_masks)
+            pivots = echelon(g.right_masks)
             assert free == [f for f in range(20) if f not in pivots]
             free_mask = sum(1 << f for f in free)
             assert [vec & free_mask for vec in basis] == [1 << f for f in free]
@@ -206,9 +207,10 @@ class TestNullspace:
 def _echelon_basis(g: BipartiteGraph) -> NullspaceBasis:
     """The reduced basis by the elimination the column pass replaced: a
     row echelon of the check rows, then a back-substitution per free column."""
-    pivots = _echelon(g.right_masks)
+    pivots = echelon(g.right_masks)
     free = (f for f in range(g.n_left) if f not in pivots)
-    return NullspaceBasis(g.n_left, len(pivots), tuple(_solve(pivots, 1 << f) for f in free))
+    return NullspaceBasis(
+        g.n_left, len(pivots), tuple(back_substitute(pivots, 1 << f) for f in free))
 
 
 def _relabel_checks(g: BipartiteGraph, seed: int) -> BipartiteGraph:

@@ -5,6 +5,7 @@ import heapq
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -30,10 +31,10 @@ from expander_codes import (
     viderman_decode,
 )
 from expander_codes import decoders
-from expander_codes._util import _echelon, _solve, indices_to_mask, mask_to_indices
+from expander_codes._util import indices_to_mask, mask_to_indices
 from expander_codes.decoders import _at_least, _find_and_erase
 from expander_codes.linear_code import syndrome_bits
-from conftest import gray_walk
+from conftest import back_substitute, echelon, gray_walk
 
 
 def _suspects(g, s, h, key=None, **kw):
@@ -103,7 +104,7 @@ def _word_decode_erasures(g, y):
     if erased:
         path = "peeling+gauss"
         one = 1 << g.n_left
-        pivots = _echelon(
+        pivots = echelon(
             (rm & erased) | (one if (parity >> c) & 1 else 0)
             for c, rm in enumerate(g.right_masks)
         )
@@ -111,7 +112,7 @@ def _word_decode_erasures(g, y):
             return DecodeOutcome("erasure", "failure", reason="not-a-codeword", path=path)
         if len(pivots) < erased.bit_count():
             return DecodeOutcome("erasure", "failure", reason="stalled", path=path)
-        known |= _solve(pivots, one) ^ one
+        known |= back_substitute(pivots, one) ^ one
         parity = syndrome_bits(g, known)
     if parity != 0:
         return DecodeOutcome("erasure", "failure", reason="not-a-codeword", path=path)
@@ -413,15 +414,19 @@ def test_lowering_matches_fresh_loops(n, d, extra, seed, bits, cuts, limit, keye
 @pytest.fixture
 def symbols(monkeypatch) -> list:
     """Grows by the number of symbols of each erasure solve that has one
-    solution: the columns the final elimination runs over."""
+    solution: the columns the final elimination runs over. That is the solve
+    whose reduction finds its k-th pivot, k read from the solve's frame."""
     counts = []
-    solve = decoders._solve
+    reduce = decoders._reduce
 
-    def recording(pivots, fixed):
-        counts.append(fixed.bit_length() - 1)  # fixed is the constant bit
-        return solve(pivots, fixed)
+    def recording(pivots, v):
+        row = reduce(pivots, v)
+        k = sys._getframe(1).f_locals["k"]
+        if row > 1 and len(pivots) == k - 1:
+            counts.append(k)
+        return row
 
-    monkeypatch.setattr(decoders, "_solve", recording)
+    monkeypatch.setattr(decoders, "_reduce", recording)
     return counts
 
 
@@ -517,20 +522,21 @@ class TestInactivation:
         # after the k-th pivot (caught by the re-check) or read before it,
         # rank-deficient and consistent (stalled), rank-deficient and
         # inconsistent
-        runs = []
-        echelon = decoders._echelon
+        runs = []  # per solve: [pivots, full rank, consistent, 0 = 1 read]
+        reduce = decoders._reduce
 
-        def recording(rows, limit=None):
-            rows = list(rows)
-            full = echelon(rows)
-            got = echelon(rows, limit)
-            assert got == dict(list(full.items())[:limit])
-            k = limit
-            full_rank = sum(col != k for col in full) == k
-            runs.append((full_rank, k not in full, k in got))
-            return got
+        def recording(pivots, v):
+            if not runs or runs[-1][0] is not pivots:
+                caller = sys._getframe(1).f_locals  # the whole symbol system
+                rows, k = caller["acc"], caller["k"]
+                rank = len(echelon([row >> 1 for row in rows]))  # the constant dropped
+                runs.append([pivots, rank == k, rank == len(echelon(rows)), False])
+            row = reduce(pivots, v)
+            if row == 1:
+                runs[-1][3] = True
+            return row
 
-        monkeypatch.setattr(decoders, "_echelon", recording)
+        monkeypatch.setattr(decoders, "_reduce", recording)
         want = {
             (True, True, False): None,
             (True, False, False): "not-a-codeword",  # the row after the k-th pivot
@@ -553,8 +559,9 @@ class TestInactivation:
             assert got == _word_decode_erasures(g, w), case
             if runs:
                 assert len(runs) == 1 and got.path == "peeling+gauss", case
-                assert got.reason == want[runs[0]], (case, runs[0])
-                seen.add(runs[0])
+                key = tuple(runs[0][1:])
+                assert got.reason == want[key], (case, key)
+                seen.add(key)
         assert seen == set(want)
 
 

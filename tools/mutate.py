@@ -4,8 +4,10 @@
         tests/test_linear_code.py tests/test_gf2.py [--function NAME ...]
 
 Run from the root of a checkout. Each mutant changes one operator on one
-line: a comparison ``<`` and ``<=`` swap, as do ``>`` and ``>=``, and an
-addition or subtraction of the literal 1 turns into the other. Only
+line: a comparison ``<`` and ``<=`` swap, as do ``>`` and ``>=``; an
+addition or subtraction of the literal 1 turns into the other; and ``^``
+and ``|`` swap, in an expression or as ``^=`` and ``|=``, outside type
+annotations. Only
 operators inside the named functions are mutated when ``--function`` is
 given (a method is named by its own name). Every mutant runs the tests
 with ``pytest -x`` in a copy of ``src/``, ``tests/``, ``demos/`` and
@@ -33,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
 SIGNS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+")}
+BITS = {ast.BitXor: ("^", "|"), ast.BitOr: ("|", "^")}  # also in ^= and |=
 TIMEOUT = 150.0  # seconds before a mutant's test run counts as killed
 
 
@@ -62,11 +65,18 @@ def _gap(left: ast.AST, right: ast.AST, old: str, new: str) -> Mutant | None:
 
 
 def mutants(source: str, functions: set[str]) -> list[Mutant]:
-    """Every comparison swap and ± 1 swap in ``source``, in line order;
-    with ``functions``, those inside a function of one of those names."""
+    """Every comparison, ± 1 and ``^``/``|`` swap in ``source``, in line
+    order; with ``functions``, those inside a function of one of those
+    names."""
     found = []
+    tree = ast.parse(source)
+    # an annotation is never evaluated here, so a swap in it could not be killed
+    annotations = {id(a) for n in ast.walk(tree) for a in (
+        getattr(n, "annotation", None), getattr(n, "returns", None)) if a is not None}
 
     def visit(node: ast.AST, inside: bool) -> None:
+        if id(node) in annotations:
+            return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside or node.name in functions
         if inside or not functions:
@@ -79,10 +89,14 @@ def mutants(source: str, functions: set[str]) -> list[Mutant]:
                 if any(isinstance(x, ast.Constant) and x.value == 1 and type(x.value) is int
                        for x in (node.left, node.right)):
                     found.append(_gap(node.left, node.right, *SIGNS[type(node.op)]))
+            elif isinstance(node, ast.BinOp) and type(node.op) in BITS:
+                found.append(_gap(node.left, node.right, *BITS[type(node.op)]))
+            elif isinstance(node, ast.AugAssign) and type(node.op) in BITS:
+                found.append(_gap(node.target, node.value, *BITS[type(node.op)]))
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
-    visit(ast.parse(source), False)
+    visit(tree, False)
     lines = source.splitlines(keepends=True)
     # the operator must be the one copy of its text between the operands
     out = [m for m in found
