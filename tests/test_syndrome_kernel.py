@@ -522,7 +522,7 @@ class TestInactivation:
         # after the k-th pivot (caught by the re-check) or read before it,
         # rank-deficient and consistent (stalled), rank-deficient and
         # inconsistent
-        runs = []  # per solve: [pivots, full rank, consistent, 0 = 1 read]
+        runs = []  # per solve: [pivots, rows, full rank, consistent, 0 = 1 read]
         reduce = decoders._reduce
 
         def recording(pivots, v):
@@ -530,10 +530,10 @@ class TestInactivation:
                 caller = sys._getframe(1).f_locals  # the whole symbol system
                 rows, k = caller["acc"], caller["k"]
                 rank = len(echelon([row >> 1 for row in rows]))  # the constant dropped
-                runs.append([pivots, rank == k, rank == len(echelon(rows)), False])
+                runs.append([pivots, rows, rank == k, rank == len(echelon(rows)), False])
             row = reduce(pivots, v)
             if row == 1:
-                runs[-1][3] = True
+                runs[-1][4] = True
             return row
 
         monkeypatch.setattr(decoders, "_reduce", recording)
@@ -559,7 +559,13 @@ class TestInactivation:
             assert got == _word_decode_erasures(g, w), case
             if runs:
                 assert len(runs) == 1 and got.path == "peeling+gauss", case
-                key = tuple(runs[0][1:])
+                pivots, rows = runs[0][:2]
+                full: dict[int, int] = {}  # the pivots of every row
+                for row in rows:
+                    if row := reduce(full, row):
+                        full[row.bit_length()] = row
+                assert list(pivots.items()) == list(full.items())[:len(pivots)], case
+                key = tuple(runs[0][2:])
                 assert got.reason == want[key], (case, key)
                 seen.add(key)
         assert seen == set(want)
