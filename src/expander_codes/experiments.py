@@ -259,8 +259,12 @@ def sweep(cfg: ExperimentConfig, g: BipartiteGraph) -> list[TrialResult]:
             f"{cfg.model} model needs {cfg.trials} trials > budget {cfg.budget}",
             required=cfg.trials,
         )
+    radii = range(cfg.radius_from, cfg.radius_to + 1, cfg.radius_step)
+    if cfg.model == "exhaustive":
+        for radius in radii:  # refuse an over-budget radius before any decode
+            iter_error_patterns(g.n_left, radius, cfg.budget)
     results: list[TrialResult] = []
-    for radius in range(cfg.radius_from, cfg.radius_to + 1, cfg.radius_step):
+    for radius in radii:
         if cfg.model == "exhaustive":
             patterns = iter_error_patterns(g.n_left, radius, cfg.budget)
             for trial, errs in enumerate(patterns):

@@ -54,8 +54,9 @@ class BipartiteGraph:
     ``adj[i]`` is the ascending tuple of the ``d_left`` distinct right
     neighbors of left vertex ``i`` (simple graph: no parallel edges from one
     left vertex). Instances are immutable by convention and safe to share;
-    derived structure (bit masks, right adjacency, code basis) is cached on
-    first access, so a graph must not be mutated once it has been used.
+    derived structure (bit masks, right adjacency, syndrome tables, code basis)
+    is cached on first access, so a graph must not be mutated once it has
+    been used.
     """
 
     n_left: int
@@ -82,6 +83,20 @@ class BipartiteGraph:
     def left_masks(self) -> tuple[int, ...]:
         """Per left vertex, its neighbor set as a bit mask over checks."""
         return tuple(indices_to_mask(row, self.m_right) for row in self.adj)
+
+    @cached_property
+    def _nibble_syndromes(self) -> list[list[int]]:
+        """Per run of four left vertices 4j..4j+3, the syndrome of each value
+        v of their bits (bit k of v is vertex 4j + k): entry v is the XOR of
+        those vertices' ``left_masks``, and a one-bit entry is that mask
+        itself. Read it through ``linear_code.syndrome_bits``."""
+        tables = []
+        for j in range(0, self.n_left, 4):
+            table = [0]
+            for m in self.left_masks[j:j + 4]:
+                table += [x ^ m if x else m for x in table]
+            tables.append(table)
+        return tables
 
     @cached_property
     def right_adj(self) -> tuple[tuple[int, ...], ...]:

@@ -136,17 +136,29 @@ class Syndrome:
         return self.bits.bit_count()
 
 
+_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 def syndrome_bits(g: BipartiteGraph, bits: int) -> int:
     """Syndrome of a raw bit vector, as a mask over checks: the XOR of the
-    check masks of its set bits, selected without building their positions.
+    check masks of its set bits.
 
-    Costs one M-bit XOR per set bit, plus an O(N) digit scan once the word is
-    dense (``_util.select``). At N = 2000, M = 1500, D = 6 a word of about
-    1000 set bits costs 0.11 ms, where building its 1000 positions first
-    cost 0.22 ms, and a word of 3 set bits about 2 us (medians, CPython
-    3.11, 2 shared vCPUs).
+    One cut, at N/4 set bits. A word at or below it folds the masks
+    ``_util.select`` picks, one M-bit XOR per set bit. A denser word is read
+    as its hex digits, one per run of four bits, and folds the graph's
+    cached syndrome of each digit (``BipartiteGraph._nibble_syndromes``):
+    N/4 lookups and XORs in C, whatever its weight. The cut keeps error
+    patterns of up to N/4 errors, and most flip masks, off the table: the
+    perfbench sweep builds none. On ``gen_left_regular(N, 3N/4, 6, 1)`` a
+    word of about N/2 set bits costs 41 us at N = 2000 (89 us by the
+    selected fold) and 341 us at N = 8000 (567 us), and a word of 3 set bits
+    1.8 us at N = 2000; the table holds 1.3 MB at N = 2000 and takes 1.2 ms
+    to build, once per graph (best of 100, CPython 3.11.7, 2 shared vCPUs).
     """
-    return reduce(operator.xor, select(bits, g.left_masks), 0)
+    if bits.bit_count() <= g.n_left >> 2:
+        return reduce(operator.xor, select(bits, g.left_masks), 0)
+    digits = hex(bits)[:1:-1].encode().translate(_HEX_VALUES)
+    return reduce(operator.xor, map(list.__getitem__, g._nibble_syndromes, digits), 0)
 
 
 def syndrome(g: BipartiteGraph, w: Word) -> Syndrome:

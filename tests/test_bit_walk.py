@@ -1,8 +1,10 @@
 """The one mask-to-position walker, `_util.mask_to_indices`, its item
 selector `_util.select`, and the one position-to-mask builder,
 `_util.indices_to_mask`, against the lowest-bit strip and the `|=` loop; and
-the syndrome kernel built on them, against per-check parity."""
+the syndrome kernel built on them and on the graph's syndrome tables,
+against per-check parity."""
 
+import functools
 import math
 import random
 import re
@@ -12,11 +14,14 @@ from fractions import Fraction
 import pytest
 
 from expander_codes import (
+    BipartiteGraph,
+    ExpanderParams,
     ExperimentConfig,
     FindConfig,
     InvalidInput,
     Word,
     collisions,
+    experiments,
     find_suspects,
     gen_left_regular,
     neighbors,
@@ -24,6 +29,7 @@ from expander_codes import (
     plant_errors,
     sample_codeword,
     unique_neighbors,
+    viderman_decode,
 )
 from expander_codes._util import indices_to_mask, mask_to_indices, select
 from expander_codes.experiments import run_trial
@@ -93,6 +99,11 @@ def test_select_on_both_sides_of_the_crossover():
     assert list(select(0, [])) == []
 
 
+def _parity(g, bits):
+    """Per-check parity of ``bits``: the oracle for the syndrome kernel."""
+    return sum(((g.right_masks[c] & bits).bit_count() & 1) << c for c in range(g.m_right))
+
+
 @pytest.fixture(scope="module")
 def big_graph():
     return gen_left_regular(2000, 1500, 6, 3)
@@ -112,8 +123,7 @@ def test_syndrome_bits_is_per_check_parity(big_graph):
         _spread(rng, 256, 2000),
     ]
     for bits in words:
-        want = sum(((g.right_masks[c] & bits).bit_count() & 1) << c for c in range(g.m_right))
-        assert syndrome_bits(g, bits) == want
+        assert syndrome_bits(g, bits) == _parity(g, bits)
     assert syndrome_bits(g, codeword.bits) == 0
 
 
@@ -122,10 +132,104 @@ def test_syndrome_bits_is_per_check_parity_on_dense_words():
     g = gen_left_regular(n, m, 6, 11)
     rng = random.Random(12)
     words = [(1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)]
-    words += [_spread(rng, k, n) for k in (255, 256, 257, 1000)]  # around the crossover
+    words += [_spread(rng, k, n) for k in (255, 256, 257, 999, 1000, 1001)]  # around both cuts
     for bits in words:
-        want = sum(((g.right_masks[c] & bits).bit_count() & 1) << c for c in range(m))
-        assert syndrome_bits(g, bits) == want, bits.bit_count()
+        assert syndrome_bits(g, bits) == _parity(g, bits), bits.bit_count()
+
+
+def _edge_graphs():
+    """Graphs whose N is, or falls short of, a multiple of four (so the last
+    run of four bits is partial): with no checks, with no edges, and with
+    both."""
+    for n in (0, 1, 2, 3, 4, 5, 7, 9, 2001):
+        yield BipartiteGraph(n, 0, 0, [()] * n)  # M = 0
+        yield BipartiteGraph(n, 5, 0, [()] * n)  # D = 0
+        if n:
+            yield gen_left_regular(n, max(3, 3 * n // 4), 3, n)
+
+
+@pytest.mark.parametrize("g", list(_edge_graphs()), ids=lambda g: f"{g.n_left}-{g.m_right}-{g.d_left}")
+def test_syndrome_tables_on_both_sides_of_the_cut(g):
+    # a word of at most N/4 set bits folds the selected masks and builds no
+    # table; a denser one reads the table, which is then built
+    n = g.n_left
+    rng = random.Random(n)
+    tail = (1 << n) - 1 ^ (1 << (n & ~3)) - 1  # every bit of the last partial run
+    words = [0, (1 << n) - 1, tail, 1 << n - 1 if n else 0]
+    words += [_spread(rng, k, n) for k in (n // 4 - 1, n // 4, n // 4 + 1) if 0 <= k <= n]
+    for bits in words:
+        fresh = BipartiteGraph(g.n_left, g.m_right, g.d_left, g.adj)
+        assert syndrome_bits(fresh, bits) == _parity(g, bits), bits
+        assert ("_nibble_syndromes" in vars(fresh)) == (bits.bit_count() > n // 4), bits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9, 2001])
+def test_syndrome_table_entries(n):
+    g = gen_left_regular(n, max(3, 3 * n // 4), 3, n)
+    tables = g._nibble_syndromes
+    assert len(tables) == (n + 3) // 4
+    parity_checked = {0, len(tables) // 2, len(tables) - 1}  # the last run may be partial
+    for j, table in enumerate(tables):
+        width = min(4, n - 4 * j)
+        assert len(table) == 1 << width
+        assert table[0] == 0
+        # a one-bit entry is the left mask itself, not a copy
+        assert all(table[1 << k] is g.left_masks[4 * j + k] for k in range(width))
+        if j in parity_checked:
+            for v, entry in enumerate(table):
+                assert entry == _parity(g, v << 4 * j), (j, v)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Grows by one entry, the graph, per syndrome table built."""
+    builds = []
+    build = BipartiteGraph._nibble_syndromes.func
+
+    def counting(g):
+        builds.append(g)
+        return build(g)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(BipartiteGraph, "_nibble_syndromes")
+    monkeypatch.setattr(BipartiteGraph, "_nibble_syndromes", prop)
+    return builds
+
+
+def test_syndrome_table_is_built_once_on_the_first_dense_syndrome(table_builds):
+    g = gen_left_regular(512, 384, 6, 2)
+    rng = random.Random(13)
+    for k in (0, 3, 80, 128):
+        syndrome_bits(g, _spread(rng, k, 512))
+    assert table_builds == []
+    codeword = sample_codeword(g, 1)
+    for errors in (2, 3):
+        y = plant_errors(codeword, rng.sample(range(512), errors))
+        assert viderman_decode(g, y, ExpanderParams(Fraction(1, 50), Fraction(1, 6))).word == codeword
+    dense = rng.getrandbits(512)
+    assert syndrome_bits(g, dense) == _parity(g, dense)
+    assert table_builds == [g]
+
+
+def test_perfbench_sweep_cells_build_no_syndrome_table(table_builds):
+    # the graph and cells of perfbench/workloads.py's sweep at its seed, 1:
+    # every error word (at most 80 bits; erasure trials set none) and every
+    # flip mask has at most N/4 = 128 set bits. Under other seeds ss-flip at
+    # radius 80 can flip more than 128 bits at once, and then reads the table
+    rng = random.Random("sweep:1")
+    g = gen_left_regular(512, 384, 6, rng.getrandbits(32))
+    cells = (
+        ("viderman", "uniform-random-set", (2, 5, 10, 20, 30, 40, 60)),
+        ("ss-flip", "uniform-random-set", (2, 10, 20, 40, 80)),
+        ("erasure", "uniform-random-set", (10, 60, 120, 180, 240)),
+        ("viderman", "low-expansion-greedy", (2, 5, 10, 20)),
+    )
+    for algo, model, radii in cells:
+        for r in radii:
+            cfg = ExperimentConfig(algo, r, r, trials=1, model=model, seed=rng.getrandbits(32),
+                                   alpha=Fraction(1, 50), eps=Fraction(1, 6))
+            assert len(experiments.sweep(cfg, g)) == 1
+    assert table_builds == []
 
 
 def _or_loop(indices):

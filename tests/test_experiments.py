@@ -18,6 +18,7 @@ from expander_codes import (
     sweep,
     trial_seed,
 )
+from expander_codes import experiments
 from expander_codes.experiments import _error_set, _greedy_low_expansion_set
 
 
@@ -206,6 +207,23 @@ class TestSweep:
         rows = sweep(cfg, inst.graph)
         assert len(rows) == inst.graph.n_left
         assert all(r.recovered for r in rows)
+
+    def test_exhaustive_budget_refuses_before_any_decode(self, monkeypatch):
+        # radii 0-3 fit the budget, radius 4 needs C(60, 4) = 487635 patterns
+        g = gen_left_regular(60, 45, 6, 1)
+        calls = []
+        monkeypatch.setattr(experiments, "run_trial", lambda *a: calls.append(a))
+        refusals = []
+        for start in (0, 4):
+            cfg = self._cfg(model="exhaustive", radius_from=start, radius_to=4,
+                            alpha=Fraction(1, 30), eps=Fraction(1, 8), budget=400000)
+            with pytest.raises(BudgetExceeded) as exc:
+                sweep(cfg, g)
+            refusals.append((str(exc.value), exc.value.required))
+        assert calls == []
+        assert refusals[0] == refusals[1]
+        assert refusals[0][0].startswith("exhaustive model needs 487635 patterns > budget 400000")
+        assert refusals[0][1] == 487635
 
     @pytest.mark.parametrize("model", ["uniform-random-set", "low-expansion-greedy"])
     def test_sampled_budget_bounds_trials_per_radius(self, decode_instances, model):

@@ -12,9 +12,12 @@ operators inside the named functions are mutated when ``--function`` is
 given (a method is named by its own name). Every mutant runs the tests
 with ``pytest -x`` in a copy of ``src/``, ``tests/``, ``demos/`` and
 ``pyproject.toml`` made in a temporary directory, so the checkout is never
-edited. A mutant is killed when a test fails or the run exceeds
-``TIMEOUT`` seconds, and survives when every test passes; the survivors
-are printed at the end, and the exit status is 1 when any survived.
+edited. A mutant is killed when a test fails or its run takes more than
+``TIMEOUT_FACTOR`` times the unmutated run's wall time (and at least
+``TIMEOUT_FLOOR`` seconds); a run that times out is killed with every
+process it started, such as the demos ``tests/test_demos.py`` runs. A
+mutant survives when every test passes; the survivors are printed at the
+end, and the exit status is 1 when any survived.
 
 Not collected by pytest and not run in CI: a run takes minutes.
 """
@@ -25,6 +28,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -36,7 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
 SIGNS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+")}
 BITS = {ast.BitXor: ("^", "|"), ast.BitOr: ("|", "^")}  # also in ^= and |=
-TIMEOUT = 150.0  # seconds before a mutant's test run counts as killed
+TIMEOUT_FACTOR = 5  # a mutant's run may take this many times the unmutated run
+TIMEOUT_FLOOR = 10.0  # seconds, the least time a mutant's run is given
 
 
 @dataclass(frozen=True)
@@ -104,16 +109,23 @@ def mutants(source: str, functions: set[str]) -> list[Mutant]:
     return sorted(out, key=lambda m: (m.line, m.start))
 
 
-def run_tests(work: Path, tests: list[str]) -> str:
-    """"passed", "failed" or "timeout" for one pytest run in ``work``."""
+def run_tests(work: Path, tests: list[str], timeout: float | None = None) -> str:
+    """"passed", "failed" or "timeout" for one pytest run in ``work``. The
+    run has a session of its own, so a timeout kills its whole process
+    group: pytest and any process a test started."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    proc = subprocess.Popen(cmd, cwd=work, env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
-        done = subprocess.run(cmd, cwd=work, env=env, timeout=TIMEOUT,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    except subprocess.TimeoutExpired:
-        return "timeout"
-    return "passed" if done.returncode == 0 else "failed"
+        code = proc.wait(timeout)
+    except BaseException as exc:  # the timeout, or this tool interrupted
+        os.killpg(proc.pid, signal.SIGKILL)  # pytest is not reaped yet: the group is its own
+        proc.wait()
+        if isinstance(exc, subprocess.TimeoutExpired):
+            return "timeout"
+        raise
+    return "passed" if code == 0 else "failed"
 
 
 def main(argv=None) -> int:
@@ -136,14 +148,17 @@ def main(argv=None) -> int:
             shutil.copytree(ROOT / name, work / name, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
         target = work / module
+        start = time.perf_counter()
         if run_tests(work, args.tests) != "passed":
             print("the unmutated tests do not pass; no mutant run", file=sys.stderr)
             return 2
+        timeout = max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * (time.perf_counter() - start))
+        print(f"unmutated run passed; each mutant gets {timeout:.0f} s", flush=True)
         survivors = []
         for k, m in enumerate(todo, start=1):
             target.write_text("".join(m.apply(lines)))
             start = time.perf_counter()
-            verdict = run_tests(work, args.tests)
+            verdict = run_tests(work, args.tests, timeout)
             target.write_text(source)
             took = time.perf_counter() - start
             print(f"[{k}/{len(todo)}] {module}:{m.line} {m.old!r} -> {m.new!r}: "
