@@ -35,7 +35,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, Generator, Optional, Sequence
 
 from ._util import _reduce, as_fraction, indices_to_mask, mask_to_indices, select
@@ -168,8 +168,7 @@ def _suspects(
 ) -> Generator[list[int], int, None]:
     """The find loop in the syndrome domain: R starts at the checks set in
     ``s``, and a vertex joins L once at least ``h`` of its checks are in R.
-    A generator: it yields L, in insertion order, at each closure, so one
-    caller takes ``next`` of it.
+    A generator: it yields L, in insertion order, at each closure.
 
     L and R are the closure, the same for any pick order: counts only grow,
     so a vertex once eligible stays eligible. With no ``key`` the eligible
@@ -179,12 +178,12 @@ def _suspects(
     start at zero and only checks entering R raise them, so past the count
     and check arrays the work follows |s| and Gamma(L), not N.
 
-    With a ``limit``, the loop stops as soon as |L| exceeds it: it yields
-    that L of limit + 1 vertices and ends, since the closure is at least that
-    large. An L of exactly ``limit`` vertices is a closure like any other.
-    The pass count is clamped at N, since |L| <= N: a limit of N or more,
-    such as the erasure capacity at a tiny eps, never stops the loop, and a
-    huge one cannot overflow the bound on ``repeat``.
+    A waiting vertex is already in the closure, so the walk ends once |L|
+    plus the number waiting reaches limit + 1 or N. Past a ``limit`` it
+    yields limit + 1 vertices of the closure and ends; an L of exactly
+    ``limit`` is a closure like any other. At N, L is every vertex and no
+    push is left: the waiting vertices join unwalked, in the order the loop
+    would pop them, and every lower cut sent after that gets the same L.
 
     The guess runner sends it lower cuts: at a closure it may send a cut
     h' < h. At a closure of cut h > 0, L is every vertex with at least h
@@ -203,8 +202,7 @@ def _suspects(
         ready = list(range(n)) if h <= 0 else []
         push, pop = ready.append, ready.pop
     else:
-        # heap items key * N + vertex
-        ready = [key[i] * n + i for i in range(n)] if h <= 0 else []
+        ready = [key[i] * n + i for i in range(n)] if h <= 0 else []  # key * N + vertex
         heapq.heapify(ready)
 
         def push(u: int) -> None:
@@ -216,27 +214,24 @@ def _suspects(
     in_r = bytearray(g.m_right)  # R, one byte per check
     checks = mask_to_indices(s)  # ascending, as each adjacency row is
     added: list[int] = []
-    add = added.append
+    stop = n if limit is None else min(limit + 1, n)
     while True:
-        # each pass folds the newest checks into R, then adds one vertex; a
-        # bounded pass count stops the loop once |L| > limit
-        for _ in repeat(None) if limit is None else repeat(None, min(limit, n) + 1 - len(added)):
-            for c in checks:
-                if not in_r[c]:
-                    in_r[c] = 1
-                    for u in right_adj[c]:
-                        k = counts[u] + 1
-                        counts[u] = k
-                        if k == h:
-                            push(u)
-            if not ready:
-                break
+        # each pass folds the newest checks into R, then adds one vertex
+        for c in checks:
+            if not in_r[c]:
+                in_r[c] = 1
+                for u in right_adj[c]:
+                    k = counts[u] + 1
+                    counts[u] = k
+                    if k == h:
+                        push(u)
+        if len(added) + len(ready) >= stop:
+            break
+        if ready:
             i = pop()
-            add(i)
+            added.append(i)
             checks = adj[i]
-        else:
-            yield added  # |L| > limit
-            return
+            continue
         cut = yield added
         for t in range(max(cut, 0), min(h, g.d_left + 1)):  # a count is at most D
             u = -1
@@ -244,6 +239,10 @@ def _suspects(
                 u = counts.index(t, u + 1)
                 push(u)
         h, checks = cut, ()
+    added += (ready[::-1] if key is None else [v % n for v in sorted(ready)])[:stop - len(added)]
+    yield added
+    while limit is None or len(added) <= limit:  # L is every vertex, at any lower cut
+        yield added
 
 
 def find_suspects(
@@ -781,7 +780,8 @@ def guess_flip_decode(
     2 in the 988 nodes before the recursion limit. The radii are floored
     once, so a leaf compares integer weights. A leaf or find step reads only
     the candidate, and an L over the erasure capacity gives none, so its
-    find loop stops at capacity + 1 suspects rather than run away to N.
+    find loop runs with limit capacity: it stops once L and the vertices
+    waiting to join it exceed the capacity, rather than run away to N.
 
     A search deeper than the interpreter's recursion limit (beta below
     about 1/900) raises a short ``RecursionError`` naming ``ell``.
@@ -954,12 +954,13 @@ def _run_expansion_branches(
     same size) is not erased again; it still counts as an attempt. Nor is an
     L larger than M erased (pigeonhole): H restricted to L then has more
     columns than rows, so a nonzero kernel, and no e on L with H e = s is
-    unique. The find loop therefore runs with limit M: once |L| > M it
-    stops, and that cut and every cut below it never settle, so their
-    guesses run no solve; they still count as attempts. On
-    ``gen_left_regular(N, 3N/4, 6)`` every grid failure at N = 200 and
-    every poly failure at N = 60 finds |L| > M at its top cut, so each runs
-    one find loop, cut short at M + 1 suspects, and no solve. The accept
+    unique. The find loop therefore runs with limit M: once L and the
+    vertices waiting to join it exceed M it stops, and that cut and every
+    cut below it never settle, so their guesses run no solve; they still
+    count as attempts. On ``gen_left_regular(N, 3N/4, 6)`` every grid
+    failure at N = 200 and every poly failure at N = 60 finds |L| > M at
+    its top cut, so each runs one find loop and no solve; at N = 200 that
+    loop adds 19 to 39 of the M + 1 = 151 vertices it yields. The accept
     radius is floored once, so each candidate compares an integer weight."""
     n, m = g.n_left, g.m_right
     eps, alpha = params.eps, params.alpha

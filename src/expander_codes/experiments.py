@@ -270,9 +270,13 @@ def sweep(cfg: ExperimentConfig, g: BipartiteGraph) -> list[TrialResult]:
             for trial, errs in enumerate(patterns):
                 results.append(run_trial(cfg, g, radius, trial, errs))
         else:
+            # the greedy set depends on the graph and the radius alone
+            greedy = cfg.model == "low-expansion-greedy"
+            if greedy:
+                errs = _greedy_low_expansion_set(g, radius)
             for trial in range(cfg.trials):
-                seed = trial_seed(cfg.seed, radius, trial)
-                errs = _error_set(g, cfg.model, radius, seed)
+                if not greedy:
+                    errs = _error_set(g, cfg.model, radius, trial_seed(cfg.seed, radius, trial))
                 results.append(run_trial(cfg, g, radius, trial, errs))
     return results
 

@@ -236,6 +236,27 @@ class TestSweep:
         assert len(sweep(self._cfg(alpha=inst.params.alpha, eps=inst.eps, model=model,
                                    budget=5), inst.graph)) == 10
 
+    def test_greedy_set_drawn_once_per_radius(self, decode_instances, monkeypatch):
+        inst = decode_instances[0]
+        cfg = self._cfg(alpha=inst.params.alpha, eps=inst.eps, model="low-expansion-greedy",
+                        radius_to=3, trials=5)
+        g = inst.graph
+        # the rows of one draw per trial
+        want = [
+            experiments.run_trial(cfg, g, r, t, _error_set(g, cfg.model, r, trial_seed(cfg.seed, r, t)))
+            for r in range(4) for t in range(5)
+        ]
+        draws = []
+        greedy = experiments._greedy_low_expansion_set
+
+        def counted(g, size):
+            draws.append(size)
+            return greedy(g, size)
+
+        monkeypatch.setattr(experiments, "_greedy_low_expansion_set", counted)
+        assert sweep(cfg, g) == want
+        assert draws == [0, 1, 2, 3]
+
     def test_trial_seed_stability(self):
         assert trial_seed(42, 1, 0) == trial_seed(42, 1, 0)
         assert trial_seed(42, 1, 0) != trial_seed(42, 1, 1)

@@ -603,6 +603,49 @@ def test_decode_reads_follow_the_errors_not_n():
     assert sum(reads.values()) <= 60, reads
 
 
+def _row_reads(monkeypatch, g, s, h, key=None, limit=None):
+    """The first L the find loop yields, and the adjacency rows it read."""
+    g.right_adj  # built from the rows before they are counted
+    reads = Counter()
+    with monkeypatch.context() as mp:
+        mp.setattr(g, "adj", _CountingReads(g.adj, "adj", reads))
+        return _suspects(g, s, h, key, limit=limit), reads["adj"]
+
+
+class TestFindLoopStopsOnceDecided:
+    """Every vertex waiting to join L is in the closure, so the loop stops
+    once L and the waiting vertices pass the limit or cover all N, without
+    reading the rows of the vertices still waiting."""
+
+    def test_over_the_limit_after_a_few_rows(self, monkeypatch):
+        # the grid runner's loop at N = 200 (cut 3, limit M = 150) on words whose
+        # closure exceeds M
+        g = gen_left_regular(200, 150, 6, 1)
+        rng = random.Random(5)
+        for weight in (3, 6, 10, 20):
+            s = syndrome_bits(g, indices_to_mask(rng.sample(range(200), weight), 200))
+            closure = set(_bitmask_suspects(g, s, 3)[0])
+            assert len(closure) > 150
+            for key in (None, range(200)):
+                order, reads = _row_reads(monkeypatch, g, s, 3, key, limit=150)
+                assert len(order) == len(set(order)) == 151 and set(order) <= closure
+                assert reads <= 30, (weight, reads)
+
+    def test_runaway_to_n_reads_fewer_than_n_rows(self, monkeypatch):
+        g = gen_left_regular(2000, 1500, 6, 1)
+        rng = random.Random(6)
+        shuffled = list(range(2000))
+        rng.shuffle(shuffled)
+        for weight in (80, 100):
+            s = syndrome_bits(g, indices_to_mask(rng.sample(range(2000), weight), 2000))
+            for key in (None, shuffled):
+                want = _bitmask_suspects(g, s, 4, key)[0]
+                assert len(want) == 2000
+                for limit in (None, 1999, 2000, 10**30):
+                    order, reads = _row_reads(monkeypatch, g, s, 4, key, limit=limit)
+                    assert order == want and reads < 2000, (weight, limit, reads)
+
+
 def test_random_order_needs_a_seed():
     g = gen_left_regular(60, 45, 6, 1)
     y = Word.from_support(60, [3, 30])

@@ -5,19 +5,21 @@
 
 Run from the root of a checkout. Each mutant changes one operator on one
 line: a comparison ``<`` and ``<=`` swap, as do ``>`` and ``>=``; an
-addition or subtraction of the literal 1 turns into the other; and ``^``
-and ``|`` swap, in an expression or as ``^=`` and ``|=``, outside type
-annotations. Only
-operators inside the named functions are mutated when ``--function`` is
-given (a method is named by its own name). Every mutant runs the tests
-with ``pytest -x`` in a copy of ``src/``, ``tests/``, ``demos/`` and
-``pyproject.toml`` made in a temporary directory, so the checkout is never
-edited. A mutant is killed when a test fails or its run takes more than
-``TIMEOUT_FACTOR`` times the unmutated run's wall time (and at least
-``TIMEOUT_FLOOR`` seconds); a run that times out is killed with every
-process it started, such as the demos ``tests/test_demos.py`` runs. A
-mutant survives when every test passes; the survivors are printed at the
-end, and the exit status is 1 when any survived.
+addition or subtraction of the literal 1 turns into the other; ``^`` and
+``|`` swap, as do ``>>`` and ``<<``, in an expression or as an augmented
+assignment (``^=`` and ``|=``, ``>>=`` and ``<<=``), outside type
+annotations; and one ``and`` or ``or`` between two operands of a boolean
+expression turns into the other. Only operators inside the named
+functions are mutated when ``--function`` is given (a method is named by
+its own name). Every mutant runs the tests with ``pytest -x`` in a copy of
+``src/``, ``tests/``, ``demos/`` and ``pyproject.toml`` made in a temporary
+directory, so the checkout is never edited. A mutant is killed when a
+test fails or its run takes more than ``TIMEOUT_FACTOR`` times the
+unmutated run's wall time (and at least ``TIMEOUT_FLOOR`` seconds); a run
+that times out is killed with every process it started, such as the demos
+``tests/test_demos.py`` runs. A mutant survives when every test passes;
+the survivors are printed at the end, and the exit status is 1 when any
+survived.
 
 Not collected by pytest and not run in CI: a run takes minutes.
 """
@@ -39,7 +41,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
 SIGNS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+")}
-BITS = {ast.BitXor: ("^", "|"), ast.BitOr: ("|", "^")}  # also in ^= and |=
+# also as augmented assignments: ^= and |=, >>= and <<=
+BITS = {ast.BitXor: ("^", "|"), ast.BitOr: ("|", "^"),
+        ast.RShift: (">>", "<<"), ast.LShift: ("<<", ">>")}
+BOOLS = {ast.And: ("and", "or"), ast.Or: ("or", "and")}
 TIMEOUT_FACTOR = 5  # a mutant's run may take this many times the unmutated run
 TIMEOUT_FLOOR = 10.0  # seconds, the least time a mutant's run is given
 
@@ -70,9 +75,9 @@ def _gap(left: ast.AST, right: ast.AST, old: str, new: str) -> Mutant | None:
 
 
 def mutants(source: str, functions: set[str]) -> list[Mutant]:
-    """Every comparison, ± 1 and ``^``/``|`` swap in ``source``, in line
-    order; with ``functions``, those inside a function of one of those
-    names."""
+    """Every comparison, ± 1, ``^``/``|``, ``>>``/``<<`` and ``and``/``or``
+    swap in ``source``, in line order; with ``functions``, those inside a
+    function of one of those names."""
     found = []
     tree = ast.parse(source)
     # an annotation is never evaluated here, so a swap in it could not be killed
@@ -98,6 +103,9 @@ def mutants(source: str, functions: set[str]) -> list[Mutant]:
                 found.append(_gap(node.left, node.right, *BITS[type(node.op)]))
             elif isinstance(node, ast.AugAssign) and type(node.op) in BITS:
                 found.append(_gap(node.target, node.value, *BITS[type(node.op)]))
+            elif isinstance(node, ast.BoolOp):
+                for left, right in zip(node.values, node.values[1:]):
+                    found.append(_gap(left, right, *BOOLS[type(node.op)]))
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
