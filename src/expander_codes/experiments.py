@@ -270,12 +270,9 @@ def sweep(cfg: ExperimentConfig, g: BipartiteGraph) -> list[TrialResult]:
             for trial, errs in enumerate(patterns):
                 results.append(run_trial(cfg, g, radius, trial, errs))
         else:
-            # the greedy set depends on the graph and the radius alone
-            greedy = cfg.model == "low-expansion-greedy"
-            if greedy:
-                errs = _greedy_low_expansion_set(g, radius)
             for trial in range(cfg.trials):
-                if not greedy:
+                # the greedy set depends on the graph and the radius alone
+                if trial == 0 or cfg.model != "low-expansion-greedy":
                     errs = _error_set(g, cfg.model, radius, trial_seed(cfg.seed, radius, trial))
                 results.append(run_trial(cfg, g, radius, trial, errs))
     return results

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,13 @@ class TestSweep:
         # a per-radius bound: 2 radii of 5 trials fit a budget of 5
         assert len(sweep(self._cfg(alpha=inst.params.alpha, eps=inst.eps, model=model,
                                    budget=5), inst.graph)) == 10
+
+    def test_radius_to_is_bounded_by_n(self, tri3):
+        # a radius of N flips every position; one past it has no error set
+        cfg = self._cfg(algorithm="erasure", model="exhaustive", radius_from=3, radius_to=3)
+        assert [r.errors for r in sweep(cfg, tri3)] == [3]
+        with pytest.raises(InvalidParameters, match="exceeds N"):
+            sweep(replace(cfg, radius_to=4), tri3)
 
     def test_greedy_set_drawn_once_per_radius(self, decode_instances, monkeypatch):
         inst = decode_instances[0]
