@@ -4,6 +4,7 @@ output, and the closed-form radius comparison table."""
 from __future__ import annotations
 
 import hashlib
+import heapq
 import io
 import itertools
 import math
@@ -83,25 +84,42 @@ DECODER_NAMES = tuple(_DECODERS)
 
 def _greedy_low_expansion_set(g: BipartiteGraph, size: int) -> tuple[int, ...]:
     """Grow a set adding, at each step, the first vertex (ascending index)
-    whose marginal new-neighbor count is minimal."""
+    whose marginal new-neighbor count, its gain, is minimal.
+
+    Each gain value 0..D has a lazy-deletion heap of vertex indices. A pick
+    scans the values upward and pops the first heap top whose vertex still
+    has that gain, dropping the stale tops above it; among equal gains the
+    least index wins. Gains only fall, so a vertex enters each heap at most
+    once, and r picks cost O(N + r·D·Δ·log N) for check degree Δ, where
+    rescanning every gain per pick cost O(N·r).
+    """
     d = g.d_left
     gain = [d] * g.n_left  # per vertex, its checks not yet covered
+    heaps = [[] for _ in range(d)] + [list(range(g.n_left))]  # ascending is a heap
     covered = [False] * g.m_right
     chosen: list[int] = []
     for _ in range(size):
-        best = min(range(g.n_left), key=gain.__getitem__)
+        for k, heap in enumerate(heaps):
+            while heap and gain[heap[0]] != k:
+                heapq.heappop(heap)
+            if heap:
+                best = heapq.heappop(heap)
+                break
         chosen.append(best)
         for c in g.adj[best]:
             if not covered[c]:
                 covered[c] = True
                 for u in g.right_adj[c]:
                     gain[u] -= 1
+                    heapq.heappush(heaps[gain[u]], u)
         gain[best] = d + 1  # all its checks are covered, so no later update reaches it
     return tuple(sorted(chosen))
 
 
 def _error_set(g: BipartiteGraph, model: str, radius: int, seed: int) -> tuple[int, ...]:
     """The ascending size-``radius`` error set a sampled model picks."""
+    if not 0 <= radius <= g.n_left:
+        raise InvalidParameters(f"need 0 <= radius <= N = {g.n_left}, got {radius}")
     if model == "uniform-random-set":
         return tuple(sorted(random.Random(seed).sample(range(g.n_left), radius)))
     if model == "low-expansion-greedy":

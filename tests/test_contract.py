@@ -14,15 +14,21 @@ shifted by c. Sweeps decode e alone on that ground.
 A third property checks Viderman's guarantee: on a graph that
 `verify_expander` certifies with strict slack, `viderman_decode` finds the
 unique codeword inside the baseline radius.
+
+A seeded metamorphic check adds that no outcome depends on vertex labels:
+renaming the bits and the checks of a graph and its word renames the
+outcome's word and leaves every other field as it was.
 """
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
 from expander_codes import (
+    BipartiteGraph,
     ExpanderParams,
     Word,
     enumerate_list,
@@ -170,3 +176,38 @@ def test_strict_slack_excludes_the_equality_case():
     assert (out.status, out.reason, out.path) == (
         "failure", "no-candidate", "list-exceeds-capacity"
     )
+
+
+def _renamed(mask, names):
+    """``mask`` with bit i moved to bit ``names[i]``."""
+    return sum(1 << names[i] for i in range(len(names)) if mask >> i & 1)
+
+
+def test_outcomes_do_not_depend_on_labels():
+    # eta = 1/5 runs guess-flip-scaled at its unscaled fallback; at eta =
+    # 1/100 a word of N <= 30 can take seconds
+    cfgs = [ExperimentConfig(name, 0, 0, alpha=Fraction(1, 12), eps=Fraction(1, 8),
+                             beta=Fraction(1, 12), eta=Fraction(1, 5))
+            for name in DECODER_NAMES]
+    rng = random.Random(16)
+    for seed in range(400):
+        n = rng.choice((12, 16, 20, 24, 30))
+        g = gen_left_regular(n, 3 * n // 4, 6, seed)
+        bits, checks = list(range(n)), list(range(g.m_right))
+        rng.shuffle(bits)
+        rng.shuffle(checks)
+        adj = [()] * n
+        for i, row in enumerate(g.adj):
+            adj[bits[i]] = sorted(checks[c] for c in row)
+        h = BipartiteGraph(n, g.m_right, g.d_left, adj)
+        e = sum(1 << i for i in rng.sample(range(n), rng.randint(0, 5)))
+        for cfg in cfgs:
+            if cfg.algorithm == "erasure":
+                y, y_renamed = Word(n, 0, e), Word(n, 0, _renamed(e, bits))
+            else:
+                y, y_renamed = Word(n, e), Word(n, _renamed(e, bits))
+            want = dispatch_decode(cfg, g, y)
+            if want.word is not None:
+                want = replace(want, word=Word(
+                    n, _renamed(want.word.bits, bits), _renamed(want.word.erasures, bits)))
+            assert dispatch_decode(cfg, h, y_renamed) == want, (seed, cfg.algorithm)

@@ -77,6 +77,23 @@ class TestInjectErrors:
             for size in range(n + 1):
                 assert _greedy_low_expansion_set(g, size) == _greedy_by_rescan(g, size), (seed, size)
 
+    def test_greedy_matches_rescanning_chooser_at_scale(self):
+        # N = 512 gives long runs of stale heap entries; with M = D every
+        # vertex has every check, so each pick after the first ties at gain 0
+        g = gen_left_regular(512, 384, 6, 1)
+        for size in (20, 60):
+            assert _greedy_low_expansion_set(g, size) == _greedy_by_rescan(g, size), size
+        ties = gen_left_regular(40, 5, 5, 0)
+        for size in range(41):
+            assert _greedy_low_expansion_set(ties, size) == _greedy_by_rescan(ties, size), size
+
+    @pytest.mark.parametrize("model", ["uniform-random-set", "low-expansion-greedy"])
+    def test_radius_outside_zero_to_n_is_refused(self, tri3, model):
+        assert len(_error_set(tri3, model, 3, 0)) == 3
+        for radius in (-1, 4):
+            with pytest.raises(InvalidParameters, match="radius <= N = 3"):
+                _error_set(tri3, model, radius, 0)
+
     def test_deterministic(self, tri3):
         a = _error_set(tri3, "uniform-random-set", 2, 9)
         assert a == _error_set(tri3, "uniform-random-set", 2, 9)
@@ -197,6 +214,22 @@ class TestSweep:
         # sha256 of these CSVs from when each trial planted a codeword
         assert hashlib.sha256(csv.encode()).hexdigest() == (
             "fef391ad403175f4b44851b45a7b2faf22e7f23bc5e68baa385e17a656193f99"
+        )
+
+    def test_greedy_sweep_pinned_csv(self):
+        # one greedy set per radius on the perfbench sweep's graph shape
+        g = gen_left_regular(512, 384, 6, 1)
+        cfg = self._cfg(model="low-expansion-greedy", radius_to=60, radius_step=10,
+                        trials=1, seed=0, alpha=Fraction(1, 50))
+        csv = results_to_csv(sweep(cfg, g))
+        assert len(csv.splitlines()) == 1 + 7
+        # sha256 of this CSV, and of the error sets, from the rescanning chooser
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "87af6bf3cd044011328d9836fab9884c281fb44f0b79a7593887fe73cf40c9e4"
+        )
+        sets = repr([_greedy_low_expansion_set(g, r) for r in range(0, 61, 10)])
+        assert hashlib.sha256(sets.encode()).hexdigest() == (
+            "b58ee5e59ecca1bcaa30b51be045376f9adcb10e6ef128db0fb35443efd96a64"
         )
 
     def test_exhaustive_model(self, decode_instances):

@@ -33,6 +33,13 @@ def _mutated(source, functions=()):
         ("x |= b\n", ["x ^= b\n"]),
         ("x = a <= b\n", ["x = a < b\n"]),
         ("x = a - 1\n", ["x = a + 1\n"]),
+        ("x = a == b\n", ["x = a != b\n"]),
+        ("x = a != b\n", ["x = a == b\n"]),
+        ("x = a == b != c\n", ["x = a != b != c\n", "x = a == b == c\n"]),
+        ("x = min(a, b)\n", ["x = max(a, b)\n"]),
+        ("x = max(xs, key=len)\n", ["x = min(xs, key=len)\n"]),
+        ("x = min(max(a, b), c)\n", ["x = max(max(a, b), c)\n", "x = min(min(a, b), c)\n"]),
+        ("x = f.min(a) + mins(a)\n", []),
     ],
 )
 def test_each_swap_is_listed(source, want):

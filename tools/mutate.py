@@ -4,12 +4,13 @@
         tests/test_linear_code.py tests/test_gf2.py [--function NAME ...]
 
 Run from the root of a checkout. Each mutant changes one operator on one
-line: a comparison ``<`` and ``<=`` swap, as do ``>`` and ``>=``; an
-addition or subtraction of the literal 1 turns into the other; ``^`` and
-``|`` swap, as do ``>>`` and ``<<``, in an expression or as an augmented
-assignment (``^=`` and ``|=``, ``>>=`` and ``<<=``), outside type
-annotations; and one ``and`` or ``or`` between two operands of a boolean
-expression turns into the other. Only operators inside the named
+line: a comparison ``<`` and ``<=`` swap, as do ``>`` and ``>=``, and
+``==`` and ``!=``; an addition or subtraction of the literal 1 turns into
+the other; ``^`` and ``|`` swap, as do ``>>`` and ``<<``, in an expression
+or as an augmented assignment (``^=`` and ``|=``, ``>>=`` and ``<<=``),
+outside type annotations; one ``and`` or ``or`` between two operands of a
+boolean expression turns into the other; and a call of the built-in
+``min`` or ``max`` calls the other. Only operators inside the named
 functions are mutated when ``--function`` is given (a method is named by
 its own name). Every mutant runs the tests with ``pytest -x`` in a copy of
 ``src/``, ``tests/``, ``demos/`` and ``pyproject.toml`` made in a temporary
@@ -39,12 +40,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
+SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
+         ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
 SIGNS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+")}
 # also as augmented assignments: ^= and |=, >>= and <<=
 BITS = {ast.BitXor: ("^", "|"), ast.BitOr: ("|", "^"),
         ast.RShift: (">>", "<<"), ast.LShift: ("<<", ">>")}
 BOOLS = {ast.And: ("and", "or"), ast.Or: ("or", "and")}
+EXTREMA = {"min": "max", "max": "min"}
 TIMEOUT_FACTOR = 5  # a mutant's run may take this many times the unmutated run
 TIMEOUT_FLOOR = 10.0  # seconds, the least time a mutant's run is given
 
@@ -75,9 +78,9 @@ def _gap(left: ast.AST, right: ast.AST, old: str, new: str) -> Mutant | None:
 
 
 def mutants(source: str, functions: set[str]) -> list[Mutant]:
-    """Every comparison, ± 1, ``^``/``|``, ``>>``/``<<`` and ``and``/``or``
-    swap in ``source``, in line order; with ``functions``, those inside a
-    function of one of those names."""
+    """Every comparison, ± 1, ``^``/``|``, ``>>``/``<<``, ``and``/``or``
+    and ``min``/``max`` swap in ``source``, in line order; with
+    ``functions``, those inside a function of one of those names."""
     found = []
     tree = ast.parse(source)
     # an annotation is never evaluated here, so a swap in it could not be killed
@@ -106,6 +109,11 @@ def mutants(source: str, functions: set[str]) -> list[Mutant]:
             elif isinstance(node, ast.BoolOp):
                 for left, right in zip(node.values, node.values[1:]):
                     found.append(_gap(left, right, *BOOLS[type(node.op)]))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in EXTREMA):
+                f = node.func
+                found.append(Mutant(f.lineno, f.col_offset, f.end_col_offset,
+                                    f.id, EXTREMA[f.id]))
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
