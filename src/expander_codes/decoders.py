@@ -17,7 +17,10 @@ Find-and-erase works in the syndrome domain. A decode computes s = H*y once;
 suspect counts start at the neighbors of the unsatisfied checks, peeling
 touches only the checks next to the suspect set L, and the result is an
 error pattern e on L with H*e = s, re-checked in O(|e|). Past that one
-syndrome the cost follows |s| and |L|, not N.
+syndrome the cost follows |s| and |L|, not N. One find loop (``_suspects``)
+serves every decoder and the public ``find_suspects``, with one pick rule, a
+stack: L and R are a closure, so the order in which vertices join is only a
+device of the proof (Viderman's find-and-erase).
 
 Decoding from erasures peels with inactivation: where peeling stalls, one
 erased column becomes a symbol and peeling goes on, so the one GF(2)
@@ -29,9 +32,7 @@ of 27-30 (CPython 3.11, 2 shared vCPUs).
 
 from __future__ import annotations
 
-import heapq
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -124,7 +125,8 @@ class FindConfig:
 
 @dataclass(frozen=True)
 class FindTrace:
-    """Result of the suspect-finding loop: L in insertion order plus R."""
+    """Result of the suspect-finding loop: L, in the order the decoders'
+    find loop adds it, plus R."""
 
     order: tuple[int, ...]
     l_mask: int
@@ -162,7 +164,6 @@ def _suspects(
     g: BipartiteGraph,
     s: int,
     h: int,
-    key: Optional[Sequence[int]] = None,
     *,
     limit: Optional[int] = None,
 ) -> Generator[list[int], int, None]:
@@ -171,12 +172,11 @@ def _suspects(
     A generator: it yields L, in insertion order, at each closure.
 
     L and R are the closure, the same for any pick order: counts only grow,
-    so a vertex once eligible stays eligible. With no ``key`` the eligible
-    vertices wait on a plain stack; with one, the eligible vertex of smallest
-    ``key`` joins first, through a heap. R is a byte per check, and a joining
-    vertex walks its D checks, so no M-bit mask is built per vertex. Counts
-    start at zero and only checks entering R raise them, so past the count
-    and check arrays the work follows |s| and Gamma(L), not N.
+    so a vertex once eligible stays eligible. The eligible vertices wait on
+    a plain stack, and the last pushed joins first. R is a byte per check,
+    and a joining vertex walks its D checks, so no M-bit mask is built per
+    vertex. Counts start at zero and only checks entering R raise them, so
+    past the count and check arrays the work follows |s| and Gamma(L), not N.
 
     A waiting vertex is already in the closure, so the walk ends once |L|
     plus the number waiting reaches limit + 1 or N. Past a ``limit`` it
@@ -198,19 +198,8 @@ def _suspects(
     counts = [0] * n
     # counts only grow, so a vertex is pushed once: at the start if h = 0,
     # else when its count reaches the cut, or when a lower cut passes its count
-    if key is None:
-        ready = list(range(n)) if h <= 0 else []
-        push, pop = ready.append, ready.pop
-    else:
-        ready = [key[i] * n + i for i in range(n)] if h <= 0 else []  # key * N + vertex
-        heapq.heapify(ready)
-
-        def push(u: int) -> None:
-            heapq.heappush(ready, key[u] * n + u)
-
-        def pop() -> int:
-            return heapq.heappop(ready) % n
-
+    ready = list(range(n)) if h <= 0 else []
+    push, pop = ready.append, ready.pop
     in_r = bytearray(g.m_right)  # R, one byte per check
     checks = mask_to_indices(s)  # ascending, as each adjacency row is
     added: list[int] = []
@@ -239,55 +228,29 @@ def _suspects(
                 u = counts.index(t, u + 1)
                 push(u)
         h, checks = cut, ()
-    # the waiting vertices in the order pop gives them; a slice of the stack or
-    # the sorted heap costs a runaway loop 3-5% less than popping each of them
-    added += (ready[::-1] if key is None else [v % n for v in sorted(ready)])[:stop - len(added)]
+    # the waiting vertices in the order pop gives them; a slice of the stack
+    # costs a runaway loop 3-5% less than popping each of them
+    added += ready[::-1][:stop - len(added)]
     yield added
     while limit is None or len(added) <= limit:  # L is every vertex, at any lower cut
         yield added
 
 
-def find_suspects(
-    g: BipartiteGraph,
-    y: Word,
-    cfg: FindConfig,
-    *,
-    order: str = "ascending",
-    seed: Optional[int] = None,
-    prefer: Optional[Sequence[int]] = None,
-) -> FindTrace:
+def find_suspects(g: BipartiteGraph, y: Word, cfg: FindConfig) -> FindTrace:
     """Grow the suspect set L: start R at the unsatisfied checks, repeatedly
     add any vertex with at least (1-2*delta)*D neighbors in R, folding its
     neighborhood into R.
 
-    One pick rule: among the eligible vertices, those in ``prefer`` come
-    first, then ``order`` decides: ascending index (the default), descending
-    index, or a permutation of the indices seeded by ``seed`` ("random",
-    which needs a seed). Preferring the error positions realizes the
-    errors-first insertion order. Only L and R are independent of the pick
-    rule; the trace's insertion order follows it. Every position in
-    ``prefer`` must lie in [0, N).
+    This is the decoders' own find loop, ``_suspects``, run to its closure.
+    L and R do not depend on the order in which vertices join; the trace's
+    insertion order is the one that loop takes.
     """
     _check_plain(g, y)
-    n = g.n_left
-    if order == "ascending":
-        rank = range(n)
-    elif order == "descending":
-        rank = range(n - 1, -1, -1)
-    elif order == "random":
-        if seed is None:
-            raise InvalidParameters('order "random" needs a seed')
-        rank = list(range(n))
-        random.Random(seed).shuffle(rank)
-    else:
-        raise InvalidParameters(f"unknown order {order!r}")
-    pref = indices_to_mask(prefer, n) if prefer is not None else 0
-    key = [rank[i] - n if pref >> i & 1 else rank[i] for i in range(n)] if pref else rank
     r = syndrome_bits(g, y.bits)
-    order = next(_suspects(g, r, cfg.effective_threshold(g.d_left), key))
+    order = next(_suspects(g, r, cfg.effective_threshold(g.d_left)))
     for i in order:  # R is s and the checks of L
         r |= g.left_masks[i]
-    return FindTrace(tuple(order), indices_to_mask(order, n), r)
+    return FindTrace(tuple(order), indices_to_mask(order, g.n_left), r)
 
 
 # -- outcomes ----------------------------------------------------------------

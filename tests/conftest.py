@@ -73,6 +73,22 @@ def back_substitute(pivots: dict[int, int], fixed: int) -> int:
     return fixed
 
 
+def brute_force_closure(g: BipartiteGraph, s: int, h: int) -> tuple[int, int]:
+    """The find loop's closure with no pick order: from L = {} iterate
+    L <- {i : |adj(i) & (s | Gamma(L))| >= h} to its fixed point. Returns
+    (L, R) as masks, R = s | Gamma(L)."""
+    l_mask, r_mask = 0, s
+    while True:
+        grown = sum(1 << i for i, m in enumerate(g.left_masks) if (m & r_mask).bit_count() >= h)
+        if grown == l_mask:
+            return l_mask, r_mask
+        l_mask = grown
+        r_mask = s
+        for i, m in enumerate(g.left_masks):
+            if l_mask >> i & 1:
+                r_mask |= m
+
+
 def tri3_graph() -> BipartiteGraph:
     return vertex_edge_graph(cycle_graph(3))
 

@@ -36,7 +36,7 @@ from expander_codes import (
     vertex_edge_graph,
     viderman_decode,
 )
-from conftest import cyc_graph, random_verified_instances, tri3_graph
+from conftest import brute_force_closure, cyc_graph, random_verified_instances, tri3_graph
 
 
 @pytest.fixture
@@ -238,10 +238,10 @@ def test_criterion_6_find_order_properties(announce):
             else:
                 y = Word.from_support(n, f)  # planted errors off the zero word
             cfg = FindConfig.from_delta(Fraction(rng.randrange(0, 12), 24))
-            asc = find_suspects(g, y, cfg, order="ascending").l_set
-            dsc = find_suspects(g, y, cfg, order="descending").l_set
-            rnd = find_suspects(g, y, cfg, order="random", seed=case).l_set
-            assert asc == dsc == rnd
+            # L is the closure, whatever order its vertices join in
+            trace = find_suspects(g, y, cfg)
+            h = cfg.effective_threshold(d)
+            assert (trace.l_mask, trace.r_mask) == brute_force_closure(g, syndrome(g, y).bits, h)
             if f:
                 need = (1 - 2 * (Fraction(0) + cfg.s)) * d
                 precondition = all(
@@ -250,7 +250,7 @@ def test_criterion_6_find_order_properties(announce):
                     for sub in itertools.combinations(f, r)
                 )
                 if precondition:
-                    assert set(f) <= asc
+                    assert set(f) <= trace.l_set
                     contained += 1
         assert contained > 100
         return f"10000 cases, {contained} containment checks"

@@ -17,12 +17,10 @@ from expander_codes import (
     BipartiteGraph,
     ExpanderParams,
     ExperimentConfig,
-    FindConfig,
     InvalidInput,
     Word,
     collisions,
     experiments,
-    find_suspects,
     gen_left_regular,
     neighbors,
     odd_neighbors,
@@ -317,9 +315,6 @@ _POSITION_ENTRIES = {
     "unique_neighbors": lambda p: unique_neighbors(_G24, p),
     "odd_neighbors": lambda p: odd_neighbors(_G24, p),
     "collisions": lambda p: collisions(_G24, p),
-    "find_suspects": lambda p: find_suspects(
-        _G24, Word.zero(24), FindConfig.from_delta(Fraction(1, 4)), prefer=p
-    ),
 }
 
 

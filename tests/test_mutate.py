@@ -40,6 +40,8 @@ def _mutated(source, functions=()):
         ("x = max(xs, key=len)\n", ["x = min(xs, key=len)\n"]),
         ("x = min(max(a, b), c)\n", ["x = max(max(a, b), c)\n", "x = min(min(a, b), c)\n"]),
         ("x = f.min(a) + mins(a)\n", []),
+        ("x = a[::-1][:n - k]\n", ["x = a[::][:n - k]\n", "x = a[::-1][:]\n"]),
+        ("x = a[i:j:k]\n", ["x = a[:j:k]\n", "x = a[i::k]\n", "x = a[i:j:]\n"]),
     ],
 )
 def test_each_swap_is_listed(source, want):

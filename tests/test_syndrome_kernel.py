@@ -18,7 +18,6 @@ from expander_codes import (
     ExpanderParams,
     FindConfig,
     FindTrace,
-    InvalidParameters,
     Word,
     decode_erasures,
     find_suspects,
@@ -34,38 +33,28 @@ from expander_codes import decoders
 from expander_codes._util import indices_to_mask, mask_to_indices
 from expander_codes.decoders import _at_least, _find_and_erase
 from expander_codes.linear_code import syndrome_bits
-from conftest import back_substitute, echelon, gray_walk
+from conftest import back_substitute, brute_force_closure, echelon, gray_walk
 
 
-def _suspects(g, s, h, key=None, **kw):
+def _suspects(g, s, h, **kw):
     """The first L the find loop yields: its closure at cut ``h``, or
     limit + 1 vertices of it."""
-    return next(decoders._suspects(g, s, h, key, **kw))
+    return next(decoders._suspects(g, s, h, **kw))
 
 
 # -- the word-domain find-and-erase the kernel replaced ----------------------
 
 
-def _word_find_suspects(g, y, cfg, *, order="ascending", seed=None, prefer=None):
+def _word_find_suspects(g, y, cfg):
     """Former find_suspects: counts over all N left masks, one heap of
-    (not preferred, rank, vertex) tuples."""
-    n, d = g.n_left, g.d_left
-    if order == "ascending":
-        rank = range(n)
-    elif order == "descending":
-        rank = range(n - 1, -1, -1)
-    else:
-        rank = list(range(n))
-        random.Random(seed).shuffle(rank)
-    pref = frozenset(prefer) if prefer is not None else frozenset()
-    h = cfg.effective_threshold(d)
+    vertices, the lowest eligible index joining first."""
+    h = cfg.effective_threshold(g.d_left)
     r_mask = syndrome_bits(g, y.bits)
     counts = [(m & r_mask).bit_count() for m in g.left_masks]
-    heap = [(i not in pref, rank[i], i) for i in range(n) if counts[i] >= h]
-    heapq.heapify(heap)
+    heap = [i for i in range(g.n_left) if counts[i] >= h]
     added = []
     while heap:
-        i = heapq.heappop(heap)[2]
+        i = heapq.heappop(heap)
         added.append(i)
         new_checks = g.left_masks[i] & ~r_mask
         r_mask |= g.left_masks[i]
@@ -74,7 +63,7 @@ def _word_find_suspects(g, y, cfg, *, order="ascending", seed=None, prefer=None)
             for u in g.right_adj[low.bit_length() - 1]:
                 counts[u] += 1
                 if counts[u] == h:
-                    heapq.heappush(heap, (u not in pref, rank[u], u))
+                    heapq.heappush(heap, u)
             new_checks ^= low
     return FindTrace(tuple(added), sum(1 << i for i in added), r_mask)
 
@@ -214,10 +203,8 @@ class TestMatchesWordDomain:
             seen.add(("h=d+1", h == d + 1))
             seen.add(("s=0", s == 0))
 
-            for order in ("ascending", "descending", "random"):
-                for prefer in (None, errors, rng.sample(range(n), rng.randint(0, n))):
-                    kw = dict(order=order, seed=case, prefer=prefer)
-                    assert find_suspects(g, y, cfg, **kw) == _word_find_suspects(g, y, cfg, **kw)
+            got, ref = find_suspects(g, y, cfg), _word_find_suspects(g, y, cfg)
+            assert (got.l_mask, got.r_mask) == (ref.l_mask, ref.r_mask), case
 
             capacity = rng.choice((None, None, rng.randint(0, n)))
             want = _word_find_and_erase(g, y.bits, cfg, capacity)
@@ -249,9 +236,10 @@ class TestMatchesWordDomain:
         } <= seen
 
     def test_stack_pick_finds_the_keyed_closure(self):
-        # L and R are the closure of the find loop, so the keyless stack must
-        # reach the same set L, each vertex once, as the heap under any key
-        # (R is the checks of s and of L, so it follows)
+        # L and R are the closure of the find loop, so the stack must reach
+        # the brute-force closure, each vertex once, and the same set L as the
+        # former keyed heap under any key (R is the checks of s and of L, so
+        # it follows)
         rng = random.Random(12)
         seen = set()
         for case, g in enumerate(_random_graphs(rng, 60)):
@@ -264,36 +252,34 @@ class TestMatchesWordDomain:
                 for h in (0, 1, rng.randint(0, d), d, d + 1, d + 3):
                     order = _suspects(g, s, h)
                     assert len(order) == len(set(order)), case
+                    want = brute_force_closure(g, s, h)
+                    assert (indices_to_mask(order, n), s | _gamma(g, order)) == want, (case, s, h)
                     for key in keys:
-                        assert set(order) == set(_suspects(g, s, h, key)), (case, s, h)
+                        assert set(order) == set(_bitmask_suspects(g, s, h, key)[0]), (case, s, h)
                     seen.add((s == 0, h == 0, h > d, 0 < len(order) < n))
         for flag in range(4):
             assert any(k[flag] for k in seen) and not all(k[flag] for k in seen)
 
     def test_find_loop_matches_the_bitmask_kernel(self):
         # R as a byte per check walks the same checks in the same order as R
-        # as an M-bit mask: same L, same insertion order with or without a
-        # key, and R replayed from L is the former R
+        # as an M-bit mask: same L, same insertion order, and R replayed from
+        # L is the former R
         rng = random.Random(14)
         graphs = _random_graphs(rng, 40)
         graphs += [gen_left_regular(2000, 1500, 6, seed) for seed in (1, 2)]
         seen = set()
         for case, g in enumerate(graphs):
-            n, m, d = g.n_left, g.m_right, g.d_left
-            shuffled = list(range(n))
-            rng.shuffle(shuffled)
-            keys = (None, range(n), range(n - 1, -1, -1), shuffled)
+            n, d = g.n_left, g.d_left
             words = [rng.getrandbits(n)] + [
                 indices_to_mask(rng.sample(range(n), min(n, k)), n) for k in (3, 10, 90)
             ]
             for word in words:
                 s = syndrome_bits(g, word)
                 for h in (-1, 0, 1, rng.randint(0, d), d - 2, d, d + 1):
-                    for key in keys if n < 2000 else (None, shuffled):
-                        order = _suspects(g, s, h, key)
-                        want, want_r = _bitmask_suspects(g, s, h, key)
-                        assert order == want, (case, h)
-                        assert s | _gamma(g, order) == want_r, (case, h)
+                    order = _suspects(g, s, h)
+                    want, want_r = _bitmask_suspects(g, s, h)
+                    assert order == want, (case, h)
+                    assert s | _gamma(g, order) == want_r, (case, h)
                     size = len(order)
                     seen.add(("h<=0", h <= 0))
                     seen.add(("small", 0 < size <= 12))
@@ -312,12 +298,12 @@ class TestMatchesWordDomain:
             ]
 
 
-def _lowered(g, s, cuts, key=None, limit=None):
+def _lowered(g, s, cuts, limit=None):
     """One find loop started at cuts[0] and sent the rest: the (cut, L as a
     set) of each closure it reached, and the last list it yielded. Past the
     limit the loop yields once more, limit + 1 vertices, and ends."""
     settled = []
-    loop = decoders._suspects(g, s, cuts[0], key, limit=limit)
+    loop = decoders._suspects(g, s, cuts[0], limit=limit)
     suspects = next(loop)
     for h, lower in zip(cuts, cuts[1:] + [None]):
         if limit is not None and len(suspects) > limit:
@@ -330,7 +316,7 @@ def _lowered(g, s, cuts, key=None, limit=None):
     return settled, suspects
 
 
-def _check_lowered(g, s, cuts, key, limit):
+def _check_lowered(g, s, cuts, limit):
     """Against fresh one-cut loops: the lowered loop settles every cut of the
     descending ``cuts`` whose closure has at most ``limit`` vertices, with
     that closure, and then stops with limit + 1 of the next closure's
@@ -338,7 +324,7 @@ def _check_lowered(g, s, cuts, key, limit):
     fresh = [frozenset(_suspects(g, s, h)) for h in cuts]
     small = sum(1 for l_set in fresh if limit is None or len(l_set) <= limit)
     assert all(len(l_set) > limit for l_set in fresh[small:])  # closures grow
-    settled, final = _lowered(g, s, cuts, key, limit)
+    settled, final = _lowered(g, s, cuts, limit)
     assert settled == list(zip(cuts[:small], fresh[:small]))
     assert len(final) == len(set(final))
     if small < len(cuts):
@@ -359,15 +345,12 @@ class TestLoweredFindLoop:
         seen = set()
         for g in graphs:
             n, d = g.n_left, g.d_left
-            shuffled = list(range(n))
-            rng.shuffle(shuffled)
             for weight in (1, 3, rng.randint(0, n)):
                 s = syndrome_bits(g, indices_to_mask(rng.sample(range(n), min(n, weight)), n))
                 for _ in range(3):
                     levels = range(-2, d + 3)
                     cuts = sorted(rng.sample(levels, rng.randint(1, len(levels))), reverse=True)
-                    for key in (None, shuffled):
-                        fresh = _check_lowered(g, s, cuts, key, None)
+                    fresh = _check_lowered(g, s, cuts, None)
                     seen.add(("cut <= 0", cuts[-1] <= 0))
                     seen.add(("cut > D", cuts[0] > d))
                     seen.add(("several cuts", len(cuts) > 2))
@@ -386,8 +369,7 @@ class TestLoweredFindLoop:
             for cuts in (list(range(d + 1, -2, -1)), [1, 0], [0]):
                 for size in sizes:
                     for limit in {size, size - 1, 0} - {-1}:
-                        for key in (None, range(n - 1, -1, -1)):
-                            fresh = _check_lowered(g, s, cuts, key, limit)
+                        fresh = _check_lowered(g, s, cuts, limit)
                         seen.add(("L = limit", limit in map(len, fresh)))
                         seen.add(("stopped", len(fresh[-1]) > limit))
                         seen.add(("stopped at the first cut", len(fresh[0]) > limit))
@@ -403,12 +385,11 @@ class TestLoweredFindLoop:
     st.integers(0, 2**30 - 1),
     st.lists(st.integers(-2, 8), min_size=1, max_size=8, unique=True),
     st.one_of(st.none(), st.integers(0, 31)),
-    st.booleans(),
 )
-def test_lowering_matches_fresh_loops(n, d, extra, seed, bits, cuts, limit, keyed):
+def test_lowering_matches_fresh_loops(n, d, extra, seed, bits, cuts, limit):
     g = gen_left_regular(n, d + extra, d, seed)
     s = syndrome_bits(g, bits & ((1 << n) - 1))
-    _check_lowered(g, s, sorted(cuts, reverse=True), range(n, 0, -1) if keyed else None, limit)
+    _check_lowered(g, s, sorted(cuts, reverse=True), limit)
 
 
 @pytest.fixture
@@ -603,13 +584,13 @@ def test_decode_reads_follow_the_errors_not_n():
     assert sum(reads.values()) <= 60, reads
 
 
-def _row_reads(monkeypatch, g, s, h, key=None, limit=None):
+def _row_reads(monkeypatch, g, s, h, limit=None):
     """The first L the find loop yields, and the adjacency rows it read."""
     g.right_adj  # built from the rows before they are counted
     reads = Counter()
     with monkeypatch.context() as mp:
         mp.setattr(g, "adj", _CountingReads(g.adj, "adj", reads))
-        return _suspects(g, s, h, key, limit=limit), reads["adj"]
+        return _suspects(g, s, h, limit=limit), reads["adj"]
 
 
 class TestFindLoopStopsOnceDecided:
@@ -626,34 +607,20 @@ class TestFindLoopStopsOnceDecided:
             s = syndrome_bits(g, indices_to_mask(rng.sample(range(200), weight), 200))
             closure = set(_bitmask_suspects(g, s, 3)[0])
             assert len(closure) > 150
-            for key in (None, range(200)):
-                order, reads = _row_reads(monkeypatch, g, s, 3, key, limit=150)
-                assert len(order) == len(set(order)) == 151 and set(order) <= closure
-                assert reads <= 30, (weight, reads)
+            order, reads = _row_reads(monkeypatch, g, s, 3, limit=150)
+            assert len(order) == len(set(order)) == 151 and set(order) <= closure
+            assert reads <= 30, (weight, reads)
 
     def test_runaway_to_n_reads_fewer_than_n_rows(self, monkeypatch):
         g = gen_left_regular(2000, 1500, 6, 1)
         rng = random.Random(6)
-        shuffled = list(range(2000))
-        rng.shuffle(shuffled)
         for weight in (80, 100):
             s = syndrome_bits(g, indices_to_mask(rng.sample(range(2000), weight), 2000))
-            for key in (None, shuffled):
-                want = _bitmask_suspects(g, s, 4, key)[0]
-                assert len(want) == 2000
-                for limit in (None, 1999, 2000, 10**30):
-                    order, reads = _row_reads(monkeypatch, g, s, 4, key, limit=limit)
-                    assert order == want and reads < 2000, (weight, limit, reads)
-
-
-def test_random_order_needs_a_seed():
-    g = gen_left_regular(60, 45, 6, 1)
-    y = Word.from_support(60, [3, 30])
-    cfg = FindConfig.from_delta(Fraction(2, 5))
-    with pytest.raises(InvalidParameters):
-        find_suspects(g, y, cfg, order="random")
-    first = find_suspects(g, y, cfg, order="random", seed=7)
-    assert find_suspects(g, y, cfg, order="random", seed=7) == first
+            want = _bitmask_suspects(g, s, 4)[0]
+            assert len(want) == 2000
+            for limit in (None, 1999, 2000, 10**30):
+                order, reads = _row_reads(monkeypatch, g, s, 4, limit=limit)
+                assert order == want and reads < 2000, (weight, limit, reads)
 
 
 def test_guess_runner_erases_each_suspect_set_once(monkeypatch):
@@ -765,9 +732,9 @@ def _count_finds(monkeypatch, call) -> int:
     cuts = []
     find = decoders._suspects
 
-    def counted(g, s, h, key=None, **kw):
+    def counted(g, s, h, **kw):
         cuts.append(h)
-        return find(g, s, h, key, **kw)
+        return find(g, s, h, **kw)
 
     with monkeypatch.context() as patch:
         patch.setattr(decoders, "_suspects", counted)
@@ -781,8 +748,8 @@ def _settled_cuts(monkeypatch, call) -> list:
     cuts = []
     find = decoders._suspects
 
-    def recording(g, s, h, key=None, *, limit=None):
-        loop = find(g, s, h, key, limit=limit)
+    def recording(g, s, h, *, limit=None):
+        loop = find(g, s, h, limit=limit)
         suspects = next(loop)
         while limit is None or len(suspects) <= limit:
             cuts.append(h)

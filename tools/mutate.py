@@ -9,20 +9,23 @@ line: a comparison ``<`` and ``<=`` swap, as do ``>`` and ``>=``, and
 the other; ``^`` and ``|`` swap, as do ``>>`` and ``<<``, in an expression
 or as an augmented assignment (``^=`` and ``|=``, ``>>=`` and ``<<=``),
 outside type annotations; one ``and`` or ``or`` between two operands of a
-boolean expression turns into the other; and a call of the built-in
-``min`` or ``max`` calls the other. Only operators inside the named
-functions are mutated when ``--function`` is given (a method is named by
-its own name). Every mutant runs the tests with ``pytest -x`` in a copy of
-``src/``, ``tests/``, ``demos/`` and ``pyproject.toml`` made in a temporary
-directory, so the checkout is never edited. A mutant is killed when a
-test fails or its run takes more than ``TIMEOUT_FACTOR`` times the
-unmutated run's wall time (and at least ``TIMEOUT_FLOOR`` seconds); a run
-that times out is killed with every process it started, such as the demos
-``tests/test_demos.py`` runs. A mutant survives when every test passes;
-the survivors are printed at the end, and the exit status is 1 when any
-survived.
+boolean expression turns into the other; a call of the built-in ``min``
+or ``max`` calls the other; and a slice loses one of its bounds or its
+step (``a[i:j:k]`` gives ``a[:j:k]``, ``a[i::k]`` and ``a[i:j:]``). Only
+operators inside the named functions are mutated when ``--function`` is
+given (a method is named by its own name). Every mutant runs the tests
+with ``pytest -x`` in a copy of ``src/``, ``tests/``, ``demos/`` and
+``pyproject.toml`` made in a temporary directory, so the checkout is never
+edited. A mutant is killed when a test fails or its run takes more than
+``TIMEOUT_FACTOR`` times the unmutated run's wall time (and at least
+``TIMEOUT_FLOOR`` seconds); a run that times out is killed with every
+process it started, such as the demos ``tests/test_demos.py`` runs. A
+mutant survives when every test passes; the survivors are printed at the
+end, and the exit status is 1 when any survived.
 
-Not collected by pytest and not run in CI: a run takes minutes.
+Not collected by pytest. A run over a whole module takes minutes, so CI
+runs it only on the find loop, ``--function _suspects`` against
+``tests/test_syndrome_kernel.py`` and ``tests/test_decoders.py``.
 """
 
 from __future__ import annotations
@@ -79,8 +82,9 @@ def _gap(left: ast.AST, right: ast.AST, old: str, new: str) -> Mutant | None:
 
 def mutants(source: str, functions: set[str]) -> list[Mutant]:
     """Every comparison, ± 1, ``^``/``|``, ``>>``/``<<``, ``and``/``or``
-    and ``min``/``max`` swap in ``source``, in line order; with
-    ``functions``, those inside a function of one of those names."""
+    and ``min``/``max`` swap and every dropped slice bound or step in
+    ``source``, in line order; with ``functions``, those inside a function
+    of one of those names."""
     found = []
     tree = ast.parse(source)
     # an annotation is never evaluated here, so a swap in it could not be killed
@@ -114,6 +118,11 @@ def mutants(source: str, functions: set[str]) -> list[Mutant]:
                 f = node.func
                 found.append(Mutant(f.lineno, f.col_offset, f.end_col_offset,
                                     f.id, EXTREMA[f.id]))
+            elif isinstance(node, ast.Slice):
+                for part in (node.lower, node.upper, node.step):
+                    if part is not None and part.lineno == part.end_lineno:
+                        found.append(Mutant(part.lineno, part.col_offset, part.end_col_offset,
+                                            ast.get_source_segment(source, part), ""))
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
