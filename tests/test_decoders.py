@@ -246,9 +246,26 @@ class TestFindSuspects:
         assert trace.l_set == {0, 1, 2}
 
     def test_order_independence_disciplines(self):
-        # L and R are a closure: find_suspects' stack and the former pick
-        # loop under each of its orders, preferred vertices first or not,
-        # reach the fixed point of L <- {i : |adj(i) & (s | Gamma(L))| >= h}
+        # the former pick loop's three orders and find_suspects' stack pick
+        # vertices in different orders and reach the same L
+        rng = random.Random(0)
+        for case in range(300):
+            g = gen_left_regular(10, 7, 3, case % 20)
+            y = Word(10, rng.getrandbits(10))
+            cfg = FindConfig.from_delta(Fraction(rng.randrange(0, 12), 24))
+            runs = [
+                _three_branch_find(g, y, cfg, order="ascending").l_set,
+                _three_branch_find(g, y, cfg, order="descending").l_set,
+                _three_branch_find(g, y, cfg, order="random", seed=case).l_set,
+                find_suspects(g, y, cfg).l_set,
+            ]
+            assert runs[0] == runs[1] == runs[2] == runs[3]
+
+    def test_heap_picks_match_three_branch_loop(self):
+        # the keyed heap this once checked is gone; its cases now hold
+        # find_suspects' stack and the three-branch loop under each of its
+        # orders, preferred vertices first or not, to the brute-force fixed
+        # point of L <- {i : |adj(i) & (s | Gamma(L))| >= h}
         rng = random.Random(5)
         graphs = []
         for seed in range(60):
