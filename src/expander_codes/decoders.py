@@ -7,11 +7,21 @@ distance to the input respects the decoder's validation radius; candidates
 are re-checked even where theory would guarantee it. Threshold comparisons
 are exact: every threshold is (1 - 2*delta)*D with delta = sqrt(q) + s for
 rationals q, s >= 0, and one integer closed form (``_cuts_along``, built on
-``math.isqrt``) turns it into the least integer count it admits: once per call
-(``_cut``), or once per probe of a guess listing, with no Fraction. The
+``math.isqrt``) turns it into the least integer count it admits: once per
+probe of a guess listing, or once per call at q = 0 (``_delta_cut``, its
+case with no square root). The
 guess-flip cuts max(0, ceil((1 - 3 i eta) D)) are listed on integers too, one
 floor division per probe (``_flip_cuts``). The per-vertex loops compare
 integer counts against that integer cut.
+
+Each decoder's per-call set-up runs on integers. With eps = a/b,
+alpha = c/e, beta = p/q and the like, the cuts, the erasure capacity
+(``_capacity``), the radius floors and the refusals (eps <= 1/8,
+eps <= 1/4 - beta, eps < 1/3, tf in (1/2, 1]) are integer expressions and
+cross-multiplications of those numerators and denominators. No Fraction is
+added, multiplied, divided, floored or compared; the Fractions an outcome
+carries (its radius, the accepted ExpansionGuess) are each built by one
+constructor.
 
 Find-and-erase works in the syndrome domain. A decode computes s = H*y once;
 suspect counts start at the neighbors of the unsatisfied checks, peeling
@@ -34,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Generator, Optional, Sequence
@@ -68,28 +78,34 @@ __all__ = [
 # -- suspect finding ---------------------------------------------------------
 
 
-def _cuts_along(d: int, num: int, den: int, s):
-    """The cut of delta = sqrt(k*num/den) + s as an integer function of
-    k >= 0, for integers num >= 0, den > 0 and a rational (or int) s >= 0:
-    the least integer c >= 0 with c >= (1 - 2*delta)*D.
+def _cuts_along(d: int, num: int, den: int, sn: int, sd: int):
+    """The cut of delta = sqrt(k*num/den) + sn/sd as an integer function of
+    k >= 0, for integers num, sn >= 0 and den, sd > 0: the least integer
+    c >= 0 with c >= (1 - 2*delta)*D.
 
-    With s = a/b, A = D*(b - 2a) and X = 4*D^2*b^2*k*num/den, the condition
-    is the integer inequality A - c*b <= sqrt(X). An integer is at most
-    sqrt(X) iff it is at most isqrt(floor(X)), so the cut is
-    ceil((A - isqrt(floor(X)))/b), clipped at 0: exact, on integers, with no
-    loop. The constants are worked out once, so a probe at k is one integer
-    floor division and one ``math.isqrt``, with no Fraction.
+    With A = D*(sd - 2*sn) and X = 4*D^2*sd^2*k*num/den, the condition is the
+    integer inequality A - c*sd <= sqrt(X). An integer is at most sqrt(X) iff
+    it is at most isqrt(floor(X)), so the cut is ceil((A - isqrt(floor(X)))/sd),
+    clipped at 0: exact, on integers, with no loop, and the same for any
+    representation of the two ratios. The constants are worked out once, so a
+    probe at k is one integer floor division and one ``math.isqrt``.
     """
-    b = s.denominator
-    x = 4 * d * d * b * b * num
-    a = d * (b - 2 * s.numerator)
-    return lambda k: max(0, -((math.isqrt(x * k // den) - a) // b))
+    x = 4 * d * d * sd * sd * num
+    a = d * (sd - 2 * sn)
+    return lambda k: max(0, -((math.isqrt(x * k // den) - a) // sd))
 
 
 def _cut(d: int, q, s) -> int:
     """The least integer c >= 0 with c >= (1 - 2*(sqrt(q) + s))*D, for
     rationals (or ints) q, s >= 0: ``_cuts_along`` at k = 1."""
-    return _cuts_along(d, q.numerator, q.denominator, s)(1)
+    return _cuts_along(d, q.numerator, q.denominator, s.numerator, s.denominator)(1)
+
+
+def _delta_cut(d: int, sn: int, sd: int) -> int:
+    """The cut at delta = sn/sd, for integers sn >= 0 and sd > 0: the
+    decoders' find, flip and plain cuts. It is ``_cuts_along`` with no square
+    root, ceil(D*(sd - 2*sn)/sd) clipped at 0."""
+    return max(0, -(-d * (sd - 2 * sn) // sd))
 
 
 @dataclass(frozen=True)
@@ -299,6 +315,15 @@ class DecodeOutcome:
 
 # -- erasure decoding --------------------------------------------------------
 
+_MARGIN = 1, 100  # the decoders' erasure margin xi = 1/100, as (numerator, denominator)
+
+
+def _capacity(n: int, a: int, b: int, c: int, e: int, xi: tuple[int, int] = _MARGIN) -> int:
+    """The erasure budget floor((1-xi)/(2 eps) * alpha * n) at eps = a/b,
+    alpha = c/e and xi = xn/xd, as one integer floor division."""
+    xn, xd = xi
+    return (xd - xn) * b * c * n // (2 * xd * a * e)
+
 
 @dataclass(frozen=True)
 class ErasureConfig:
@@ -318,14 +343,13 @@ class ErasureConfig:
     @classmethod
     def from_params(cls, params: ExpanderParams) -> "ErasureConfig":
         """The decoders' budget: ``params`` with the margin xi = 1/100."""
-        return cls(Fraction(1, 100), params.alpha, params.eps)
+        return cls(Fraction(*_MARGIN), params.alpha, params.eps)
 
     def max_erasures(self, n: int) -> int:
-        """floor((1-xi)/(2 eps) * alpha * n), as one integer floor division."""
+        """floor((1-xi)/(2 eps) * alpha * n), through the decoders' ``_capacity``."""
         xi, alpha, eps = self.xi, self.alpha, self.eps
-        return (xi.denominator - xi.numerator) * eps.denominator * alpha.numerator * n // (
-            2 * xi.denominator * eps.numerator * alpha.denominator
-        )
+        return _capacity(n, eps.numerator, eps.denominator, alpha.numerator,
+                         alpha.denominator, (xi.numerator, xi.denominator))
 
 
 def _erase(g: BipartiteGraph, s: int, erased: int) -> tuple[Optional[int], str, str]:
@@ -500,17 +524,20 @@ def _find_erase_decode(
     radius: Optional[Fraction],
 ) -> DecodeOutcome:
     """Find suspects at delta = eps, erase them, decode from erasures; then,
-    unless ``radius`` is None, check the candidate's distance against it."""
-    capacity = ErasureConfig.from_params(params).max_erasures(g.n_left)
-    h = _cut(g.d_left, 0, params.eps)
-    e, why, suspects = _find_and_erase(g, syndrome_bits(g, y.bits), h, capacity)
+    unless ``radius`` is None, check the candidate's distance against it.
+    The capacity and the cut are set up on integers, eps = a/b and alpha = c/e."""
+    a, b = params.eps.numerator, params.eps.denominator
+    capacity = _capacity(g.n_left, a, b, params.alpha.numerator, params.alpha.denominator)
+    e, why, suspects = _find_and_erase(
+        g, syndrome_bits(g, y.bits), _delta_cut(g.d_left, a, b), capacity
+    )
     if e is None:
         return DecodeOutcome(
             algorithm, "failure", reason="no-candidate",
             radius=radius, iterations=len(suspects), path=why,
         )
     dist = e.bit_count()
-    if radius is not None and dist > radius:
+    if radius is not None and dist * radius.denominator > radius.numerator:
         return DecodeOutcome(
             algorithm, "failure", reason="radius-exceeded",
             radius=radius, iterations=len(suspects), path="find+erase",
@@ -562,12 +589,15 @@ def flip_decode_ss(
     if threshold_fraction is None:
         if eps is None:
             raise InvalidParameters("need threshold_fraction or eps")
-        threshold_fraction = 1 - 2 * as_fraction(eps)
-    tf = as_fraction(threshold_fraction)
-    if not Fraction(1, 2) < tf <= 1:
-        raise InvalidParameters(f"threshold_fraction must be in (1/2, 1], got {tf}")
+        eps = as_fraction(eps)
+        p, q = eps.denominator - 2 * eps.numerator, eps.denominator  # tf = 1 - 2 eps
+    else:
+        tf = as_fraction(threshold_fraction)
+        p, q = tf.numerator, tf.denominator
+    if not q < 2 * p <= 2 * q:
+        raise InvalidParameters(f"threshold_fraction must be in (1/2, 1], got {Fraction(p, q)}")
     n = g.n_left
-    t = _cut(g.d_left, 0, (1 - tf) / 2)
+    t = _delta_cut(g.d_left, q - p, 2 * q)  # delta = (1 - tf)/2
     z = y.bits
     synd = syndrome_bits(g, z)
     unsat = synd.bit_count()
@@ -617,14 +647,23 @@ def flip_round(g: BipartiteGraph, y: Word, gamma) -> tuple[Word, FlipRoundReport
     """Flip every bit with at least (1 - 3*gamma)*D unsatisfied checks."""
     _check_plain(g, y)
     gamma = as_fraction(gamma)
-    if not 0 <= gamma <= 1:
+    p, q = gamma.numerator, gamma.denominator
+    if not 0 <= p <= q:
         raise InvalidParameters(f"gamma must be in [0, 1], got {gamma}")
-    need = (1 - 3 * gamma) * g.d_left
-    l0 = _at_least(g, syndrome_bits(g, y.bits), [_cut(g.d_left, 0, 3 * gamma / 2)])[0]
-    return Word(y.n, y.bits ^ l0), FlipRoundReport(mask_to_indices(l0), need)
+    d = g.d_left
+    l0 = _at_least(g, syndrome_bits(g, y.bits), [_delta_cut(d, 3 * p, 2 * q)])[0]
+    return Word(y.n, y.bits ^ l0), FlipRoundReport(
+        mask_to_indices(l0), Fraction((q - 3 * p) * d, q)
+    )
 
 
 # -- Viderman-style find-and-erase decoding ----------------------------------
+
+
+def _baseline(n: int, a: int, b: int, c: int, e: int) -> tuple[int, int]:
+    """The baseline radius (1 - 3 eps)/(1 - 2 eps) * floor(alpha*N) at
+    eps = a/b < 1/3 and alpha = c/e, as (numerator, denominator)."""
+    return (b - 3 * a) * (c * n // e), b - 2 * a
 
 
 def viderman_decode(
@@ -640,19 +679,34 @@ def viderman_decode(
     which needs eps < 1/3; pass a nonnegative ``radius`` to override.
     """
     _check_plain(g, y)
-    eps = params.eps
+    a, b = params.eps.numerator, params.eps.denominator
     if radius is None:
-        if eps >= Fraction(1, 3):
+        if 3 * a >= b:
             raise InvalidParameters("baseline radius needs eps < 1/3; pass radius=")
-        radius = (1 - 3 * eps) / (1 - 2 * eps) * math.floor(params.alpha * g.n_left)
+        radius = Fraction(*_baseline(g.n_left, a, b, params.alpha.numerator,
+                                     params.alpha.denominator))
     else:
         radius = as_fraction(radius)
-        if radius < 0:
+        if radius.numerator < 0:
             raise InvalidParameters(f"radius must be nonnegative, got {radius}")
     return _find_erase_decode(g, y, params, "viderman", radius)
 
 
 # -- guess-and-flip (enumerated collision densities) --------------------------
+
+
+def _schedule(p: int, q: int) -> tuple[int, int, int]:
+    """Guess-flip's schedule at beta = p/q, for integers p and q > 0: the
+    depth ell, enough rounds for a per-round error reduction of beta to
+    shrink any starting error set to a third, and the grid step
+    eta = beta/100, as (ell, eta numerator, eta denominator). Refuses a beta
+    outside (0, 1/4), or one that rounds 1 - beta to 1 in floats."""
+    if not 0 < 4 * p < q:
+        raise InvalidParameters(f"beta must be in (0, 1/4), got {Fraction(p, q)}")
+    shrink = math.log(1 - p / q)  # p / q is float(beta), correctly rounded
+    if shrink == 0:
+        raise InvalidParameters(f"beta = {Fraction(p, q)} rounds 1 - beta to 1 in floats")
+    return math.ceil(math.log(1 / 3) / shrink), p, 100 * q
 
 
 @dataclass(frozen=True)
@@ -663,7 +717,7 @@ class GuessSchedule:
     eta = beta/100, which ``_flip_cuts`` lists by its distinct integer cuts
     and never builds; a run makes ``ell`` guesses, enough rounds for a
     per-round error reduction of beta to shrink any starting error set to a
-    third.
+    third. ``for_beta`` reads both from ``_schedule``, as the decoder does.
     """
 
     beta: Fraction
@@ -673,12 +727,8 @@ class GuessSchedule:
     @classmethod
     def for_beta(cls, beta) -> "GuessSchedule":
         beta = as_fraction(beta)
-        if not 0 < beta < Fraction(1, 4):
-            raise InvalidParameters(f"beta must be in (0, 1/4), got {beta}")
-        shrink = math.log(1 - float(beta))
-        if shrink == 0:
-            raise InvalidParameters(f"beta = {beta} rounds 1 - beta to 1 in floats")
-        return cls(beta, beta / 100, math.ceil(math.log(1 / 3) / shrink))
+        ell, p, q = _schedule(beta.numerator, beta.denominator)
+        return cls(beta, Fraction(p, q), ell)
 
 
 def _cut_steps(cut, lo: int, hi: int):
@@ -702,16 +752,33 @@ def _cut_steps(cut, lo: int, hi: int):
         k = a
 
 
-def _flip_cuts(eta: Fraction, cutoff: Fraction, d: int) -> tuple[list[int], bool]:
+def _flip_cuts(d: int, p: int, q: int, a: int, b: int) -> tuple[list[int], bool]:
     """The distinct cuts max(0, ceil((1 - 3 i eta) D)) of the guesses i eta
-    below ``cutoff``, descending, and whether a guess reaches ``cutoff``.
-    With eta = p/q a cut is D - floor(3 i p D / q), so a probe is one
-    integer floor division."""
-    last = math.ceil(1 / eta)
-    below = min(last + 1, math.ceil(cutoff / eta))  # first i with i eta >= cutoff
-    step, q = 3 * eta.numerator * d, eta.denominator
+    below the cutoff 2 eps/3 + eta, descending, and whether a guess reaches
+    the cutoff, at eta = p/q > 0 and eps = a/b >= 0. A cut is
+    D - floor(3 i p D / q), so a probe is one integer floor division; the
+    last guess is i = ceil(1/eta), and the first at the cutoff is
+    i = ceil(2 a q / (3 b p)) + 1."""
+    last = -(-q // p)
+    below = min(last + 1, -(-2 * a * q // (3 * b * p)) + 1)
+    step = 3 * p * d
     steps = _cut_steps(lambda i: max(0, d - i * step // q), 1, below)
-    return [t for _, t in steps], last * eta >= cutoff
+    return [t for _, t in steps], 3 * b * p * (last - 1) >= 2 * a * q
+
+
+def _flip_setup(n: int, d: int, a: int, b: int, c: int, e: int, p: int, q: int) -> tuple:
+    """Guess-flip's set-up, on integers, at eps = a/b, alpha = c/e and
+    beta = p/q: (ell, the radius (1 - eps) * alpha * N as (numerator,
+    denominator), its floor max_dist, the floor max_fix of the baseline
+    radius, the erasure capacity, the find cut, the flip cuts, has_find).
+    Integer weights w satisfy w <= r exactly when w <= floor(r), so the
+    search compares integers."""
+    ell, ep, eq = _schedule(p, q)
+    num, den = (b - a) * c * n, b * e
+    fix_num, fix_den = _baseline(n, a, b, c, e)
+    flip_thresholds, has_find = _flip_cuts(d, ep, eq, a, b)
+    return (ell, (num, den), num // den, fix_num // fix_den, _capacity(n, a, b, c, e),
+            _delta_cut(d, a, b), flip_thresholds, has_find)
 
 
 def guess_flip_decode(
@@ -731,7 +798,13 @@ def guess_flip_decode(
     memoization instead of materializing every sequence; the accepted
     candidate is the first in that deterministic order. The search recurses
     one frame per level, ``ell`` deep; each frame returns its first hit, and
-    the enumeration path is built once, as that hit unwinds.
+    the enumeration path is built once, as that hit unwinds. A node that
+    failed is kept in a memo, by word and depth, and a parent tests a
+    child's (word, depth) against it before the call, so a known failure
+    costs one set lookup and no call. On ``gen_left_regular(200, 150, 6, 1)``
+    with eps = 1/6, the scaled entry at eta = 1/100 on one word with 2
+    errors and one with 6 expands 769 nodes; testing the memo inside the
+    call took 2068 calls for them, 63% of them returning at once.
 
     A node's children depend on its syndrome alone: per flip cut t, the
     mask l0 of the bits with at least t unsatisfied checks, and the
@@ -740,40 +813,46 @@ def guess_flip_decode(
     with that syndrome walks. Where the top cut flips nothing, the search
     walks one word down level by level, and every level reuses the one
     expansion. On ``gen_left_regular(N, 3N/4, 6)`` with eps = 1/6, the
-    scaled entry at eta = 1/100 (N = 200, 6 errors) expands 652 nodes and
+    scaled entry at eta = 1/100 (N = 200, 6 errors) expands 658 nodes and
     meets 7 distinct syndromes, and beta = 1/1000 (N = 60, 3 errors) meets
-    2 in the 988 nodes before the recursion limit. The radii are floored
-    once, so a leaf compares integer weights. A leaf or find step reads only
-    the candidate, and an L over the erasure capacity gives none, so its
-    find loop runs with limit capacity: it stops once L and the vertices
-    waiting to join it exceed the capacity, rather than run away to N.
+    2 in the nearly 1000 nodes it expands before the recursion limit. A leaf
+    or find step reads only the candidate, and an L over the erasure
+    capacity gives none, so its find loop runs with limit capacity: it stops
+    once L and the vertices waiting to join it exceed the capacity, rather
+    than run away to N.
 
-    A search deeper than the interpreter's recursion limit (beta below
-    about 1/900) raises a short ``RecursionError`` naming ``ell``.
+    The set-up (``_flip_setup``) runs on integers: the radii are floored
+    once, so a leaf compares integer weights, and the one ``Fraction`` built
+    is the radius the outcome carries. A search deeper than the
+    interpreter's recursion limit (beta below about 1/900) raises a short
+    ``RecursionError`` naming ``ell``.
     """
     _check_plain(g, y)
     beta = as_fraction(beta)
     eps, alpha = params.eps, params.alpha
-    if eps > Fraction(1, 4) - beta:
+    a, b, p, q = eps.numerator, eps.denominator, beta.numerator, beta.denominator
+    if 4 * (a * q + p * b) > b * q:  # eps > 1/4 - beta
         raise InvalidParameters(f"need eps <= 1/4 - beta, got eps={eps}, beta={beta}")
-    schedule = GuessSchedule.for_beta(beta)
-    n, d = g.n_left, g.d_left
-    radius = (1 - eps) * alpha * n
-    capacity = ErasureConfig.from_params(params).max_erasures(n)
-    # integer weights w satisfy w <= r exactly when w <= floor(r)
-    max_dist = math.floor(radius)
-    max_fix = math.floor((1 - 3 * eps) / (1 - 2 * eps) * math.floor(alpha * n))
-    cutoff = Fraction(2, 3) * eps + schedule.eta
+    return _guess_flip(g, y, a, b, alpha.numerator, alpha.denominator, p, q, "guess-flip", "")
 
-    flip_thresholds, has_find = _flip_cuts(schedule.eta, cutoff, d)
 
-    find_h = _cut(d, 0, eps)
+def _guess_flip(
+    g: BipartiteGraph, y: Word, a: int, b: int, c: int, e: int, p: int, q: int,
+    algorithm: str, path: str,
+) -> DecodeOutcome:
+    """The guess-flip search of both entries at eps = a/b, alpha = c/e and
+    beta = p/q, with eps <= 1/4 - beta; the outcome carries ``algorithm``
+    and ``path``."""
+    n = g.n_left
+    ell, (num, den), max_dist, max_fix, capacity, find_h, flip_thresholds, has_find = (
+        _flip_setup(n, g.d_left, a, b, c, e, p, q)
+    )
     fixed_cache: dict[int, Optional[int]] = {}
 
     def fixed(z: int, s: int) -> Optional[int]:  # s is the syndrome of z
         if z not in fixed_cache:
-            e = _find_and_erase(g, s, find_h, capacity, limit=capacity)[0]
-            fixed_cache[z] = None if e is None else z ^ e
+            err = _find_and_erase(g, s, find_h, capacity, limit=capacity)[0]
+            fixed_cache[z] = None if err is None else z ^ err
         return fixed_cache[z]
 
     # per syndrome, per flip cut t: (t, the bits l0 it flips, the syndrome after)
@@ -783,13 +862,12 @@ def guess_flip_decode(
     memo_fail: set[tuple[int, int]] = set()
 
     def dfs(z: int, s: int, depth: int) -> Optional[tuple[int, list, int]]:
-        """The first hit under word z at ``depth``: (candidate, the path
-        steps from here in reverse, bits flipped from here), or None."""
+        """The first hit under word z at ``depth``, which is not in
+        ``memo_fail``: (candidate, the path steps from here in reverse, bits
+        flipped from here), or None."""
         nonlocal nodes
-        if (z, depth) in memo_fail:
-            return None
         nodes += 1
-        if depth == schedule.ell:
+        if depth == ell:
             cand = fixed(z, s)
             if (
                 cand is not None
@@ -804,8 +882,12 @@ def guess_flip_decode(
                     (t, l0, s ^ syndrome_bits(g, l0))
                     for t, l0 in zip(flip_thresholds, _at_least(g, s, flip_thresholds))
                 ]
+            below = depth + 1
             for t, l0, s1 in kids:
-                hit = dfs(z ^ l0, s1, depth + 1)
+                z1 = z ^ l0
+                if (z1, below) in memo_fail:
+                    continue
+                hit = dfs(z1, s1, below)
                 if hit is not None:
                     cand, steps, flips = hit
                     steps.append(("flip", t))
@@ -829,12 +911,13 @@ def guess_flip_decode(
     if overrun:
         # raised here, not in the handler, so it carries no ell-frame traceback
         raise RecursionError(
-            f"guess-flip search of depth ell = {schedule.ell} exceeds the recursion limit"
+            f"guess-flip search of depth ell = {ell} exceeds the recursion limit"
         )
+    radius = Fraction(num, den)
     if hit is not None:
         cand, steps, flips = hit
         return DecodeOutcome(
-            "guess-flip",
+            algorithm,
             "success",
             word=Word(n, cand),
             radius=radius,
@@ -842,10 +925,10 @@ def guess_flip_decode(
             iterations=nodes,
             flips=flips,
             enumeration_index=tuple(reversed(steps)),
+            path=path,
         )
     return DecodeOutcome(
-        "guess-flip", "failure", reason="no-candidate",
-        radius=radius, iterations=nodes,
+        algorithm, "failure", reason="no-candidate", radius=radius, iterations=nodes, path=path,
     )
 
 
@@ -861,25 +944,28 @@ def scaled_guess_flip_decode(
     The validated radius becomes (1 - k*eps) * k*alpha * N. k is capped at
     1/alpha so the scaled set-size fraction stays at most 1; 0 <= k <= 1
     falls back to the unscaled decoder, and eta > 1/4 (k < 0) is refused.
+    Either way the search runs at beta = 1/4 - eps for the eps it uses, and
+    k, the scaled pair and that beta are worked out on integers, with no
+    ``ExpanderParams`` built: the scaled pair needs no check, since
+    0 < k*alpha <= 1 and 0 < k*eps <= 1/4 - beta.
     """
     _check_plain(g, y)
     eta = as_fraction(eta)
-    if not 0 < eta <= Fraction(1, 4):
+    p, q = eta.numerator, eta.denominator
+    if not 0 < 4 * p <= q:
         raise InvalidParameters(f"eta must be in (0, 1/4], got {eta}")
     eps, alpha = params.eps, params.alpha
-    if eps >= Fraction(1, 4):
+    a, b, c, e = eps.numerator, eps.denominator, alpha.numerator, alpha.denominator
+    if 4 * a >= b:
         raise InvalidParameters(f"need eps < 1/4, got {eps}")
-    beta = eta
-    k = (Fraction(1, 4) - beta) / eps
-    if k > 1 / alpha:
-        k = 1 / alpha
-    if k <= 1:
-        out = guess_flip_decode(g, y, params, beta=Fraction(1, 4) - eps)
-        return replace(out, algorithm="guess-flip-scaled", path="unscaled-fallback")
-    scaled = ExpanderParams(k * alpha, k * eps)
-    beta2 = Fraction(1, 4) - k * eps
-    out = guess_flip_decode(g, y, scaled, beta=beta2)
-    return replace(out, algorithm="guess-flip-scaled", path=f"k={k}")
+    kn, kd = (q - 4 * p) * b, 4 * q * a  # k = (1/4 - eta)/eps
+    if kn * c > kd * e:  # k > 1/alpha
+        kn, kd = e, c
+    path = "unscaled-fallback"
+    if kn > kd:
+        path = f"k={Fraction(kn, kd)}"
+        a, b, c, e = kn * a, kd * b, kn * c, kd * e
+    return _guess_flip(g, y, a, b, c, e, b - 4 * a, 4 * b, "guess-flip-scaled", path)
 
 
 # -- guess-expansion decoding (eps <= 1/8) ------------------------------------
@@ -985,33 +1071,39 @@ def guess_expansion_decode_poly(
     """
     _check_plain(g, y)
     eps = params.eps
-    if eps > Fraction(1, 8):
+    a, b, c, e = eps.numerator, eps.denominator, params.alpha.numerator, params.alpha.denominator
+    if 8 * a > b:
         raise InvalidParameters(f"need eps <= 1/8, got {eps}")
     slack = as_fraction(slack)
-    if slack < 0:
+    sn, sd = slack.numerator, slack.denominator
+    if sn < 0:
         raise InvalidParameters("slack must be nonnegative")
     n, m, d = g.n_left, g.m_right, g.d_left
     if not n:  # no guess (i, j) to make, and an accept radius of 0
         return DecodeOutcome(
             "guess-expansion", "failure", reason="no-candidate", radius=Fraction(0)
         )
-    # gamma = 0 at (1, D), which puts it on the plain branch (D <= M)
-    affine = eps + slack
-    plain = _cut(d, 0, affine)
+    # gamma = 0 at (1, D), which puts it on the plain branch (D <= M), at
+    # delta = eps + slack = an/ad
+    an, ad = a * sd + sn * b, b * sd
+    plain = _delta_cut(d, an, ad)
     # with eps = a/b and alpha = c/e: gamma*x*eps = k*step, step = a*e/(b*D*c*N)
-    a, b, c, e = eps.numerator, eps.denominator, params.alpha.numerator, params.alpha.denominator
     i0 = max(1, -(-c * n // e))  # ceil(alpha*N)
     # the sqrt branch needs gamma*x >= eps, that is k >= eps*D*alpha*N, and j <= M
     lo, hi = max(d * i0 - m, -(-a * d * c * n // (b * e))), d * n
-    cut = _cuts_along(d, a * e, b * d * c * n, slack)
+    cut = _cuts_along(d, a * e, b * d * c * n, sn, sd)
 
     def name(k: Optional[int]) -> tuple[tuple, ExpansionGuess]:
-        x = 1 / (params.alpha * n)  # x = i/(alpha*N) at i = 1
+        # x = i/(alpha*N) = i*e/(c*N)
         if k is None:
-            return (1, d), ExpansionGuess(x, Fraction(0), None, "plain", Fraction(0), affine)
+            return (1, d), ExpansionGuess(
+                Fraction(e, c * n), Fraction(0), None, "plain", Fraction(0), Fraction(an, ad)
+            )
         i = max(i0, k // d + 1)  # k's first guess (i, j)
-        q = Fraction(k * a * e, b * d * c * n)
-        return (i, d * i - k), ExpansionGuess(i * x, Fraction(k, d * i), None, "sqrt", q, slack)
+        return (i, d * i - k), ExpansionGuess(
+            Fraction(i * e, c * n), Fraction(k, d * i), None, "sqrt",
+            Fraction(k * a * e, b * d * c * n), slack,
+        )
 
     return _run_expansion_branches(g, y, params, "guess-expansion", plain, cut, lo, hi, name)
 
@@ -1031,24 +1123,29 @@ def guess_expansion_decode_grid(
     """
     _check_plain(g, y)
     eps = params.eps
-    if eps > Fraction(1, 8):
+    a, b = eps.numerator, eps.denominator
+    if 8 * a > b:
         raise InvalidParameters(f"need eps <= 1/8, got {eps}")
-    eta = eps * as_fraction(eta_prime)
-    if eta <= 0:
+    eta_prime = as_fraction(eta_prime)
+    if eta_prime.numerator <= 0:
         raise InvalidParameters("eta_prime must be positive")
     d = g.d_left
-    affine = eps + 2 * eta
-    plain = _cut(d, 0, affine)
-    # with eps = a/b and eta = p/q: value*eps = idx*step, step = p*a/(q*b)
-    a, b, p, q = eps.numerator, eps.denominator, eta.numerator, eta.denominator
-    cut = _cuts_along(d, p * a, q * b, eta)
+    # eta = eps * eta_prime = p/q, and the plain delta eps + 2*eta = an/ad
+    p, q = a * eta_prime.numerator, b * eta_prime.denominator
+    an, ad = a * (eta_prime.denominator + 2 * eta_prime.numerator), q
+    plain = _delta_cut(d, an, ad)
+    # value*eps = idx*step with step = p*a/(q*b)
+    cut = _cuts_along(d, p * a, q * b, p, q)
     lo, hi = -(-a * q // (b * p)), -(-q // p) + 1  # ceil(eps/eta), ceil(1/eta) + 1
 
     def name(idx: Optional[int]) -> tuple[tuple, ExpansionGuess]:
         if idx is None:  # the plain cut, tried at value 0
-            return (0,), ExpansionGuess(None, None, Fraction(0), "plain", Fraction(0), affine)
+            return (0,), ExpansionGuess(
+                None, None, Fraction(0), "plain", Fraction(0), Fraction(an, ad)
+            )
         return (idx,), ExpansionGuess(
-            None, None, idx * eta, "sqrt", Fraction(idx * p * a, q * b), eta
+            None, None, Fraction(idx * p, q), "sqrt", Fraction(idx * p * a, q * b),
+            Fraction(p, q),
         )
 
     return _run_expansion_branches(g, y, params, "guess-expansion-grid", plain, cut, lo, hi, name)

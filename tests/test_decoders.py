@@ -1,7 +1,9 @@
 import bisect
+import dataclasses
 import itertools
 import math
 import random
+import re
 import sys
 import traceback
 import tracemalloc
@@ -179,6 +181,14 @@ class TestCut:
                 need = (1 - 3 * gamma) * g.d_left
                 l0 = _at_least(g, syndrome_bits(g, y.bits), [math.ceil(need)])[0]
                 assert word.bits == y.bits ^ l0 and rep.threshold == need
+        # the range check runs on integers: 0 and 1 pass, a hair outside fails
+        g = decode_instances[0].graph
+        y = Word.zero(g.n_left)
+        for gamma in (Fraction(0), Fraction(1)):
+            assert flip_round(g, y, gamma)[1].threshold == (1 - 3 * gamma) * g.d_left
+        for gamma in (Fraction(-1, 10**30), 1 + Fraction(1, 10**30)):
+            with pytest.raises(InvalidParameters, match=re.escape(f"got {gamma}")):
+                flip_round(g, y, gamma)
 
 
 def _three_branch_find(g, y, cfg, order="ascending", seed=None, prefer=None):
@@ -591,15 +601,32 @@ class TestGuessSchedule:
             beta = Fraction(rng.randint(25, 249), 1000)
             eps = Fraction(rng.randint(0, 250), 1000)
             cases.append((beta, None, eps, rng.randint(0, 64)))
+        # a coarse eta and a large eps put the last guess ceil(1/eta) eta on
+        # either side of the cutoff, or on it (eta = 1/2, eps = 3/4)
+        for _ in range(300):
+            eta = Fraction(rng.randint(1, 20), 20)
+            cases.append((None, eta, Fraction(rng.randint(0, 60), 40), rng.randint(0, 12)))
+        cases += [(None, Fraction(1, 2), eps, 6) for eps in map(Fraction, ("7/10", "3/4", "4/5"))]
         finds = set()
         for beta, eta, eps, d in cases:
             eta = GuessSchedule.for_beta(beta).eta if eta is None else eta
             cutoff = Fraction(2, 3) * eps + eta
             expected = self._grid_cuts(eta, cutoff, d)
-            assert _flip_cuts(eta, cutoff, d) == expected, (beta, eta, eps, d)
+            got = _flip_cuts(d, eta.numerator, eta.denominator, eps.numerator, eps.denominator)
+            assert got == expected == _fraction_flip_cuts(eta, cutoff, d), (beta, eta, eps, d)
             finds.add((expected[1], bool(expected[0])))
         # both branches, with and without flip cuts, are exercised
         assert finds == {(True, True), (True, False), (False, True)}
+
+
+def _fraction_flip_cuts(eta, cutoff, d):
+    """The former ``_flip_cuts``: its guess count ceil(1/eta), its first
+    guess at the cutoff and whether a guess reaches it, in Fractions."""
+    last = math.ceil(1 / eta)
+    below = min(last + 1, math.ceil(cutoff / eta))
+    step, q = 3 * eta.numerator * d, eta.denominator
+    steps = _cut_steps(lambda i: max(0, d - i * step // q), 1, below)
+    return [t for _, t in steps], last * eta >= cutoff
 
 
 def _steps_by_scan(cut, lo, hi):
@@ -846,7 +873,9 @@ def _found_list_guess_flip(g, y, params, beta):
     radius = (1 - eps) * alpha * n
     capacity = ErasureConfig.from_params(params).max_erasures(n)
     vid_radius = (1 - 3 * eps) / (1 - 2 * eps) * math.floor(alpha * n)
-    flip_thresholds, has_find = _flip_cuts(schedule.eta, Fraction(2, 3) * eps + schedule.eta, d)
+    flip_thresholds, has_find = _fraction_flip_cuts(
+        schedule.eta, Fraction(2, 3) * eps + schedule.eta, d
+    )
     find_h = _cut(d, 0, eps)
     fixed_cache = {}
 
@@ -1272,3 +1301,412 @@ class TestOutcomeContract:
                     assert syndrome(g, out.word).is_zero
                     if out.radius is not None:
                         assert y.distance(out.word) <= out.radius
+
+
+# -- the decoders' set-up on integers, against the Fraction expressions it
+# replaced: the same radii, floors, capacities and cuts, and the same refusals
+
+_TINY = Fraction(1, 10**30)
+
+
+def _frac(rng, lo, hi):
+    """A random rational in [lo, hi]: a denominator up to 10^6, or past 2^64
+    one time in ten."""
+    while True:
+        den = rng.randint(1, 2**70 if rng.random() < 0.1 else 10**6)
+        top, bottom = math.floor(hi * den), math.ceil(lo * den)
+        if bottom <= top:
+            return Fraction(rng.randint(bottom, top), den)
+
+
+def _or_refusal(call):
+    """call()'s value, or the type and text of the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _refusal(result):
+    """The text of a refusal from ``_or_refusal`` without the values it
+    names, or None for a value."""
+    if isinstance(result, tuple) and len(result) == 2 and isinstance(result[0], type):
+        return re.sub(r",? got .*", "", re.sub(r"beta = \S+", "beta = b", result[1]))
+    return None
+
+
+def _former_schedule(beta):
+    """The former GuessSchedule.for_beta, in Fractions and floats."""
+    if not 0 < beta < Fraction(1, 4):
+        raise InvalidParameters(f"beta must be in (0, 1/4), got {beta}")
+    shrink = math.log(1 - float(beta))
+    if shrink == 0:
+        raise InvalidParameters(f"beta = {beta} rounds 1 - beta to 1 in floats")
+    return GuessSchedule(beta, beta / 100, math.ceil(math.log(1 / 3) / shrink))
+
+
+def _former_flip_setup(n, d, eps, alpha, beta):
+    """guess_flip_decode's former set-up in Fractions, from its check of
+    eps <= 1/4 - beta on: (ell, radius, max_dist, max_fix, capacity, find cut,
+    flip cuts, has_find)."""
+    if eps > Fraction(1, 4) - beta:
+        raise InvalidParameters(f"need eps <= 1/4 - beta, got eps={eps}, beta={beta}")
+    schedule = _former_schedule(beta)
+    eta = schedule.eta
+    radius = (1 - eps) * alpha * n
+    capacity = math.floor((1 - Fraction(1, 100)) / (2 * eps) * alpha * n)
+    max_fix = math.floor((1 - 3 * eps) / (1 - 2 * eps) * math.floor(alpha * n))
+    cuts, has_find = _fraction_flip_cuts(eta, Fraction(2, 3) * eps + eta, d)
+    return (schedule.ell, radius, math.floor(radius), max_fix, capacity,
+            max(0, math.ceil((1 - 2 * eps) * d)), cuts, has_find)
+
+
+def _former_scaled_k(params, eta):
+    """scaled_guess_flip_decode's former k, scaled params and beta, in
+    Fractions, or None for the unscaled fallback."""
+    eps, alpha = params.eps, params.alpha
+    if not 0 < eta <= Fraction(1, 4):
+        raise InvalidParameters(f"eta must be in (0, 1/4], got {eta}")
+    if eps >= Fraction(1, 4):
+        raise InvalidParameters(f"need eps < 1/4, got {eps}")
+    k = (Fraction(1, 4) - eta) / eps
+    if k > 1 / alpha:
+        k = 1 / alpha
+    if k <= 1:
+        return None
+    return k, ExpanderParams(k * alpha, k * eps), Fraction(1, 4) - k * eps
+
+
+def _former_scaled_setup(n, d, params, eta):
+    """(path, the former set-up) of the scaled entry."""
+    scaled = _former_scaled_k(params, eta)
+    if scaled is None:
+        eps = params.eps
+        return ("unscaled-fallback",
+                *_former_flip_setup(n, d, eps, params.alpha, Fraction(1, 4) - eps))
+    k, params, beta = scaled
+    return (f"k={k}", *_former_flip_setup(n, d, params.eps, params.alpha, beta))
+
+
+class TestIntegerSetUp:
+    _G = gen_left_regular(12, 9, 3, 1)
+    _POOL = [gen_left_regular(n, m, d, 1) for n, m, d in
+             ((5, 4, 2), (12, 9, 3), (24, 18, 6), (40, 30, 5), (64, 48, 8), (97, 80, 1))]
+
+    @staticmethod
+    def _flip_cases(rng):
+        """(N, D, eps, alpha, beta or eta) at random, then at the boundaries."""
+        for _ in range(1500):
+            beta = _frac(rng, 0, Fraction(3, 10))
+            top = Fraction(1, 4) - beta if rng.random() < 0.7 and beta < Fraction(1, 4) else None
+            eps = _frac(rng, _TINY, top if top and top > _TINY else Fraction(49, 100))
+            yield rng.randint(0, 500), rng.randint(0, 64), eps, _frac(rng, _TINY, 1), beta
+        for eps, beta in (
+            (Fraction(1, 6), Fraction(1, 12)),  # eps = 1/4 - beta
+            (Fraction(1, 6) + _TINY, Fraction(1, 12)),
+            (Fraction(1, 8), Fraction(1, 8)),
+            (Fraction(1, 10**400), Fraction(1, 20)),
+            (Fraction(1, 10**400), Fraction(1, 4) - Fraction(1, 10**400)),
+            (Fraction(1, 8), Fraction(1, 10**20)),  # 1 - beta rounds to 1
+            (Fraction(1, 8), Fraction(1, 4)),
+            (Fraction(1, 4) - _TINY, Fraction(1, 100)),
+            (Fraction(1, 4), Fraction(1, 100)),  # eps = 1/4: the scaled entry refuses
+            (Fraction(1, 8), Fraction(0)),
+            (Fraction(1, 8), Fraction(-1, 5)),
+        ):
+            for n, d in ((0, 1), (60, 6), (200, 6), (1000, 64)):
+                for alpha in (Fraction(1, 12), Fraction(1, 3), Fraction(1)):
+                    yield n, d, eps, alpha, beta
+
+    def test_guess_flip_setup_matches_fractions(self, monkeypatch):
+        monkeypatch.setattr(decoders, "_guess_flip", lambda g, y, *args: args)
+        y = Word.zero(self._G.n_left)
+
+        def integer_setup(n, d, params, beta):
+            a, b, c, e, p, q, algorithm, path = guess_flip_decode(self._G, y, params, beta)
+            assert (algorithm, path) == ("guess-flip", "")
+            ell, radius, *rest = decoders._flip_setup(n, d, a, b, c, e, p, q)
+            return (ell, Fraction(*radius), *rest)
+
+        seen = set()
+        for n, d, eps, alpha, beta in self._flip_cases(random.Random(41)):
+            params = ExpanderParams(alpha, eps)
+            got = _or_refusal(lambda: integer_setup(n, d, params, beta))
+            assert got == _or_refusal(lambda: _former_flip_setup(n, d, eps, alpha, beta)), (
+                n, d, eps, alpha, beta)
+            seen.add(_refusal(got))
+        assert seen == {None, "need eps <= 1/4 - beta", "beta must be in (0, 1/4)",
+                        "beta = b rounds 1 - beta to 1 in floats"}
+
+    def test_scaled_setup_matches_fractions(self, monkeypatch):
+        # k, the scaled pair and beta = 1/4 - k eps, on integers, against
+        # the former Fractions; the scaled entry builds no ExpanderParams
+        monkeypatch.setattr(decoders, "_guess_flip", lambda g, y, *args: args)
+        y = Word.zero(self._G.n_left)
+
+        def integer_setup(n, d, params, eta):
+            a, b, c, e, p, q, algorithm, path = scaled_guess_flip_decode(self._G, y, params, eta)
+            assert algorithm == "guess-flip-scaled"
+            ell, radius, *rest = decoders._flip_setup(n, d, a, b, c, e, p, q)
+            return (path, ell, Fraction(*radius), *rest)
+
+        paths = set()
+        cases = list(self._flip_cases(random.Random(42)))
+        cases += [(60, 6, Fraction(1, 6), Fraction(1, 12), eta) for eta in (
+            Fraction(1, 4), Fraction(1, 4) + _TINY, Fraction(1, 10**20), Fraction(1, 100))]
+        for n, d, eps, alpha, eta in cases:
+            params = ExpanderParams(alpha, eps)
+            got = _or_refusal(lambda: integer_setup(n, d, params, eta))
+            assert got == _or_refusal(lambda: _former_scaled_setup(n, d, params, eta)), (
+                n, d, eps, alpha, eta)
+            paths.add(_refusal(got) or got[0][:2])
+        assert paths == {"k=", "un", "eta must be in (0, 1/4]", "need eps < 1/4",
+                         "beta = b rounds 1 - beta to 1 in floats"}
+
+    def test_scaled_search_matches_found_list_at_the_former_k(self):
+        # the whole scaled outcome against the found-list search run at the
+        # former Fraction k, scaled params and beta
+        rng = random.Random(43)
+        kinds = set()
+        for seed in range(10):
+            n = rng.randint(6, 14)
+            d = rng.randint(2, 4)
+            g = gen_left_regular(n, rng.randint(max(d, n // 2), n - 1), d, seed)
+            planted = sample_codeword(g, seed)
+            for eta in map(Fraction, ("1/12", "1/20", "1/7", "6/25")):
+                eps = (Fraction(1, 4) - eta) * rng.choice((1, Fraction(1, 2), Fraction(1, 5)))
+                params = ExpanderParams(rng.choice((1, 2, 3)) * Fraction(1, 2 * n), eps)
+                scaled = _former_scaled_k(params, eta)
+                if scaled is None:
+                    path, at, beta = "unscaled-fallback", params, Fraction(1, 4) - eps
+                else:
+                    k, at, beta = scaled
+                    path = f"k={k}"
+                for w in range(5):
+                    y = plant_errors(planted, rng.sample(range(n), w))
+                    want = _found_list_guess_flip(g, y, at, beta)
+                    want = dataclasses.replace(want, algorithm="guess-flip-scaled", path=path)
+                    assert scaled_guess_flip_decode(g, y, params, eta) == want, (g, y, params)
+                    kinds.add((path[:2], want.status))
+        assert kinds == {(p, s) for p in ("k=", "un") for s in ("success", "failure")}
+
+    def test_guess_schedule_is_the_former_one(self):
+        rng = random.Random(44)
+        betas = [_frac(rng, Fraction(-1, 10), Fraction(3, 10)) for _ in range(2000)]
+        betas += [Fraction(0), Fraction(1, 4), Fraction(1, 4) - _TINY, Fraction(1, 10**20),
+                  Fraction(1, 10**400), Fraction(1, 1000)]
+        for beta in betas:
+            assert _or_refusal(lambda: GuessSchedule.for_beta(beta)) == _or_refusal(
+                lambda: _former_schedule(beta)), beta
+
+    def test_find_erase_setup_matches_fractions(self, monkeypatch):
+        # the cut and the capacity handed to find-and-erase, the radius, and
+        # which side of the radius an error of each weight lands on
+        rng = random.Random(45)
+        handed = []
+
+        def capture(g, s, h, capacity, limit=None):
+            handed.append((h, capacity))
+            return weight[0], "ok", []
+
+        monkeypatch.setattr(decoders, "_find_and_erase", capture)
+        weight = [0]
+        cases = [(_frac(rng, _TINY, Fraction(49, 100)), rng.choice(
+            (None, None, _frac(rng, -1, 12), rng.randint(-2, 12)))) for _ in range(1500)]
+        cases += [(eps, None) for eps in (Fraction(1, 3), Fraction(1, 3) - _TINY,
+                                          Fraction(1, 10**400), Fraction(1, 4))]
+        cases += [(Fraction(1, 8), r) for r in (0, Fraction(0), -_TINY, Fraction(7, 2))]
+        outcomes = set()
+        for eps, radius in cases:
+            g = rng.choice(self._POOL)
+            n, d = g.n_left, g.d_left
+            alpha = _frac(rng, _TINY, 1)
+            params = ExpanderParams(alpha, eps)
+
+            def former_radius():
+                if radius is None:
+                    if eps >= Fraction(1, 3):
+                        raise InvalidParameters("baseline radius needs eps < 1/3; pass radius=")
+                    return (1 - 3 * eps) / (1 - 2 * eps) * math.floor(alpha * n)
+                r = Fraction(radius)
+                if r < 0:
+                    raise InvalidParameters(f"radius must be nonnegative, got {r}")
+                return r
+
+            want = _or_refusal(former_radius)
+            cut = max(0, math.ceil((1 - 2 * eps) * d))
+            capacity = math.floor((1 - Fraction(1, 100)) / (2 * eps) * alpha * n)
+            for w in ({0, math.floor(want), math.floor(want) + 1} & set(range(n + 1))
+                      if isinstance(want, Fraction) else {0}):
+                weight[0] = (1 << w) - 1
+                handed.clear()
+                out = _or_refusal(lambda: viderman_decode(g, Word.zero(n), params, radius))
+                if not isinstance(want, Fraction):
+                    assert out == want and handed == [], (eps, radius)
+                    outcomes.add(_refusal(want))
+                    continue
+                assert handed == [(cut, capacity)], (eps, alpha, n, d)
+                assert out.radius == want and out.ok == (w <= want), (eps, radius, w)
+                outcomes.add(out.ok)
+            handed.clear()
+            assert fixed_find_and_decode(g, Word.zero(n), params).radius is None
+            assert handed == [(cut, capacity)], (eps, alpha, n, d)
+        assert outcomes == {True, False, "baseline radius needs eps < 1/3; pass radius=",
+                            "radius must be nonnegative"}
+
+    def test_ss_flip_cut_matches_fractions(self, monkeypatch):
+        rng = random.Random(46)
+        cuts = []
+        monkeypatch.setattr(decoders, "_at_least",
+                            lambda g, s, ts: cuts.append(ts) or [0])
+        cases = [(rng.choice((None, _frac(rng, Fraction(2, 5), Fraction(11, 10)))),
+                  rng.choice((None, _frac(rng, Fraction(-1, 10), Fraction(2, 5)))))
+                 for _ in range(1500)]
+        cases += [(tf, None) for tf in (Fraction(1, 2), Fraction(1, 2) + _TINY, Fraction(1),
+                                        Fraction(1) + _TINY, 1, "2/3")]
+        cases += [(None, eps) for eps in (Fraction(1, 4), Fraction(1, 4) - _TINY, Fraction(0),
+                                          -_TINY, Fraction(1, 10**400))]
+        seen = set()
+        for tf, eps in cases:
+            g = rng.choice(self._POOL)
+            d = g.d_left
+
+            def former():
+                t = tf
+                if t is None:
+                    if eps is None:
+                        raise InvalidParameters("need threshold_fraction or eps")
+                    t = 1 - 2 * Fraction(eps)
+                t = Fraction(t)
+                if not Fraction(1, 2) < t <= 1:
+                    raise InvalidParameters(f"threshold_fraction must be in (1/2, 1], got {t}")
+                return [[math.ceil(t * d)]]
+
+            def integer():
+                cuts.clear()
+                out = flip_decode_ss(g, Word(g.n_left, 1), tf, eps=eps)
+                assert out.path == "no-flippable-bit"
+                return cuts
+
+            got = _or_refusal(integer)
+            assert got == _or_refusal(former), (tf, eps, d)
+            seen.add(_refusal(got))
+        assert seen == {None, "need threshold_fraction or eps",
+                        "threshold_fraction must be in (1/2, 1]"}
+
+    @staticmethod
+    def _listing(monkeypatch, call, probes):
+        """The plain cut, the cuts at ``probes(lo, hi)`` and the names a
+        lister hands the guess runner, or its refusal or outcome."""
+        handed = []
+        with monkeypatch.context() as patch:
+            patch.setattr(decoders, "_run_expansion_branches",
+                          lambda g, y, params, algorithm, *args: handed.append(args))
+            out = _or_refusal(call)
+        if not handed:
+            return out
+        plain, cut, lo, hi, name = handed[0]
+        ks = probes(lo, hi)
+        return plain, lo, hi, [cut(k) for k in ks], [name(k) for k in [None, *ks]]
+
+    @staticmethod
+    def _probes(rng):
+        def probes(lo, hi):
+            if lo >= hi:
+                return []
+            return sorted({lo, hi - 1, rng.randrange(lo, hi), rng.randrange(lo, hi)})
+        return probes
+
+    def test_poly_setup_matches_fractions(self, monkeypatch):
+        rng = random.Random(47)
+        probes = self._probes(rng)
+        empty = BipartiteGraph(0, 3, 2, ())
+        cases = [(_frac(rng, _TINY, Fraction(1, 6)), _frac(rng, Fraction(-1, 10), Fraction(1, 2)))
+                 for _ in range(400)]
+        cases += [(eps, slack) for eps in (Fraction(1, 8), Fraction(1, 8) + _TINY,
+                                           Fraction(1, 10**400))
+                  for slack in (Fraction(0), -_TINY, Fraction(1, 3))]
+        seen = set()
+        for eps, slack in cases:
+            g = rng.choice(self._POOL + [empty])
+            n, m, d = g.n_left, g.m_right, g.d_left
+            alpha = _frac(rng, _TINY, 1)
+            params = ExpanderParams(alpha, eps)
+
+            def former():
+                if eps > Fraction(1, 8):
+                    raise InvalidParameters(f"need eps <= 1/8, got {eps}")
+                if slack < 0:
+                    raise InvalidParameters("slack must be nonnegative")
+                if not n:
+                    return DecodeOutcome("guess-expansion", "failure", reason="no-candidate",
+                                         radius=Fraction(0))
+                i0 = max(1, math.ceil(alpha * n))
+                lo, hi = max(d * i0 - m, math.ceil(eps * d * alpha * n)), d * n
+                ks = probes(lo, hi)
+
+                def name(k):
+                    if k is None:
+                        return (1, d), ExpansionGuess(1 / (alpha * n), Fraction(0), None,
+                                                      "plain", Fraction(0), eps + slack)
+                    i = max(i0, k // d + 1)
+                    gamma, x = Fraction(k, d * i), i / (alpha * n)
+                    return (i, d * i - k), ExpansionGuess(x, gamma, None, "sqrt",
+                                                          gamma * x * eps, slack)
+
+                plain = max(0, math.ceil((1 - 2 * (eps + slack)) * d))
+                cuts = [_scan_cut(d, Fraction(k, d) / (alpha * n) * eps, slack) for k in ks]
+                return plain, lo, hi, cuts, [name(k) for k in [None, *ks]]
+
+            state = rng.getstate()
+            got = self._listing(
+                monkeypatch, lambda: guess_expansion_decode_poly(g, Word.zero(n), params, slack),
+                probes)
+            rng.setstate(state)  # the same probes for the former listing
+            assert got == _or_refusal(former), (n, m, d, eps, alpha, slack)
+            seen.add(_refusal(got) or type(got).__name__)
+        assert seen == {"tuple", "DecodeOutcome", "need eps <= 1/8", "slack must be nonnegative"}
+
+    def test_grid_setup_matches_fractions(self, monkeypatch):
+        rng = random.Random(48)
+        probes = self._probes(rng)
+        cases = [(_frac(rng, _TINY, Fraction(1, 6)), _frac(rng, Fraction(-1, 2), 3))
+                 for _ in range(400)]
+        cases += [(eps, eta_prime) for eps in (Fraction(1, 8), Fraction(1, 8) + _TINY,
+                                               Fraction(1, 10**400))
+                  for eta_prime in (Fraction(0), -_TINY, Fraction(1, 10**20), 2, "1/2")]
+        seen = set()
+        for eps, eta_prime in cases:
+            g = rng.choice(self._POOL)
+            d = g.d_left
+            params = ExpanderParams(_frac(rng, _TINY, 1), eps)
+
+            def former():
+                if eps > Fraction(1, 8):
+                    raise InvalidParameters(f"need eps <= 1/8, got {eps}")
+                eta = eps * Fraction(eta_prime)
+                if eta <= 0:
+                    raise InvalidParameters("eta_prime must be positive")
+                lo, hi = math.ceil(eps / eta), math.ceil(1 / eta) + 1
+                ks = probes(lo, hi)
+
+                def name(idx):
+                    if idx is None:
+                        return (0,), ExpansionGuess(None, None, Fraction(0), "plain", Fraction(0),
+                                                    eps + 2 * eta)
+                    return (idx,), ExpansionGuess(None, None, idx * eta, "sqrt",
+                                                  idx * eta * eps, eta)
+
+                plain = max(0, math.ceil((1 - 2 * (eps + 2 * eta)) * d))
+                cuts = [_scan_cut(d, idx * eta * eps, eta) for idx in ks]
+                return plain, lo, hi, cuts, [name(k) for k in [None, *ks]]
+
+            state = rng.getstate()
+            got = self._listing(
+                monkeypatch,
+                lambda: guess_expansion_decode_grid(g, Word.zero(g.n_left), params, eta_prime),
+                probes)
+            rng.setstate(state)
+            assert got == _or_refusal(former), (d, eps, eta_prime)
+            seen.add(_refusal(got))
+        assert seen == {None, "need eps <= 1/8", "eta_prime must be positive"}

@@ -1,4 +1,5 @@
-"""The operator swaps that ``tools/mutate.py`` lists, on short sources."""
+"""The operator swaps and literal changes that ``tools/mutate.py`` lists,
+on short sources."""
 
 import importlib.util
 import sys
@@ -22,7 +23,7 @@ def _mutated(source, functions=()):
 @pytest.mark.parametrize(
     "source, want",
     [
-        ("x = a >> 2\n", ["x = a << 2\n"]),
+        ("x = a >> 2\n", ["x = a << 2\n", "x = a >> 3\n", "x = a >> 1\n"]),
         ("x = a << b\n", ["x = a >> b\n"]),
         ("x >>= 1\n", ["x <<= 1\n"]),
         ("x <<= k\n", ["x >>= k\n"]),
@@ -42,6 +43,10 @@ def _mutated(source, functions=()):
         ("x = f.min(a) + mins(a)\n", []),
         ("x = a[::-1][:n - k]\n", ["x = a[::][:n - k]\n", "x = a[::-1][:]\n"]),
         ("x = a[i:j:k]\n", ["x = a[:j:k]\n", "x = a[i::k]\n", "x = a[i:j:]\n"]),
+        # decimal integer literals from 2 to 1000, one larger and one smaller
+        ("x = f(3, 0, 1)\n", ["x = f(4, 0, 1)\n", "x = f(2, 0, 1)\n"]),
+        ("x = 1000 * y\n", ["x = 1001 * y\n", "x = 999 * y\n"]),
+        ("x = 1001 * 0x10 * True * 2.0 * 'a'\n", []),
     ],
 )
 def test_each_swap_is_listed(source, want):
@@ -57,6 +62,8 @@ def test_swaps_stay_inside_the_named_function_and_out_of_annotations():
     )
     in_f = [
         source.replace("= 1 << 2", "= 1 >> 2"),  # a default is evaluated
+        source.replace("= 1 << 2", "= 1 << 3"),
+        source.replace("= 1 << 2", "= 1 << 1"),
         source.replace("a >> 1 and", "a << 1 and"),
         source.replace("a >> 1 and", "a >> 1 or"),
     ]

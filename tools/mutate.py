@@ -10,8 +10,12 @@ the other; ``^`` and ``|`` swap, as do ``>>`` and ``<<``, in an expression
 or as an augmented assignment (``^=`` and ``|=``, ``>>=`` and ``<<=``),
 outside type annotations; one ``and`` or ``or`` between two operands of a
 boolean expression turns into the other; a call of the built-in ``min``
-or ``max`` calls the other; and a slice loses one of its bounds or its
-step (``a[i:j:k]`` gives ``a[:j:k]``, ``a[i::k]`` and ``a[i:j:]``). Only
+or ``max`` calls the other; a slice loses one of its bounds or its
+step (``a[i:j:k]`` gives ``a[:j:k]``, ``a[i::k]`` and ``a[i:j:]``); and a
+small integer literal, written in decimal from 2 to ``SMALL``, is made one
+larger and one smaller (``3`` gives ``4`` and ``2``). 0 and 1 are left out:
+they mostly stand for a flag, a start or a step, where one more or less is
+often the same program, and a 1 added or subtracted already swaps. Only
 operators inside the named functions are mutated when ``--function`` is
 given (a method is named by its own name). Every mutant runs the tests
 with ``pytest -x`` in a copy of ``src/``, ``tests/``, ``demos/`` and
@@ -51,6 +55,7 @@ BITS = {ast.BitXor: ("^", "|"), ast.BitOr: ("|", "^"),
         ast.RShift: (">>", "<<"), ast.LShift: ("<<", ">>")}
 BOOLS = {ast.And: ("and", "or"), ast.Or: ("or", "and")}
 EXTREMA = {"min": "max", "max": "min"}
+SMALL = 1000  # the largest integer literal changed by one; the least is 2
 TIMEOUT_FACTOR = 5  # a mutant's run may take this many times the unmutated run
 TIMEOUT_FLOOR = 10.0  # seconds, the least time a mutant's run is given
 
@@ -82,9 +87,9 @@ def _gap(left: ast.AST, right: ast.AST, old: str, new: str) -> Mutant | None:
 
 def mutants(source: str, functions: set[str]) -> list[Mutant]:
     """Every comparison, ± 1, ``^``/``|``, ``>>``/``<<``, ``and``/``or``
-    and ``min``/``max`` swap and every dropped slice bound or step in
-    ``source``, in line order; with ``functions``, those inside a function
-    of one of those names."""
+    and ``min``/``max`` swap, every dropped slice bound or step and every
+    small integer literal changed by one in ``source``, in line order; with
+    ``functions``, those inside a function of one of those names."""
     found = []
     tree = ast.parse(source)
     # an annotation is never evaluated here, so a swap in it could not be killed
@@ -123,6 +128,12 @@ def mutants(source: str, functions: set[str]) -> list[Mutant]:
                     if part is not None and part.lineno == part.end_lineno:
                         found.append(Mutant(part.lineno, part.col_offset, part.end_col_offset,
                                             ast.get_source_segment(source, part), ""))
+            elif (isinstance(node, ast.Constant) and type(node.value) is int
+                  and 2 <= node.value <= SMALL
+                  and ast.get_source_segment(source, node) == str(node.value)):
+                for new in (node.value + 1, node.value - 1):
+                    found.append(Mutant(node.lineno, node.col_offset, node.end_col_offset,
+                                        str(node.value), str(new)))
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
