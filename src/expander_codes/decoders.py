@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Generator, NamedTuple, Optional, Sequence
 
 from ._util import _reduce, as_fraction, indices_to_mask, mask_to_indices, select
 from .errors import InvalidInput, InvalidParameters
@@ -766,19 +766,33 @@ def _flip_cuts(d: int, p: int, q: int, a: int, b: int) -> tuple[list[int], bool]
     return [t for _, t in steps], 3 * b * p * (last - 1) >= 2 * a * q
 
 
-def _flip_setup(n: int, d: int, a: int, b: int, c: int, e: int, p: int, q: int) -> tuple:
-    """Guess-flip's set-up, on integers, at eps = a/b, alpha = c/e and
-    beta = p/q: (ell, the radius (1 - eps) * alpha * N as (numerator,
-    denominator), its floor max_dist, the floor max_fix of the baseline
-    radius, the erasure capacity, the find cut, the flip cuts, has_find).
-    Integer weights w satisfy w <= r exactly when w <= floor(r), so the
-    search compares integers."""
+class _FlipSetup(NamedTuple):
+    """Guess-flip's set-up at eps = a/b, alpha = c/e and beta = p/q, on
+    integers. Integer weights w satisfy w <= r exactly when w <= floor(r),
+    so the search compares integers."""
+
+    ell: int
+    radius: tuple[int, int]  # (1 - eps) * alpha * N as (numerator, denominator)
+    max_dist: int  # its floor
+    max_fix: int  # the floor of the baseline radius
+    capacity: int
+    find_h: int
+    flip_thresholds: list[int]
+    has_find: bool
+
+
+def _flip_setup(n: int, d: int, a: int, b: int, c: int, e: int, p: int, q: int) -> _FlipSetup:
+    """Guess-flip's set-up on a graph with N = n and D = d; ``_guess_flip``
+    reads it by field."""
     ell, ep, eq = _schedule(p, q)
     num, den = (b - a) * c * n, b * e
     fix_num, fix_den = _baseline(n, a, b, c, e)
     flip_thresholds, has_find = _flip_cuts(d, ep, eq, a, b)
-    return (ell, (num, den), num // den, fix_num // fix_den, _capacity(n, a, b, c, e),
-            _delta_cut(d, a, b), flip_thresholds, has_find)
+    return _FlipSetup(
+        ell=ell, radius=(num, den), max_dist=num // den, max_fix=fix_num // fix_den,
+        capacity=_capacity(n, a, b, c, e), find_h=_delta_cut(d, a, b),
+        flip_thresholds=flip_thresholds, has_find=has_find,
+    )
 
 
 def guess_flip_decode(
@@ -823,9 +837,10 @@ def guess_flip_decode(
 
     The set-up (``_flip_setup``) runs on integers: the radii are floored
     once, so a leaf compares integer weights, and the one ``Fraction`` built
-    is the radius the outcome carries. A search deeper than the
-    interpreter's recursion limit (beta below about 1/900) raises a short
-    ``RecursionError`` naming ``ell``.
+    is the radius the outcome carries. The search runs in ``_guess_flip``,
+    the core both entries share, one frame below this one. A search deeper
+    than the interpreter's recursion limit (beta below about 1/900) raises
+    a short ``RecursionError`` naming ``ell``.
     """
     _check_plain(g, y)
     beta = as_fraction(beta)
@@ -844,9 +859,10 @@ def _guess_flip(
     beta = p/q, with eps <= 1/4 - beta; the outcome carries ``algorithm``
     and ``path``."""
     n = g.n_left
-    ell, (num, den), max_dist, max_fix, capacity, find_h, flip_thresholds, has_find = (
-        _flip_setup(n, g.d_left, a, b, c, e, p, q)
-    )
+    setup = _flip_setup(n, g.d_left, a, b, c, e, p, q)
+    ell, max_dist, max_fix = setup.ell, setup.max_dist, setup.max_fix
+    capacity, find_h = setup.capacity, setup.find_h
+    flip_thresholds, has_find = setup.flip_thresholds, setup.has_find
     fixed_cache: dict[int, Optional[int]] = {}
 
     def fixed(z: int, s: int) -> Optional[int]:  # s is the syndrome of z
@@ -913,7 +929,7 @@ def _guess_flip(
         raise RecursionError(
             f"guess-flip search of depth ell = {ell} exceeds the recursion limit"
         )
-    radius = Fraction(num, den)
+    radius = Fraction(*setup.radius)
     if hit is not None:
         cand, steps, flips = hit
         return DecodeOutcome(

@@ -746,8 +746,10 @@ class TestGuessFlip:
         # seeded random graphs, 0 to 6 errors, both entries: the search that
         # expands each syndrome once, returns its hit and compares floored
         # radii must agree with the one that expands every node, copies its
-        # path and compares Fraction radii. Tiny graphs reach the find kind;
-        # graphs up to N = 40 run deeper searches over more syndromes.
+        # path and compares Fraction radii, run for the scaled entry at the
+        # former Fraction k, scaled params and beta. Tiny graphs reach the
+        # find kind; graphs up to N = 40 run deeper searches over more
+        # syndromes.
         regimes = (
             ((6, 14), ("1/12", "1/20", "1/7", "6/25"), 24, {"baseline", "find", "no-candidate"}),
             ((16, 40), ("1/12", "1/16"), 3, {"baseline", "no-candidate"}),
@@ -775,10 +777,7 @@ class TestGuessFlip:
                         assert got == _found_list_guess_flip(g, y, params, beta), (g, y, params)
                         kinds.add(got.enumeration_index[-1] if got.ok else got.reason)
                         got = scaled_guess_flip_decode(g, y, params, beta)
-                        with monkeypatch.context() as patch:
-                            patch.setattr(decoders, "guess_flip_decode", _found_list_guess_flip)
-                            want = scaled_guess_flip_decode(g, y, params, beta)
-                        assert got == want, (g, y, params)
+                        assert got == _found_list_scaled(g, y, params, beta), (g, y, params)
                         kinds.add(got.enumeration_index[-1] if got.ok else got.reason)
             assert kinds == kinds_seen, sizes
 
@@ -862,16 +861,16 @@ def _found_list_guess_flip(g, y, params, beta):
     """The former guess-flip search, the reference for guess_flip_decode:
     every node copies its path tuple and flip count, and a hit is appended to
     a found list; every node runs its own ``_at_least`` and ``syndrome_bits``,
-    and the radii stay ``Fraction``s."""
+    and the set-up (schedule, radii, capacity, cuts) stays in ``Fraction``s."""
     decoders._check_plain(g, y)
     beta = Fraction(beta)
     eps, alpha = params.eps, params.alpha
     if eps > Fraction(1, 4) - beta:
         raise InvalidParameters("need eps <= 1/4 - beta")
-    schedule = GuessSchedule.for_beta(beta)
+    schedule = _former_schedule(beta)
     n, d = g.n_left, g.d_left
     radius = (1 - eps) * alpha * n
-    capacity = ErasureConfig.from_params(params).max_erasures(n)
+    capacity = math.floor((1 - Fraction(1, 100)) / (2 * eps) * alpha * n)
     vid_radius = (1 - 3 * eps) / (1 - 2 * eps) * math.floor(alpha * n)
     flip_thresholds, has_find = _fraction_flip_cuts(
         schedule.eta, Fraction(2, 3) * eps + schedule.eta, d
@@ -928,6 +927,20 @@ def _found_list_guess_flip(g, y, params, beta):
     return DecodeOutcome(
         "guess-flip", "failure", reason="no-candidate", radius=radius, iterations=nodes
     )
+
+
+def _found_list_scaled(g, y, params, eta):
+    """The former scaled entry, the reference for scaled_guess_flip_decode:
+    k, the scaled params and beta in Fractions (``_former_scaled_k``), the
+    found-list search at them, and its outcome relabelled."""
+    scaled = _former_scaled_k(params, Fraction(eta))
+    if scaled is None:
+        path, params, beta = "unscaled-fallback", params, Fraction(1, 4) - params.eps
+    else:
+        k, params, beta = scaled
+        path = f"k={k}"
+    out = _found_list_guess_flip(g, y, params, beta)
+    return dataclasses.replace(out, algorithm="guess-flip-scaled", path=path)
 
 
 class TestScaledGuessFlip:
@@ -1425,8 +1438,8 @@ class TestIntegerSetUp:
         def integer_setup(n, d, params, beta):
             a, b, c, e, p, q, algorithm, path = guess_flip_decode(self._G, y, params, beta)
             assert (algorithm, path) == ("guess-flip", "")
-            ell, radius, *rest = decoders._flip_setup(n, d, a, b, c, e, p, q)
-            return (ell, Fraction(*radius), *rest)
+            setup = decoders._flip_setup(n, d, a, b, c, e, p, q)
+            return tuple(setup._replace(radius=Fraction(*setup.radius)))
 
         seen = set()
         for n, d, eps, alpha, beta in self._flip_cases(random.Random(41)):
@@ -1447,8 +1460,8 @@ class TestIntegerSetUp:
         def integer_setup(n, d, params, eta):
             a, b, c, e, p, q, algorithm, path = scaled_guess_flip_decode(self._G, y, params, eta)
             assert algorithm == "guess-flip-scaled"
-            ell, radius, *rest = decoders._flip_setup(n, d, a, b, c, e, p, q)
-            return (path, ell, Fraction(*radius), *rest)
+            setup = decoders._flip_setup(n, d, a, b, c, e, p, q)
+            return (path, *setup._replace(radius=Fraction(*setup.radius)))
 
         paths = set()
         cases = list(self._flip_cases(random.Random(42)))
@@ -1462,33 +1475,6 @@ class TestIntegerSetUp:
             paths.add(_refusal(got) or got[0][:2])
         assert paths == {"k=", "un", "eta must be in (0, 1/4]", "need eps < 1/4",
                          "beta = b rounds 1 - beta to 1 in floats"}
-
-    def test_scaled_search_matches_found_list_at_the_former_k(self):
-        # the whole scaled outcome against the found-list search run at the
-        # former Fraction k, scaled params and beta
-        rng = random.Random(43)
-        kinds = set()
-        for seed in range(10):
-            n = rng.randint(6, 14)
-            d = rng.randint(2, 4)
-            g = gen_left_regular(n, rng.randint(max(d, n // 2), n - 1), d, seed)
-            planted = sample_codeword(g, seed)
-            for eta in map(Fraction, ("1/12", "1/20", "1/7", "6/25")):
-                eps = (Fraction(1, 4) - eta) * rng.choice((1, Fraction(1, 2), Fraction(1, 5)))
-                params = ExpanderParams(rng.choice((1, 2, 3)) * Fraction(1, 2 * n), eps)
-                scaled = _former_scaled_k(params, eta)
-                if scaled is None:
-                    path, at, beta = "unscaled-fallback", params, Fraction(1, 4) - eps
-                else:
-                    k, at, beta = scaled
-                    path = f"k={k}"
-                for w in range(5):
-                    y = plant_errors(planted, rng.sample(range(n), w))
-                    want = _found_list_guess_flip(g, y, at, beta)
-                    want = dataclasses.replace(want, algorithm="guess-flip-scaled", path=path)
-                    assert scaled_guess_flip_decode(g, y, params, eta) == want, (g, y, params)
-                    kinds.add((path[:2], want.status))
-        assert kinds == {(p, s) for p in ("k=", "un") for s in ("success", "failure")}
 
     def test_guess_schedule_is_the_former_one(self):
         rng = random.Random(44)
